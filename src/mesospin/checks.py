@@ -4,7 +4,8 @@ Each check recomputes one identity from scratch (complete positivity window,
 thermal invariance, closure of the observable algebra, generator agreement
 between the microscopic and mesoscopic routes, canonical commutation of the
 collective modes, central-limit convergence, stationarity, physicality of
-propagated states) and reports the worst residual against its tolerance.
+propagated states, agreement of the closed-form curve engine with the 8x8
+reference path) and reports the worst residual against its tolerance.
 The checks are pure functions of their parameter grids, so a harness can
 inject out-of-window couplings or a tampered drift builder and watch the
 corresponding check fail; nothing here is ever skipped or clamped.
@@ -20,7 +21,7 @@ from .errors import NumericError
 from .experiments import ExperimentConfig, run_curve
 from .linalg import STRUCTURAL_TOL
 from .modes import drift_matrix, initial_state, mode_operators, propagate
-from .negativity import quadrature_covariance, symplectic_eigenvalues
+from .negativity import negativity, quadrature_covariance, symplectic_eigenvalues
 from .oracle import (
     CLOSURE_TOL,
     extract_mode_generator,
@@ -46,6 +47,8 @@ CLT_SITES = (100, 1000, 10000)
 CLT_TOL = 1e-2
 PHYSICALITY_TOL = 1e-9
 STATIONARITY_TOL = 1e-10
+ENGINE_TOL = 1e-12
+ENGINE_SAMPLES = 3
 
 
 @dataclass(frozen=True)
@@ -180,14 +183,18 @@ def check_stationarity(level: str = "fast") -> CheckResult:
     return _result("meso-stationarity", residual, STATIONARITY_TOL)
 
 
-def check_physicality(level: str = "fast") -> CheckResult:
-    """Propagated covariances stay physical: symplectic spectrum >= 1."""
+def _curve_configs(level: str) -> list[ExperimentConfig]:
     configs = [ExperimentConfig(t_steps=51)]
     if level == "full":
         configs.append(ExperimentConfig(gamma=0.3, temperature=0.5, t_steps=51))
         configs.append(ExperimentConfig(gamma=0.1, temperature=1.0, t_steps=51))
+    return configs
+
+
+def check_physicality(level: str = "fast") -> CheckResult:
+    """Propagated covariances stay physical: symplectic spectrum >= 1."""
     residual = 0.0
-    for config in configs:
+    for config in _curve_configs(level):
         params = ModelParams(config.epsilon, config.temperature, config.gamma)
         gen = drift_matrix(params)
         start = initial_state(params, config.squeeze_r)
@@ -197,6 +204,23 @@ def check_physicality(level: str = "fast") -> CheckResult:
             smallest = float(symplectic_eigenvalues(cov)[0])
             residual = max(residual, max(0.0, 1.0 - smallest))
     return _result("state-physicality", residual, PHYSICALITY_TOL)
+
+
+def check_curve_engine(level: str = "fast") -> CheckResult:
+    """Closed-form curves match the 8x8 reference path: relative nu_min error."""
+    residual = 0.0
+    try:
+        for config in _curve_configs(level):
+            curve = run_curve(config)
+            params = ModelParams(config.epsilon, config.temperature, config.gamma)
+            gen = drift_matrix(params)
+            start = initial_state(params, config.squeeze_r)
+            for k in np.linspace(1, config.t_steps - 1, ENGINE_SAMPLES).astype(int):
+                reference = negativity(propagate(start, gen, curve.times[k])).nu_min
+                residual = max(residual, abs(curve.nu_min[k] - reference) / reference)
+    except NumericError as exc:
+        return _result("curve-engine", float("inf"), ENGINE_TOL, str(exc))
+    return _result("curve-engine", residual, ENGINE_TOL)
 
 
 def run_checks(level: str = "fast") -> list[CheckResult]:
@@ -210,6 +234,7 @@ def run_checks(level: str = "fast") -> list[CheckResult]:
         check_clt_convergence(level),
         check_stationarity(level),
         check_physicality(level),
+        check_curve_engine(level),
     ]
 
 

@@ -40,6 +40,9 @@ _CONFIG_FLAGS = (
 )
 
 
+_WORKERS_HELP = "accepted for compatibility; no effect, curves are computed serially"
+
+
 def _parse_number_list(text: str, field: str) -> tuple[float, ...]:
     try:
         values = tuple(float(part) for part in text.split(",") if part.strip())
@@ -214,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     sg.add_argument("--gamma-list", default=None, help="comma-separated couplings")
     sg.add_argument("--output-dir", default=".", help="directory for CSV output")
     sg.add_argument("--plot-script", default=None, help="gnuplot script filename")
-    sg.add_argument("--workers", type=int, default=1, help="concurrent sweep workers")
+    sg.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     sg.set_defaults(func=_cmd_sweep_gamma)
 
     st = sub.add_parser(
@@ -226,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     st.add_argument("--output-dir", default=".", help="directory for CSV output")
     st.add_argument("--plot-script", default=None, help="gnuplot script filename")
-    st.add_argument("--workers", type=int, default=1, help="concurrent sweep workers")
+    st.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     st.set_defaults(func=_cmd_sweep_temp)
 
     verify = sub.add_parser("verify", help="run the self-check suite")

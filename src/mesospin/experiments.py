@@ -1,28 +1,39 @@
 """Negativity curves, parameter sweeps, and their deterministic CSV output.
 
 A run is fully specified by an ExperimentConfig; all defaults live on the
-dataclass so the CLI, the config file, and library callers agree. Curves are
-sampled on a uniform time grid with the closed-form propagator, so every grid
-point is computed independently: sweep entries may run concurrently and the
-output is identical regardless of worker count. CSV files are written with
-fixed 12-significant-digit formatting and '\\n' line endings, so repeated runs
-are byte-identical.
+dataclass so the CLI, the config file, and library callers agree. A curve is
+one batched, closed-form evaluation over a uniform time grid: the normal-mode
+variances of the first modes (modes.normal_mode_variances) and nu_min from
+them (negativity.min_symplectic_pt_grid), each point checked against the
+spectral route. The 8x8 moment-matrix path (modes.propagate plus
+negativity.negativity) is the independent reference that the tests and
+`mesospin verify` compare curves against. The engine is certified to
+SPECTRAL_TOL against a 50-digit reference for |squeeze_r| <= SQUEEZE_R_MAX;
+larger squeezes are refused. Sweeps compute their curves one after another.
+CSV files are written with fixed 12-significant-digit formatting and '\\n'
+line endings, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ContractViolation
-from .modes import drift_matrix, initial_state, propagate
-from .negativity import negativity
+from .modes import normal_mode_variances
+from .negativity import min_symplectic_pt_grid
 from .sites import GAMMA_MAX, ModelParams
 
 LIFETIME_THRESHOLD = 1e-12
+# Largest |squeeze_r| at which curves are certified: the property test in
+# tests/test_engine.py checks run_curve against a 50-digit reference up to
+# here. The limit is set by the per-point spectral cross-check, not by the
+# closed form: the check assembles the (x1, x2) covariance, which rounds the
+# smaller normal-mode variance away once the two differ by ~1/eps, and from
+# about r = 13 (cold bath, gamma near 1/2) it reports a false disagreement.
+SQUEEZE_R_MAX = 10.0
 
 _SCALAR_FIELDS = ("epsilon", "temperature", "gamma", "squeeze_r", "t_max")
 _LIST_FIELDS = ("gamma_list", "temperature_list")
@@ -65,6 +76,12 @@ class ExperimentConfig:
             raise ConfigError(f"t_steps: need at least 2 samples, got {self.t_steps}")
         if self.t_max <= 0:
             raise ConfigError(f"t_max: must be positive, got {self.t_max}")
+        if abs(self.squeeze_r) > SQUEEZE_R_MAX:
+            raise ConfigError(
+                f"squeeze_r: |{format_float(self.squeeze_r)}| exceeds "
+                f"{format_float(SQUEEZE_R_MAX)}, the largest squeeze at which "
+                "curves are certified"
+            )
         if self.gamma > GAMMA_MAX:
             raise ConfigError(
                 f"gamma: {format_float(self.gamma)} violates complete positivity; "
@@ -169,17 +186,12 @@ class NegativityCurve:
 
 
 def run_curve(config: ExperimentConfig) -> NegativityCurve:
-    """Propagate the squeezed thermal state and record negativity over time."""
+    """Negativity of the squeezed thermal state over the whole time grid at once."""
     params = ModelParams(config.epsilon, config.temperature, config.gamma)
-    gen = drift_matrix(params)
-    start = initial_state(params, config.squeeze_r)
     times = np.linspace(0.0, config.t_max, config.t_steps)
-    nu = np.empty(len(times))
-    ln_e = np.empty(len(times))
-    for k, t in enumerate(times):
-        result = negativity(propagate(start, gen, t))
-        nu[k] = result.nu_min
-        ln_e[k] = result.log_negativity
+    x, p = normal_mode_variances(params, config.squeeze_r, times)
+    nu = min_symplectic_pt_grid(x, p, times)
+    ln_e = np.where(nu < 1.0, -np.log(nu), 0.0)
     return NegativityCurve(times=times, nu_min=nu, log_negativity=ln_e, meta=config.meta())
 
 
@@ -194,22 +206,8 @@ class SweepResult:
     meta: dict
 
 
-def _sweep(
-    config: ExperimentConfig,
-    parameter: str,
-    values: Sequence[float],
-    workers: int,
-) -> SweepResult:
-    workers = max(1, int(workers))
-
-    def one(value: float) -> NegativityCurve:
-        return run_curve(replace(config, **{parameter: value}))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            curves = tuple(pool.map(one, values))
-    else:
-        curves = tuple(one(v) for v in values)
+def _sweep(config: ExperimentConfig, parameter: str, values: Sequence[float]) -> SweepResult:
+    curves = tuple(run_curve(replace(config, **{parameter: v})) for v in values)
     summary = tuple(
         (float(v), c.max_log_negativity, c.lifetime())
         for v, c in zip(values, curves)
@@ -227,13 +225,20 @@ def _sweep(
 
 
 def sweep_gamma(config: ExperimentConfig, workers: int = 1) -> SweepResult:
-    """One curve per coupling in gamma_list, at the configured temperature."""
-    return _sweep(config, "gamma", config.gamma_list, workers)
+    """One curve per coupling in gamma_list, at the configured temperature.
+
+    workers is accepted for compatibility and has no effect: a curve takes
+    about a millisecond, so the curves are computed one after another.
+    """
+    return _sweep(config, "gamma", config.gamma_list)
 
 
 def sweep_temperature(config: ExperimentConfig, workers: int = 1) -> SweepResult:
-    """One curve per temperature in temperature_list, at the configured gamma."""
-    return _sweep(config, "temperature", config.temperature_list, workers)
+    """One curve per temperature in temperature_list, at the configured gamma.
+
+    workers is accepted for compatibility and has no effect (see sweep_gamma).
+    """
+    return _sweep(config, "temperature", config.temperature_list)
 
 
 def _header_lines(title: str, meta: dict) -> list[str]:

@@ -7,6 +7,11 @@ observables and modes, the quadratic drift generator of the dissipative
 evolution, and the closed-form propagation of Gaussian moment matrices. No
 time stepping is involved: the drift is linear, so the flow is an exact
 matrix exponential conjugation toward the thermal fixed point.
+
+Two propagators share that flow. propagate() conjugates the full 8x8 moment
+matrix by a numerical expm; it is the general reference. normal_mode_variances()
+evaluates only the first modes, in closed form and over a whole time grid at
+once; it is what curves are computed from.
 """
 
 from __future__ import annotations
@@ -198,3 +203,45 @@ def propagate(state: GaussianState, gen: MesoGenerator, t: float) -> GaussianSta
     reference = np.eye(8, dtype=complex) / (2.0 * state.eta)
     g = transfer.conj().T @ (state.moment_matrix - reference) @ transfer + reference
     return GaussianState(moment_matrix=g, eta=state.eta)
+
+
+def normal_mode_variances(
+    params: ModelParams, squeeze_r: float, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature variances of the modes (a1 +/- b1)/sqrt(2) over a time grid.
+
+    K^2 = I puts exp(tM) in closed form, and only its (a1, b1) block
+    e^{-(1+i*eps)t} [[c, -eta*s], [-eta*s, c]] (c = cosh gamma*t,
+    s = sinh gamma*t) reaches the first modes. The phase e^{-i*eps*t} turns
+    both modes alike, a local passive rotation that no entanglement measure
+    sees, so it is dropped. The real remainder is diagonal on a1 +/- b1 with
+    damping q_+/- = e^{-t}(c -/+ eta*s), and each quadrature of each normal
+    mode relaxes toward the thermal variance: V(t) = q^2 V(0) + (1 - q^2)/eta.
+    1 - q is summed from expm1 terms of one sign and 1 - eta comes from
+    exp(2u), so no difference cancels at any r, t or temperature.
+
+    Returns (x, p), each of shape (2, len(times)) with rows sigma = +, -:
+    x starts anti-squeezed at e^{2|r|}/eta, p squeezed at e^{-2|r|}/eta.
+    The state depends on r only through |r|.
+    """
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or not np.all(np.isfinite(t)) or np.any(t < 0.0):
+        raise ContractViolation("propagation times must be finite and nonnegative")
+    r = abs(float(squeeze_r))
+    if not np.isfinite(r):
+        raise ContractViolation(f"squeeze parameter must be finite, got {squeeze_r!r}")
+    eta = params.eta
+    low = 1.0 / (np.exp(params.epsilon * params.beta) + 1.0)  # (1 - eta) / 2
+    high = 0.5 * (1.0 + eta)
+    # Row sigma = + weighs the slow rate 1 - gamma by (1 - eta)/2.
+    slow_weight = np.array([[low], [high]])
+    fast_weight = np.array([[high], [low]])
+    slow = -(1.0 - params.gamma) * t
+    fast = -(1.0 + params.gamma) * t
+    q = slow_weight * np.exp(slow) + fast_weight * np.exp(fast)
+    one_minus_q = -(slow_weight * np.expm1(slow) + fast_weight * np.expm1(fast))
+    w = q * q
+    one_minus_w = one_minus_q * (1.0 + q)
+    x = (1.0 + np.expm1(2.0 * r) * w) / eta
+    p = (one_minus_w + np.exp(-2.0 * r) * w) / eta
+    return x, p

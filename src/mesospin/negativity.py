@@ -13,6 +13,10 @@ Hermitian matrix i L^T Omega L), which stays fully accurate at degenerate
 symplectic spectra where a general eigensolver loses half its digits. The two
 routes must agree; disagreement is reported as a numeric failure, never
 papered over.
+
+Curves take a shorter road to the same verdict: min_symplectic_pt_grid reads
+nu_min of a whole time grid from the normal-mode variances of the closed-form
+dynamics and checks every point against the same spectral route, batched.
 """
 
 from __future__ import annotations
@@ -78,23 +82,26 @@ def _symplectic_form(n: int) -> np.ndarray:
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """Ascending symplectic spectrum of a real symmetric positive covariance.
 
-    Uses the similarity i*Omega*cov ~ i L^T Omega L (L the Cholesky factor),
-    whose right side is Hermitian: the Hermitian eigensolver keeps full
-    accuracy even when the spectrum is degenerate.
+    Accepts one 2n x 2n matrix or a stack of shape (..., 2n, 2n) and returns
+    shape (..., n). Uses the similarity i*Omega*cov ~ i L^T Omega L (L the
+    Cholesky factor), whose right side is Hermitian: the Hermitian eigensolver
+    keeps full accuracy even when the spectrum is degenerate.
     """
     cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
-        raise ContractViolation(f"covariance must be 2n x 2n, got {cov.shape}")
-    n = cov.shape[0] // 2
-    if np.abs(cov - cov.T).max() > _BLOCK_TOL * max(1.0, float(np.abs(cov).max())):
+    if cov.ndim < 2 or cov.shape[-1] != cov.shape[-2] or cov.shape[-1] % 2:
+        raise ContractViolation(f"covariance must be (..., 2n, 2n), got {cov.shape}")
+    n = cov.shape[-1] // 2
+    asymmetry = np.abs(cov - np.swapaxes(cov, -1, -2)).max(axis=(-2, -1))
+    scale = np.maximum(1.0, np.abs(cov).max(axis=(-2, -1)))
+    if np.any(asymmetry > _BLOCK_TOL * scale):
         raise ContractViolation("covariance must be symmetric")
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise NumericError("covariance is not positive definite") from exc
-    herm = 1.0j * (chol.T @ _symplectic_form(n) @ chol)
+    herm = 1.0j * (np.swapaxes(chol, -1, -2) @ _symplectic_form(n) @ chol)
     spectrum = np.linalg.eigvalsh(herm)
-    return np.sort(np.abs(spectrum))[::2]
+    return np.sort(np.abs(spectrum), axis=-1)[..., ::2]
 
 
 def min_symplectic_pt(cov: np.ndarray) -> float:
@@ -130,6 +137,52 @@ def min_symplectic_pt(cov: np.ndarray) -> float:
             f"formula {nu_formula:.12e} vs spectrum {nu_spectral:.12e}"
         )
     return nu_formula
+
+
+def min_symplectic_pt_grid(x: np.ndarray, p: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Smallest PT symplectic eigenvalue over a time grid, from normal modes.
+
+    x and p have shape (2, len(times)): the quadrature variances of the
+    uncorrelated modes (a1 +/- b1)/sqrt(2) (see modes.normal_mode_variances).
+    Flipping p2 swaps p_+ and p_-, so the transposed state pairs x_+ with p_-
+    and x_- with p_+: nu_min = sqrt(min(x_+ p_-, x_- p_+)).
+
+    Every point gets the checks the single-state route makes. nu_min must be
+    finite and positive (ContractViolation). The (x1, p1, x2, p2) covariance
+    is then assembled, p2 flipped, and its spectrum read from
+    symplectic_eigenvalues: a Cholesky failure or a disagreement beyond
+    SPECTRAL_TOL raises NumericError naming the first bad time.
+    """
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    times = np.asarray(times, dtype=float)
+    if x.shape != p.shape or x.shape != (2, len(times)):
+        raise ContractViolation(
+            f"variances must have shape (2, {len(times)}), got {x.shape} and {p.shape}"
+        )
+    nu = np.sqrt(np.minimum(x[0] * p[1], x[1] * p[0]))
+    bad = ~(np.isfinite(nu) & (nu > 0.0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ContractViolation(
+            f"smallest symplectic eigenvalue must be positive, got {float(nu[k])!r} "
+            f"at t = {float(times[k])!r}"
+        )
+
+    cov = np.zeros((len(times), 4, 4))
+    cov[:, 0, 0] = cov[:, 2, 2] = 0.5 * (x[0] + x[1])
+    cov[:, 0, 2] = cov[:, 2, 0] = 0.5 * (x[0] - x[1])
+    cov[:, 1, 1] = cov[:, 3, 3] = 0.5 * (p[0] + p[1])
+    cov[:, 1, 3] = cov[:, 3, 1] = -0.5 * (p[0] - p[1])
+    nu_spectral = symplectic_eigenvalues(cov)[:, 0]
+    bad = np.abs(nu - nu_spectral) > SPECTRAL_TOL * np.maximum(1.0, nu_spectral)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise NumericError(
+            f"symplectic eigenvalue routes disagree at t = {float(times[k])!r}: "
+            f"closed form {nu[k]:.12e} vs spectrum {nu_spectral[k]:.12e}"
+        )
+    return nu
 
 
 def log_negativity(nu_min: float) -> float:

@@ -3,8 +3,8 @@
 Each test prints one machine-greppable verdict line; pytest -v adds the
 pass/fail status per criterion name. Criterion 8 asserts a strict temperature
 monotonicity that the model does not satisfy over the default list (the
-entanglement threshold sits near T ~ 0.27, so the two hotter sweep points tie
-at exactly zero); it is left failing with the measured numbers printed rather
+entanglement threshold sits at T_c = 0.2859, so the two hotter sweep points
+tie at exactly zero); it is left failing with the measured numbers printed rather
 than weakened. See the README section on the known red criterion.
 """
 

@@ -1,0 +1,143 @@
+"""The closed-form curve engine against the 8x8 reference and a 50-digit one."""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mesospin.errors import ConfigError, ContractViolation, NumericError
+from mesospin.experiments import SQUEEZE_R_MAX, ExperimentConfig, run_curve
+from mesospin.modes import drift_matrix, initial_state, normal_mode_variances, propagate
+from mesospin.negativity import (
+    min_symplectic_pt_grid,
+    negativity,
+    symplectic_eigenvalues,
+)
+from mesospin.sites import ModelParams
+
+pytest.importorskip("hypothesis")
+pytest.importorskip("mpmath")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+
+def _load_reference():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("mesospin_mp_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+nu_min_reference = _load_reference().nu_min_reference
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    temperature=st.floats(0.05, 5.0),
+    gamma=st.floats(0.0, 0.5),
+    squeeze_r=st.floats(-SQUEEZE_R_MAX, SQUEEZE_R_MAX),
+    t_max=st.floats(1e-6, 20.0),
+)
+def test_engine_matches_the_50_digit_reference(temperature, gamma, squeeze_r, t_max):
+    config = ExperimentConfig(
+        temperature=temperature, gamma=gamma, squeeze_r=squeeze_r, t_max=t_max, t_steps=3
+    )
+    curve = run_curve(config)
+    for t, nu in zip(curve.times, curve.nu_min):
+        want = float(nu_min_reference(1.0, temperature, gamma, squeeze_r, t))
+        assert abs(nu - want) <= 1e-9 * want, (t, nu, want)
+
+
+@pytest.mark.parametrize(
+    "temperature,gamma,squeeze_r",
+    [(0.1, 0.5, 1.0), (0.05, 0.37, 2.0), (0.5, 0.2, -0.7), (2.0, 0.5, 1.6), (0.3, 0.0, 2.0)],
+)
+def test_engine_matches_the_moment_matrix_path(temperature, gamma, squeeze_r):
+    config = ExperimentConfig(
+        temperature=temperature, gamma=gamma, squeeze_r=squeeze_r, t_max=12.0, t_steps=400
+    )
+    curve = run_curve(config)
+    params = ModelParams(1.0, temperature, gamma)
+    gen = drift_matrix(params)
+    start = initial_state(params, squeeze_r)
+    for k in (0, 1, 7, 50, 123, 250, 399):
+        want = negativity(propagate(start, gen, curve.times[k]))
+        assert abs(curve.nu_min[k] - want.nu_min) <= 1e-12 * want.nu_min
+        assert abs(curve.log_negativity[k] - want.log_negativity) <= 1e-12
+
+
+def test_strong_squeeze_curve_is_returned_and_accurate():
+    # The moment-matrix path refuses this grid ("routes disagree"): its error
+    # grows like e^(4r) ulps and reaches ~1e-3 at r = 8.
+    config = ExperimentConfig(temperature=0.1, gamma=0.5, squeeze_r=8.0, t_steps=100)
+    curve = run_curve(config)
+    want = float(nu_min_reference(1.0, 0.1, 0.5, 8.0, curve.times[1]))
+    assert abs(curve.nu_min[1] - want) <= 1e-12 * want
+
+
+def test_disagreeing_spectral_route_raises_at_the_first_bad_time(monkeypatch):
+    negativity_module = importlib.import_module("mesospin.negativity")
+    honest = negativity_module.symplectic_eigenvalues
+
+    def skewed(cov):
+        values = honest(cov)
+        values[7:, 0] *= 1.0 + 1e-6
+        return values
+
+    monkeypatch.setattr(negativity_module, "symplectic_eigenvalues", skewed)
+    config = ExperimentConfig(t_steps=20)
+    times = np.linspace(0.0, config.t_max, config.t_steps)
+    with pytest.raises(NumericError, match=f"t = {float(times[7])!r}"):
+        run_curve(config)
+
+
+def test_grid_checks_positivity_and_definiteness():
+    times = np.array([0.0, 1.0])
+    ones = np.ones((2, 2))
+    with pytest.raises(ContractViolation, match="t = 1.0"):
+        min_symplectic_pt_grid(ones, np.array([[1.0, 0.0], [1.0, 0.0]]), times)
+    with pytest.raises(ContractViolation):
+        min_symplectic_pt_grid(ones, np.full((2, 2), np.nan), times)
+    # nu_min comes out positive, but the covariance is negative definite.
+    with pytest.raises(NumericError, match="not positive definite"):
+        min_symplectic_pt_grid(-ones, -ones, times)
+    with pytest.raises(ContractViolation):
+        min_symplectic_pt_grid(ones, np.ones((2, 3)), times)
+
+
+def test_symplectic_eigenvalues_of_a_stack_match_one_by_one():
+    rng = np.random.default_rng(3)
+    stack = []
+    for _ in range(5):
+        a = rng.standard_normal((4, 4))
+        stack.append(a @ a.T + 4.0 * np.eye(4))
+    stack = np.array(stack).reshape(5, 1, 4, 4)
+    values = symplectic_eigenvalues(stack)
+    assert values.shape == (5, 1, 2)
+    for k in range(5):
+        assert np.array_equal(values[k, 0], symplectic_eigenvalues(stack[k, 0]))
+
+
+def test_normal_mode_variances_anchors():
+    params = ModelParams(1.0, 0.2, 0.4)
+    times = np.array([0.0, 1e3])
+    x, p = normal_mode_variances(params, -1.5, times)
+    # t = 0 is the squeezed start, late times the thermal fixed point 1/eta.
+    assert np.allclose(x[:, 0], np.exp(3.0) / params.eta, rtol=1e-15, atol=0.0)
+    assert np.allclose(p[:, 0], np.exp(-3.0) / params.eta, rtol=1e-15, atol=0.0)
+    assert np.allclose(x[:, 1], 1.0 / params.eta, rtol=1e-15, atol=0.0)
+    assert np.allclose(p[:, 1], 1.0 / params.eta, rtol=1e-15, atol=0.0)
+    with pytest.raises(ContractViolation):
+        normal_mode_variances(params, 1.0, np.array([-1.0]))
+
+
+def test_accepted_squeeze_range():
+    for r in (0.0, 8.0, SQUEEZE_R_MAX, -SQUEEZE_R_MAX):
+        assert ExperimentConfig(squeeze_r=r).squeeze_r == r
+    with pytest.raises(ConfigError, match="squeeze_r"):
+        ExperimentConfig(squeeze_r=np.nextafter(SQUEEZE_R_MAX, np.inf))

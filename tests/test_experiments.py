@@ -45,6 +45,7 @@ def test_defaults():
         ({"gamma_list": ()}, "gamma_list"),
         ({"temperature_list": (0.5, -1.0)}, "temperature_list"),
         ({"squeeze_r": float("inf")}, "squeeze_r"),
+        ({"squeeze_r": 400.0}, "squeeze_r"),
     ],
 )
 def test_invalid_config_names_the_field(kwargs, field):
