@@ -27,7 +27,7 @@ from .experiments import (
     sweep_temperature,
     write_text,
 )
-from .oracle import weyl_expectation_finite, weyl_expectation_limit
+from .oracle import require_sites, weyl_expectation_finite, weyl_expectation_limit
 from .sites import ModelParams, observables, thermal_state
 
 _CONFIG_FLAGS = (
@@ -170,7 +170,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_clt(args: argparse.Namespace) -> int:
-    sites = tuple(int(n) for n in _parse_number_list(args.sites, "sites"))
+    try:
+        sites = tuple(require_sites(n) for n in _parse_number_list(args.sites, "sites"))
+    except ContractViolation as exc:
+        raise ConfigError(f"sites: {exc}") from exc
     try:
         params = ModelParams(args.epsilon, args.temperature, 0.0)
     except ContractViolation as exc:

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigError, ContractViolation
 from .modes import normal_mode_variances
 from .negativity import min_symplectic_pt_grid
-from .sites import GAMMA_MAX, ModelParams
+from .sites import ModelParams
 
 LIFETIME_THRESHOLD = 1e-12
 # Largest |squeeze_r| at which curves are certified: the property test in
@@ -82,11 +82,6 @@ class ExperimentConfig:
                 f"{format_float(SQUEEZE_R_MAX)}, the largest squeeze at which "
                 "curves are certified"
             )
-        if self.gamma > GAMMA_MAX:
-            raise ConfigError(
-                f"gamma: {format_float(self.gamma)} violates complete positivity; "
-                f"the dissipation matrix is positive only for gamma in [0, {GAMMA_MAX}]"
-            )
         for name in _LIST_FIELDS:
             raw = getattr(self, name)
             if isinstance(raw, (str, bytes)) or not isinstance(raw, Iterable):
@@ -98,29 +93,18 @@ class ExperimentConfig:
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
                     raise ConfigError(f"{name}: expected a number, got {v!r}")
             object.__setattr__(self, name, tuple(float(v) for v in values))
-        for g in self.gamma_list:
-            if g > GAMMA_MAX:
-                raise ConfigError(
-                    f"gamma_list: {format_float(g)} violates complete positivity; "
-                    f"the window is [0, {GAMMA_MAX}]"
-                )
-        for t in self.temperature_list:
-            if t <= 0:
-                raise ConfigError(
-                    f"temperature_list: temperature {format_float(t)} is not "
-                    "positive; at zero temperature the thermal fluctuation "
-                    "structure contracts (eta -> 1) and the model is undefined"
-                )
-        # Surface parameter-domain problems now, with the field named, rather
-        # than later inside the numerics.
-        try:
-            ModelParams(self.epsilon, self.temperature, self.gamma)
-            for g in self.gamma_list:
-                ModelParams(self.epsilon, self.temperature, g)
-            for t in self.temperature_list:
-                ModelParams(self.epsilon, t, self.gamma)
-        except ContractViolation as exc:
-            raise ConfigError(str(exc)) from exc
+        # ModelParams owns the physical domain. Build it for every parameter
+        # set a run can use, so a bad value surfaces now, with the config field
+        # that carried it named, rather than later inside the numerics.
+        # ModelParams's own messages name the scalar field at fault.
+        runs = [("", self.temperature, self.gamma)]
+        runs += [("gamma_list: ", self.temperature, g) for g in self.gamma_list]
+        runs += [("temperature_list: ", t, self.gamma) for t in self.temperature_list]
+        for prefix, temperature, gamma in runs:
+            try:
+                ModelParams(self.epsilon, temperature, gamma)
+            except ContractViolation as exc:
+                raise ConfigError(f"{prefix}{exc}") from exc
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -129,19 +113,10 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown configuration field '{unknown[0]}'")
         cleaned = dict(data)
-        if "t_steps" in cleaned:
-            v = cleaned["t_steps"]
-            if isinstance(v, bool):
-                raise ConfigError(f"t_steps: expected an integer, got {v!r}")
-            if isinstance(v, float):
-                if not v.is_integer():
-                    raise ConfigError(f"t_steps: expected an integer, got {v!r}")
-                cleaned["t_steps"] = int(v)
-        for name in _LIST_FIELDS:
-            if name in cleaned and isinstance(cleaned[name], Iterable) and not isinstance(
-                cleaned[name], (str, bytes)
-            ):
-                cleaned[name] = tuple(cleaned[name])
+        # JSON has one number type: accept 100.0 as a step count.
+        steps = cleaned.get("t_steps")
+        if isinstance(steps, float) and steps.is_integer():
+            cleaned["t_steps"] = int(steps)
         return cls(**cleaned)
 
     def meta(self) -> dict[str, float | int]:

@@ -1,98 +1,43 @@
-"""Dense linear-algebra helpers with explicit accuracy contracts.
+"""Shared tolerances and the one matrix exponential the package needs.
 
-Thin wrappers around scipy/numpy (Pade expm, LAPACK eigensolvers) that add the
-contract checks the rest of the package relies on: Hermiticity preconditions,
-ascending eigenvalue order, reconstruction residuals, and per-pair eigenpair
-residuals. Tolerances are declared once here and referenced everywhere.
+Both exponentials in the model are of a Hermitian matrix times a scalar: the
+bath coupling K of the mode drift, and the centred site observables of the
+oracle's Weyl factors. expm() takes that structure as its contract and
+evaluates it through numpy's Hermitian eigensolver. Tolerances are declared
+once here and referenced everywhere.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import scipy.linalg
+import cmath
 
-from .errors import ContractViolation, NumericError
+import numpy as np
+
+from .errors import ContractViolation
 
 # Structural identities (symmetry, CCR, invariance) must hold to near machine
-# precision; spectral quantities inherit eigensolver conditioning; propagated
-# dynamical quantities accumulate one more order.
+# precision; spectral quantities inherit eigensolver conditioning.
 STRUCTURAL_TOL = 1e-12
 SPECTRAL_TOL = 1e-9
-DYNAMICS_TOL = 1e-8
-
-_EIG_MAX_DIM = 8
-_RECONSTRUCTION_TOL = 1e-10
 
 
-def _as_square(a: np.ndarray, name: str) -> np.ndarray:
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ContractViolation(f"{name} must be a square matrix, got shape {a.shape}")
-    return a
+def expm(h: np.ndarray, z: complex) -> np.ndarray:
+    """exp(z*h) for a Hermitian matrix h and a finite complex scalar z.
 
-
-def expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """Matrix exponential exp(t*a) for a square matrix.
-
-    t=0 returns the exact identity. The scaling-and-squaring Pade method is
-    accurate to ~1e-13 relative for the well-scaled generators used here.
+    With h = V diag(w) V^dag and V unitary, exp(z*h) = V diag(exp(z*w)) V^dag.
+    z = 0 returns the exact identity. Raises ContractViolation for a
+    non-square or non-Hermitian h and for a non-finite z.
     """
-    a = _as_square(a, "expm argument")
-    t = float(t)
-    if not np.isfinite(t):
-        raise ContractViolation("expm time parameter must be finite")
-    if t == 0.0:
-        return np.eye(a.shape[0], dtype=complex)
-    return scipy.linalg.expm(t * a.astype(complex))
-
-
-def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (values, vectors) with values real and ascending, vectors
-    orthonormal columns. Raises ContractViolation for non-Hermitian input and
-    NumericError if the reconstruction residual exceeds 1e-10.
-    """
-    a = _as_square(a, "eig_hermitian argument")
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    if np.abs(a - a.conj().T).max(initial=0.0) > STRUCTURAL_TOL * scale:
-        raise ContractViolation("eig_hermitian requires a Hermitian matrix")
-    values, vectors = np.linalg.eigh(a)
-    residual = np.abs(vectors @ np.diag(values) @ vectors.conj().T - a).max()
-    if residual > _RECONSTRUCTION_TOL * scale:
-        raise NumericError(
-            f"Hermitian eigendecomposition residual {residual:.3e} exceeds tolerance"
-        )
-    return values, vectors
-
-
-def eig_general(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a small general matrix.
-
-    Intended for dense generators of dimension at most 8. Returns
-    (values, vectors); each eigenpair satisfies ||A v - lambda v|| <= 1e-9
-    (for unit v), otherwise NumericError is raised.
-    """
-    a = _as_square(a, "eig_general argument")
-    if a.shape[0] > _EIG_MAX_DIM:
-        raise ContractViolation(
-            f"eig_general accepts dimension <= {_EIG_MAX_DIM}, got {a.shape[0]}"
-        )
-    try:
-        values, vectors = np.linalg.eig(a.astype(complex))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericError(f"general eigensolver failed to converge: {exc}") from exc
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    for k in range(a.shape[0]):
-        v = vectors[:, k]
-        residual = float(np.linalg.norm(a @ v - values[k] * v))
-        if residual > SPECTRAL_TOL * scale:
-            raise NumericError(
-                f"eigenpair residual {residual:.3e} exceeds {SPECTRAL_TOL:.0e}"
-            )
-    return values, vectors
-
-
-def is_hermitian(a: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
-    a = np.asarray(a)
-    return bool(np.abs(a - a.conj().T).max(initial=0.0) <= tol)
+    h = np.asarray(h)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ContractViolation(f"expm argument must be a square matrix, got shape {h.shape}")
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ContractViolation(f"expm scalar must be finite, got {z!r}")
+    scale = max(1.0, float(np.abs(h).max(initial=0.0)))
+    if np.abs(h - h.conj().T).max(initial=0.0) > STRUCTURAL_TOL * scale:
+        raise ContractViolation("expm requires a Hermitian matrix")
+    if z == 0:
+        return np.eye(h.shape[0], dtype=complex)
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(z * w)) @ v.conj().T

@@ -9,9 +9,10 @@ time stepping is involved: the drift is linear, so the flow is an exact
 matrix exponential conjugation toward the thermal fixed point.
 
 Two propagators share that flow. propagate() conjugates the full 8x8 moment
-matrix by a numerical expm; it is the general reference. normal_mode_variances()
-evaluates only the first modes, in closed form and over a whole time grid at
-once; it is what curves are computed from.
+matrix by exp(tM) from flow(), which diagonalises the coupling K numerically and
+so does not rely on K^2 = I; it is the general reference.
+normal_mode_variances() evaluates only the first modes, in closed form and over
+a whole time grid at once; it is what curves are computed from.
 """
 
 from __future__ import annotations
@@ -182,6 +183,20 @@ def initial_state(params: ModelParams, squeeze_r: float = 0.0) -> GaussianState:
     return GaussianState(moment_matrix=g, eta=eta)
 
 
+def flow(gen: MesoGenerator, t: float) -> np.ndarray:
+    """The 4x4 mode flow exp(tM) = e^{-(1+i*eps)t} exp(gamma*t*K) for t >= 0.
+
+    The identity part of M commutes with K and factors out as a scalar; the
+    Hermitian exponential of the coupling is taken from its eigendecomposition.
+    t = 0 gives the exact identity.
+    """
+    t = float(t)
+    if not np.isfinite(t) or t < 0.0:
+        raise ContractViolation(f"propagation time must be nonnegative, got {t!r}")
+    phase = np.exp(-(1.0 + 1.0j * gen.epsilon) * t)
+    return phase * expm(gen.coupling, gen.gamma * t)
+
+
 def propagate(state: GaussianState, gen: MesoGenerator, t: float) -> GaussianState:
     """Evolve the moment matrix for time t >= 0 in closed form.
 
@@ -189,14 +204,11 @@ def propagate(state: GaussianState, gen: MesoGenerator, t: float) -> GaussianSta
     T = exp(tM) (+) conj(exp(tM)) and Gamma_th = I/(2*eta); the deviation from
     the fixed point is conjugated by a strict contraction whenever gamma < 1.
     """
-    t = float(t)
-    if not np.isfinite(t) or t < 0.0:
-        raise ContractViolation(f"propagation time must be nonnegative, got {t!r}")
     if abs(state.eta - gen.eta) > 1e-15:
         raise ContractViolation(
             "state and generator were built from different thermal parameters"
         )
-    u = expm(gen.matrix, t)
+    u = flow(gen, t)
     transfer = np.zeros((8, 8), dtype=complex)
     transfer[:4, :4] = u
     transfer[4:, 4:] = u.conj()

@@ -153,16 +153,17 @@ def _require_hermitian(x: np.ndarray, name: str) -> np.ndarray:
     return x
 
 
-def _require_sites(n: int) -> int:
-    if int(n) != n or n < 1:
+def require_sites(n: float) -> int:
+    """A site count as an int; raises ContractViolation unless a positive integer."""
+    if not np.isfinite(n) or int(n) != n or n < 1:
         raise ContractViolation(f"site count must be a positive integer, got {n!r}")
     return int(n)
 
 
-def _site_weyl_factor(x: np.ndarray, n: int, state: ThermalSiteState) -> complex:
+def _site_weyl_unitary(x: np.ndarray, n: int, state: ThermalSiteState) -> np.ndarray:
+    """One site's factor exp(i(x - w(x))/sqrt(n)) of the centred Weyl operator."""
     centered = x - state.expectation(x) * np.eye(_DIM)
-    u = expm(1.0j * centered / np.sqrt(n))
-    return state.expectation(u)
+    return expm(centered, 1.0j / np.sqrt(n))
 
 
 def weyl_expectation_finite(x: np.ndarray, n: int, state: ThermalSiteState) -> complex:
@@ -172,8 +173,8 @@ def weyl_expectation_finite(x: np.ndarray, n: int, state: ThermalSiteState) -> c
     factorizes into the n-th power of one site factor.
     """
     x = _require_hermitian(x, "Weyl argument")
-    n = _require_sites(n)
-    return _site_weyl_factor(x, n, state) ** n
+    n = require_sites(n)
+    return state.expectation(_site_weyl_unitary(x, n, state)) ** n
 
 
 def weyl_expectation_limit(x: np.ndarray, state: ThermalSiteState) -> float:
@@ -189,11 +190,9 @@ def weyl_product_finite(
     """Exact n-site expectation of the product of two Weyl operators."""
     x = _require_hermitian(x, "first Weyl argument")
     y = _require_hermitian(y, "second Weyl argument")
-    n = _require_sites(n)
-    cx = x - state.expectation(x) * np.eye(_DIM)
-    cy = y - state.expectation(y) * np.eye(_DIM)
-    ux = expm(1.0j * cx / np.sqrt(n))
-    uy = expm(1.0j * cy / np.sqrt(n))
+    n = require_sites(n)
+    ux = _site_weyl_unitary(x, n, state)
+    uy = _site_weyl_unitary(y, n, state)
     return state.expectation(ux @ uy) ** n
 
 

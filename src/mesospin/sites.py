@@ -62,7 +62,9 @@ class ModelParams:
             raise ContractViolation(f"epsilon must be positive, got {self.epsilon}")
         if self.temperature <= 0:
             raise ContractViolation(
-                f"temperature must be positive, got {self.temperature}"
+                f"temperature must be positive, got {self.temperature}; at zero "
+                "temperature the thermal fluctuation structure contracts "
+                "(eta -> 1) and the model is undefined"
             )
         if not 0.0 <= self.gamma <= GAMMA_MAX:
             raise ContractViolation(
@@ -92,7 +94,6 @@ class ThermalSiteState:
     """Gibbs state of a single site pair; rho is diagonal in the spin basis."""
 
     rho: np.ndarray
-    partition_function: float
     params: ModelParams
 
     def expectation(self, op: np.ndarray) -> complex:
@@ -108,8 +109,7 @@ def thermal_state(params: ModelParams) -> ThermalSiteState:
     energies = 0.5 * params.epsilon * np.array([2.0, 0.0, 0.0, -2.0])
     shifted = np.exp(-params.beta * (energies - energies.min()))
     rho = np.diag(shifted / shifted.sum()).astype(complex)
-    partition_function = float(np.exp(-params.beta * energies).sum())
-    return ThermalSiteState(rho=rho, partition_function=partition_function, params=params)
+    return ThermalSiteState(rho=rho, params=params)
 
 
 def fluctuation_inner(x: np.ndarray, y: np.ndarray, state: ThermalSiteState) -> complex:
@@ -192,28 +192,3 @@ def dissipation_matrix(gamma: float) -> DissipationMatrix:
         min_eigenvalue=min_eigenvalue,
         is_positive=min_eigenvalue >= -1e-12,
     )
-
-
-def pauli_coefficients(op: np.ndarray) -> np.ndarray:
-    """Coefficients c[i, j] of op in the (sigma_i x sigma_j)/4 trace basis."""
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (4, 4):
-        raise ContractViolation(f"site operators are 4x4, got shape {op.shape}")
-    coeffs = np.empty((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            coeffs[i, j] = np.trace(kron2(i, j) @ op) / 4.0
-    return coeffs
-
-
-def pauli_assemble(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of pauli_coefficients: sum c[i, j] sigma_i x sigma_j."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.shape != (4, 4):
-        raise ContractViolation(f"expected 4x4 coefficients, got shape {coeffs.shape}")
-    out = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            if coeffs[i, j] != 0:
-                out += coeffs[i, j] * kron2(i, j)
-    return out

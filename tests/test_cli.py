@@ -5,10 +5,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mesospin
 import mesospin.checks as checks
 from mesospin.cli import main
 from mesospin.modes import drift_matrix
@@ -164,6 +168,31 @@ def test_clt_table(capsys):
     assert "0.606024077215" in out
     assert "0.606530659713" in out
     assert "monotone convergence for every observable: yes" in out
+
+
+@pytest.mark.parametrize("sites", ["100.7,1000", "inf", "nan"])
+def test_clt_refuses_a_non_integral_site_count(sites, capsys):
+    assert main(["clt", "--sites", sites]) == 2
+    captured = capsys.readouterr()
+    assert "sites" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(mesospin.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = (
+        "import sys, mesospin.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_curve_plot_script(tmp_path):

@@ -46,6 +46,9 @@ def test_defaults():
         ({"temperature_list": (0.5, -1.0)}, "temperature_list"),
         ({"squeeze_r": float("inf")}, "squeeze_r"),
         ({"squeeze_r": 400.0}, "squeeze_r"),
+        ({"gamma_list": (0.1, -0.1)}, "gamma_list"),
+        ({"temperature_list": (0.001,)}, "temperature_list"),
+        ({"temperature_list": (float("inf"),)}, "temperature_list"),
     ],
 )
 def test_invalid_config_names_the_field(kwargs, field):

@@ -1,4 +1,4 @@
-"""Contracts of the dense linear-algebra helpers."""
+"""Contract of the Hermitian matrix exponential."""
 
 from __future__ import annotations
 
@@ -6,91 +6,55 @@ import numpy as np
 import pytest
 
 from mesospin.errors import ContractViolation
-from mesospin.linalg import eig_general, eig_hermitian, expm, is_hermitian
+from mesospin.linalg import expm
 
 
-def _random_complex(n: int, seed: int) -> np.ndarray:
+def _random_hermitian(n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return 0.5 * (a + a.conj().T)
 
 
 def test_expm_zero_time_is_exact_identity():
-    a = _random_complex(5, 1)
-    assert np.array_equal(expm(a, 0.0), np.eye(5, dtype=complex))
+    h = _random_hermitian(5, 1)
+    assert np.array_equal(expm(h, 0.0), np.eye(5, dtype=complex))
+    assert np.array_equal(expm(h, 0j), np.eye(5, dtype=complex))
 
 
 def test_expm_diagonal_case():
-    diag = np.array([-1.0, -2.0 + 3.0j, 0.5j])
-    result = expm(np.diag(diag), 0.7)
-    expected = np.diag(np.exp(0.7 * diag))
-    assert np.abs(result - expected).max() < 1e-12
+    diag = np.array([-1.0, 2.5, 0.3])
+    for z in (0.7, 0.4 - 1.1j, 2.0j):
+        expected = np.diag(np.exp(z * diag))
+        assert np.abs(expm(np.diag(diag), z) - expected).max() < 1e-14
 
 
 def test_expm_semigroup_property():
-    a = 0.5 * _random_complex(8, 2)
-    combined = expm(a, 1.6)
-    split = expm(a, 0.7) @ expm(a, 0.9)
-    assert np.abs(combined - split).max() < 1e-10
+    h = _random_hermitian(8, 2)
+    for z1, z2 in ((0.7, 0.9), (0.3 + 0.5j, -0.2 + 1.1j), (1.5j, -0.4j)):
+        combined = expm(h, z1 + z2)
+        split = expm(h, z1) @ expm(h, z2)
+        assert np.abs(combined - split).max() < 1e-12 * np.abs(combined).max()
 
 
 def test_expm_determinant_matches_trace():
-    a = 0.5 * _random_complex(6, 3)
-    for t in (0.3, 1.0, 2.5):
-        det = np.linalg.det(expm(a, t))
-        expected = np.exp(t * np.trace(a))
-        assert abs(det - expected) < 1e-9 * abs(expected)
+    h = _random_hermitian(6, 3)
+    for z in (0.3, 1.0 - 0.5j, 2.5j):
+        det = np.linalg.det(expm(h, z))
+        expected = np.exp(z * np.trace(h))
+        assert abs(det - expected) < 1e-12 * abs(expected)
 
 
 def test_expm_rejects_nonsquare_and_bad_time():
     with pytest.raises(ContractViolation):
-        expm(np.ones((2, 3)))
+        expm(np.ones((2, 3)), 1.0)
     with pytest.raises(ContractViolation):
         expm(np.eye(2), float("nan"))
-
-
-def test_eig_hermitian_ascending_orthonormal_reconstruction():
-    a = _random_complex(6, 4)
-    a = a + a.conj().T
-    values, vectors = eig_hermitian(a)
-    assert np.all(np.diff(values) >= 0)
-    assert np.abs(vectors.conj().T @ vectors - np.eye(6)).max() < 1e-12
-    assert np.abs(vectors @ np.diag(values) @ vectors.conj().T - a).max() < 1e-10
-
-
-def test_eig_hermitian_sum_matches_trace():
-    a = _random_complex(7, 5)
-    a = a + a.conj().T
-    values, _ = eig_hermitian(a)
-    assert abs(values.sum() - np.trace(a).real) < 1e-10 * max(1.0, abs(np.trace(a)))
-
-
-def test_eig_hermitian_rejects_non_hermitian():
     with pytest.raises(ContractViolation):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        expm(np.eye(2), complex(0.0, float("inf")))
 
 
-def test_eig_general_diagonal_exact():
-    values, _ = eig_general(np.diag([3.0, -1.0, 2.0j]))
-    assert np.abs(np.sort_complex(values) - np.sort_complex(np.array([3.0, -1.0, 2.0j]))).max() < 1e-12
-
-
-def test_eig_general_near_defective_pair():
-    # Similarity transform of [[2, 1], [delta, 2]]: eigenvalues 2 +/- sqrt(delta).
-    delta = 1e-10
-    s = np.array([[1.0, 1.0], [0.5, 1.3]])
-    core = np.array([[2.0, 1.0], [delta, 2.0]])
-    a = s @ core @ np.linalg.inv(s)
-    values, _ = eig_general(a)
-    expected = np.array([2.0 - np.sqrt(delta), 2.0 + np.sqrt(delta)])
-    assert np.abs(np.sort(values.real) - expected).max() < 1e-6
-    assert np.abs(values.imag).max() < 1e-6
-
-
-def test_eig_general_dimension_cap():
+def test_expm_rejects_non_hermitian():
     with pytest.raises(ContractViolation):
-        eig_general(np.eye(9))
-
-
-def test_is_hermitian_helper():
-    assert is_hermitian(np.array([[1.0, 2.0j], [-2.0j, 3.0]]))
-    assert not is_hermitian(np.array([[1.0, 2.0j], [2.0j, 3.0]]))
+        expm(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+    with pytest.raises(ContractViolation):
+        expm(np.array([[1.0, 2.0j], [2.0j, 3.0]]), 1.0j)

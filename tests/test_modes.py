@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from mesospin.errors import ContractViolation
-from mesospin.linalg import expm
 from mesospin.modes import (
     GaussianState,
     drift_matrix,
+    flow,
     initial_state,
     mode_map,
     mode_operators,
@@ -102,9 +102,9 @@ def test_propagator_norm_decays_at_the_slow_rate():
     # eta ~ 0.9999: the drift is normal, so the 2-norm is exactly exp(-(1-gamma)t)
     temp = 1.0 / (2.0 * np.arctanh(0.9999))
     p = ModelParams(1.0, temp, 0.3)
-    m = drift_matrix(p).matrix
+    gen = drift_matrix(p)
     for t in (0.5, 1.0, 3.0):
-        norm = np.linalg.norm(expm(m, t), 2)
+        norm = np.linalg.norm(flow(gen, t), 2)
         expected = np.exp(-0.7 * t)
         assert abs(norm - expected) < 1e-10 * expected
 
@@ -144,6 +144,19 @@ def test_gaussian_state_validation():
     asymmetric[1, 1] += 0.5  # Hermitian but breaks the mode-conjugate swap
     with pytest.raises(ContractViolation):
         GaussianState(moment_matrix=asymmetric, eta=p.eta)
+
+
+def test_flow_is_the_exponential_of_the_drift_matrix():
+    # flow() exponentiates only the coupling K; a 30-digit expm of the whole
+    # drift matrix M pins that the split reproduces exp(tM) itself.
+    mp = pytest.importorskip("mpmath").mp
+    p = ModelParams(1.3, 0.4, 0.45)
+    gen = drift_matrix(p)
+    for t in (0.0, 0.3, 1.7, 6.0):
+        with mp.workdps(30):
+            reference = mp.expm(mp.mpf(t) * mp.matrix(gen.matrix.tolist()))
+            expected = np.array(reference.tolist(), dtype=complex)
+        assert np.abs(flow(gen, t) - expected).max() < 1e-13
 
 
 def test_propagate_validates_time_and_parameters():
@@ -195,7 +208,7 @@ def test_propagation_contracts_toward_the_fixed_point():
     p = ModelParams(1.0, 0.1, 0.5)
     gen = drift_matrix(p)
     for t in np.linspace(0.0, 5.0, 21):
-        assert np.linalg.norm(expm(gen.matrix, t), 2) <= 1.0 + 1e-12
+        assert np.linalg.norm(flow(gen, t), 2) <= 1.0 + 1e-12
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.5])
