@@ -32,20 +32,13 @@ CLOSURE_TOL = 1e-10
 _DIM = 4
 
 
-def _vec(x: np.ndarray) -> np.ndarray:
+def vec(x: np.ndarray) -> np.ndarray:
+    """Column-stacked vector of a 4x4 operator, the basis of the 16x16 generators."""
     return np.asarray(x, dtype=complex).flatten(order="F")
 
 
 def _unvec(v: np.ndarray) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape((_DIM, _DIM), order="F")
-
-
-def _left(a: np.ndarray) -> np.ndarray:
-    return np.kron(np.eye(_DIM), a)
-
-
-def _right(b: np.ndarray) -> np.ndarray:
-    return np.kron(b.T, np.eye(_DIM))
 
 
 @dataclass(frozen=True)
@@ -56,7 +49,7 @@ class Superoperator:
     params: ModelParams
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return _unvec(self.matrix @ _vec(x))
+        return _unvec(self.matrix @ vec(x))
 
 
 def liouvillian(params: ModelParams) -> Superoperator:
@@ -65,24 +58,24 @@ def liouvillian(params: ModelParams) -> Superoperator:
     The half in front of the double commutator makes the generator agree with
     the standard completely positive form (sum over both Lindblad pairings);
     unitality L[1] = 0 holds exactly by construction and is checked.
+    Expanding the double commutator into V_m X V_n^dag + V_n^dag X V_m
+    - X A - B X with A = sum D_mn V_m V_n^dag and B = sum D_mn V_n^dag V_m,
+    every term is assembled in closed form from vec(AXB) = (B^T (x) A) vec(X).
     """
     h = site_hamiltonian(params)
     d = dissipation_matrix(params.gamma).matrix
-    v_ops = lindblad_ops()
+    v = np.array(lindblad_ops())
+    vd = v.conj().transpose(0, 2, 1)
+    eye = np.eye(_DIM)
 
-    gen = 1.0j * (_left(h) - _right(h))
-    for m, vm in enumerate(v_ops):
-        for n, vn in enumerate(v_ops):
-            if d[m, n] == 0:
-                continue
-            vnd = vn.conj().T
-            term = (
-                _right(vnd) @ _left(vm)
-                - _right(vm @ vnd)
-                - _left(vnd @ vm)
-                + _left(vnd) @ _right(vm)
-            )
-            gen = gen + 0.5 * d[m, n] * term
+    sandwich = np.einsum("mn,nji,mkl->ikjl", d, vd, v) + np.einsum(
+        "mn,mji,nkl->ikjl", d, v, vd
+    )
+    a = np.einsum("mn,mij,njk->ik", d, v, vd)
+    b = np.einsum("mn,nij,mjk->ik", d, vd, v)
+    gen = 1.0j * (np.kron(eye, h) - np.kron(h.T, eye)) + 0.5 * (
+        sandwich.reshape(_DIM**2, _DIM**2) - np.kron(a.T, eye) - np.kron(eye, b)
+    )
 
     sup = Superoperator(matrix=gen, params=params)
     unital = float(np.abs(sup.apply(np.eye(_DIM))).max())
@@ -113,25 +106,16 @@ class GeneratorExtraction:
 def extract_mode_generator(
     sup: Superoperator, params: ModelParams
 ) -> GeneratorExtraction:
-    obs = observables().ops
-    images = [sup.apply(x) for x in obs]
-
-    coeffs = np.empty((8, 8), dtype=complex)
-    identity = np.empty(8, dtype=complex)
-    residual = 0.0
-    eye = np.eye(_DIM, dtype=complex)
-    for a, image in enumerate(images):
-        identity[a] = np.trace(image) / 4.0
-        for b, xb in enumerate(obs):
-            coeffs[b, a] = np.trace(xb.conj().T @ image) / 4.0
-        recon = identity[a] * eye
-        for b, xb in enumerate(obs):
-            recon = recon + coeffs[b, a] * xb
-        residual = max(residual, float(np.abs(image - recon).max()))
-    if residual > CLOSURE_TOL:
+    # Pauli words are orthogonal under tr(x^dag y) = 4 delta, so basis^H / 4 projects.
+    basis = np.column_stack([vec(x) for x in (np.eye(_DIM),) + observables().ops])
+    images = sup.matrix @ basis[:, 1:]
+    components = basis.conj().T @ images / 4.0
+    residual = float(np.abs(images - basis @ components).max())
+    if not residual <= CLOSURE_TOL:
         raise ClosureError(
             f"observables do not close under the generator: residual {residual:.3e}"
         )
+    identity, coeffs = components[0], components[1:]
 
     mm = mode_map(params)
     mode_generator = mm.matrix @ coeffs.T @ mm.inverse

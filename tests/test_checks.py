@@ -1,0 +1,32 @@
+"""The batched self-checks still catch the faults they exist to catch."""
+
+from __future__ import annotations
+
+import numpy as np
+
+import mesospin.checks as checks
+from mesospin.modes import mode_operators
+from mesospin.sites import ThermalSiteState
+
+
+def test_mode_ccr_fails_when_a_mode_is_mis_normalised(monkeypatch):
+    def scaled(params):
+        a1, a2, b1, b2 = mode_operators(params)
+        return a1, 1.001 * a2, b1, b2
+
+    monkeypatch.setattr(checks, "mode_operators", scaled)
+    result = checks.check_mode_ccr("fast")
+    assert not result.passed
+    # [a2, a2^dag] = 1.001^2
+    assert abs(result.residual - 2.001e-3) < 1e-12
+
+
+def test_thermal_invariance_fails_for_a_non_stationary_state(monkeypatch):
+    # Not population-reversed: the flip-flop dynamics leave that state invariant.
+    rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    monkeypatch.setattr(
+        checks, "thermal_state", lambda params: ThermalSiteState(rho=rho, params=params)
+    )
+    result = checks.check_thermal_invariance("fast")
+    assert not result.passed
+    assert abs(result.residual - 0.2) < 1e-12

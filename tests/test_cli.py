@@ -155,6 +155,30 @@ def test_verify_fails_when_the_drift_is_tampered(monkeypatch, capsys):
     assert "FAIL" in out
 
 
+def test_verify_full_passes(capsys):
+    assert main(["verify", "--level", "full"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS") == 8
+    assert "all checks passed" in out
+
+
+def test_verify_reports_a_numeric_error_as_a_failure(monkeypatch, capsys):
+    def tampered(params):
+        gen = drift_matrix(params)
+        coupling = gen.coupling.copy()
+        coupling[0, 0] = 3.0
+        return dataclasses.replace(gen, coupling=coupling)
+
+    monkeypatch.setattr(checks, "drift_matrix", tampered)
+    assert main(["verify", "--level", "fast"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    results = [line for line in lines if " residual " in line]
+    assert len(results) == 8
+    physicality = next(line for line in results if line.startswith("state-physicality"))
+    assert physicality.endswith("FAIL") and " inf " in physicality
+    assert "    covariance is not positive definite" in lines
+
+
 def test_dissipation_check_reports_injected_cp_violation():
     result = checks.check_dissipation_spectrum(gammas=(0.25, 0.6))
     assert not result.passed

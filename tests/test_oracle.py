@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from mesospin.errors import ContractViolation
+from mesospin.errors import ClosureError, ContractViolation
 from mesospin.modes import drift_matrix
 from mesospin.oracle import (
     extract_mode_generator,
     liouvillian,
+    vec,
     weyl_expectation_finite,
     weyl_expectation_limit,
     weyl_product_finite,
@@ -17,7 +20,9 @@ from mesospin.oracle import (
 )
 from mesospin.sites import (
     ModelParams,
+    dissipation_matrix,
     kron2,
+    lindblad_ops,
     observables,
     site_hamiltonian,
     thermal_state,
@@ -39,6 +44,24 @@ def test_generator_is_unital_and_annihilates_the_hamiltonian():
         assert np.abs(sup.apply(h)).max() < 1e-13
 
 
+def test_generator_matches_the_double_commutator_form():
+    # Plain 4x4 products, independent of the vec identities behind the 16x16 matrix.
+    rng = np.random.default_rng(7)
+    for p in GRID:
+        h = site_hamiltonian(p)
+        d = dissipation_matrix(p.gamma).matrix
+        sup = liouvillian(p)
+        for _ in range(3):
+            x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            expected = 1j * (h @ x - x @ h)
+            for m, vm in enumerate(lindblad_ops()):
+                for n, vn in enumerate(lindblad_ops()):
+                    inner = vm @ x - x @ vm
+                    vnd = vn.conj().T
+                    expected = expected + 0.5 * d[m, n] * (inner @ vnd - vnd @ inner)
+            assert np.abs(sup.apply(x) - expected).max() < 1e-13
+
+
 def test_thermal_state_is_stationary_for_all_pauli_words():
     words = [kron2(i, j) for i in range(4) for j in range(4)]
     for p in GRID:
@@ -53,6 +76,17 @@ def test_observables_close_and_identity_components_vanish():
         ext = extract_mode_generator(liouvillian(p), p)
         assert ext.residual < 1e-10
         assert np.abs(ext.identity_coeffs).max() < 1e-10
+
+
+def test_leak_onto_a_complement_word_breaks_closure():
+    p = ModelParams(1.0, 1.0, 0.3)
+    sup = liouvillian(p)
+    x1 = observables().ops[0]
+    leak = observables().complement[1]  # sigma3 x 1
+    # adds 1e-6 * leak to L[x1] and to no other observable's image
+    matrix = sup.matrix + 1e-6 * np.outer(vec(leak), vec(x1).conj()) / 4.0
+    with pytest.raises(ClosureError, match="do not close"):
+        extract_mode_generator(dataclasses.replace(sup, matrix=matrix), p)
 
 
 def test_mode_generator_blocks_match_the_drift_matrix():
