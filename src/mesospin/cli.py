@@ -27,8 +27,8 @@ from .experiments import (
     sweep_temperature,
     write_text,
 )
-from .oracle import require_sites, weyl_expectation_finite, weyl_expectation_limit
-from .sites import ModelParams, observables, thermal_state
+from .oracle import clt_table, require_sites
+from .sites import ModelParams, thermal_state
 
 _CONFIG_FLAGS = (
     ("epsilon", float),
@@ -153,13 +153,13 @@ def _write_sweep(sweep: SweepResult, out_dir: str, plot_script: str | None) -> i
 
 def _cmd_sweep_gamma(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    sweep = sweep_gamma(config, workers=args.workers)
+    sweep = sweep_gamma(config)
     return _write_sweep(sweep, args.output_dir, args.plot_script)
 
 
 def _cmd_sweep_temp(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    sweep = sweep_temperature(config, workers=args.workers)
+    sweep = sweep_temperature(config)
     return _write_sweep(sweep, args.output_dir, args.plot_script)
 
 
@@ -178,23 +178,15 @@ def _cmd_clt(args: argparse.Namespace) -> int:
         params = ModelParams(args.epsilon, args.temperature, 0.0)
     except ContractViolation as exc:
         raise ConfigError(str(exc)) from exc
-    state = thermal_state(params)
+    table = clt_table(thermal_state(params), sites)
     print(f"{'observable':<12}{'sites':>8}  {'finite':>16}  {'limit':>16}  {'|error|':>12}")
-    all_monotone = True
-    for index, x in enumerate(observables().ops):
-        limit = weyl_expectation_limit(x, state)
-        errors = []
-        for n in sites:
-            finite = weyl_expectation_finite(x, n, state)
-            err = abs(finite - limit)
-            errors.append(err)
+    for index, (limit, finite, errors, _) in enumerate(table):
+        for n, value, err in zip(sites, finite, errors):
             print(
-                f"{'x' + str(index + 1):<12}{n:>8}  {finite.real:>16.12f}  "
+                f"{'x' + str(index + 1):<12}{n:>8}  {value.real:>16.12f}  "
                 f"{limit:>16.12f}  {err:>12.6e}"
             )
-        all_monotone = all_monotone and all(
-            a > b for a, b in zip(errors, errors[1:])
-        )
+    all_monotone = all(monotone for *_, monotone in table)
     print(f"monotone convergence for every observable: {'yes' if all_monotone else 'NO'}")
     return 0
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractViolation
 from .modes import normal_mode_variances
-from .negativity import min_symplectic_pt_grid
+from .negativity import log_negativity, min_symplectic_pt_grid
 from .sites import ModelParams
 
 LIFETIME_THRESHOLD = 1e-12
@@ -166,8 +166,7 @@ def run_curve(config: ExperimentConfig) -> NegativityCurve:
     times = np.linspace(0.0, config.t_max, config.t_steps)
     x, p = normal_mode_variances(params, config.squeeze_r, times)
     nu = min_symplectic_pt_grid(x, p, times)
-    ln_e = np.where(nu < 1.0, -np.log(nu), 0.0)
-    return NegativityCurve(times=times, nu_min=nu, log_negativity=ln_e, meta=config.meta())
+    return NegativityCurve(times, nu, log_negativity(nu), config.meta())
 
 
 @dataclass(frozen=True)
@@ -199,20 +198,13 @@ def _sweep(config: ExperimentConfig, parameter: str, values: Sequence[float]) ->
     )
 
 
-def sweep_gamma(config: ExperimentConfig, workers: int = 1) -> SweepResult:
-    """One curve per coupling in gamma_list, at the configured temperature.
-
-    workers is accepted for compatibility and has no effect: a curve takes
-    about a millisecond, so the curves are computed one after another.
-    """
+def sweep_gamma(config: ExperimentConfig) -> SweepResult:
+    """One curve per coupling in gamma_list, at the configured temperature."""
     return _sweep(config, "gamma", config.gamma_list)
 
 
-def sweep_temperature(config: ExperimentConfig, workers: int = 1) -> SweepResult:
-    """One curve per temperature in temperature_list, at the configured gamma.
-
-    workers is accepted for compatibility and has no effect (see sweep_gamma).
-    """
+def sweep_temperature(config: ExperimentConfig) -> SweepResult:
+    """One curve per temperature in temperature_list, at the configured gamma."""
     return _sweep(config, "temperature", config.temperature_list)
 
 
@@ -229,8 +221,9 @@ def _header_lines(title: str, meta: dict) -> list[str]:
 def curve_csv_text(curve: NegativityCurve) -> str:
     lines = _header_lines("negativity curve", curve.meta)
     lines.append("t,nu_min,E")
-    for t, nu, e in zip(curve.times, curve.nu_min, curve.log_negativity):
-        lines.append(f"{format_float(t)},{format_float(nu)},{format_float(e)}")
+    # "%.12g" is format_float's format, applied to whole rows of Python floats.
+    columns = (curve.times.tolist(), curve.nu_min.tolist(), curve.log_negativity.tolist())
+    lines.extend("%.12g,%.12g,%.12g" % row for row in zip(*columns))
     return "\n".join(lines) + "\n"
 
 

@@ -9,8 +9,6 @@ once here and referenced everywhere.
 
 from __future__ import annotations
 
-import cmath
-
 import numpy as np
 
 from .errors import ContractViolation
@@ -21,23 +19,24 @@ STRUCTURAL_TOL = 1e-12
 SPECTRAL_TOL = 1e-9
 
 
-def expm(h: np.ndarray, z: complex) -> np.ndarray:
-    """exp(z*h) for a Hermitian matrix h and a finite complex scalar z.
+def expm(h: np.ndarray, z) -> np.ndarray:
+    """exp(z*h) for a Hermitian matrix h and finite complex z, scalar or array.
 
     With h = V diag(w) V^dag and V unitary, exp(z*h) = V diag(exp(z*w)) V^dag.
-    z = 0 returns the exact identity. Raises ContractViolation for a
-    non-square or non-Hermitian h and for a non-finite z.
+    h is diagonalised once; an array z of shape S gives a stack of shape
+    S + h.shape, and a scalar z one matrix. Every z = 0 entry is the exact
+    identity. Raises ContractViolation for a non-square or non-Hermitian h
+    and for any non-finite z.
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ContractViolation(f"expm argument must be a square matrix, got shape {h.shape}")
-    z = complex(z)
-    if not cmath.isfinite(z):
+    z = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(z)):
         raise ContractViolation(f"expm scalar must be finite, got {z!r}")
     scale = max(1.0, float(np.abs(h).max(initial=0.0)))
     if np.abs(h - h.conj().T).max(initial=0.0) > STRUCTURAL_TOL * scale:
         raise ContractViolation("expm requires a Hermitian matrix")
-    if z == 0:
-        return np.eye(h.shape[0], dtype=complex)
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(z * w)) @ v.conj().T
+    out = (v * np.exp(z[..., None, None] * w)) @ v.conj().T
+    return np.where((z == 0)[..., None, None], np.eye(h.shape[0]), out)

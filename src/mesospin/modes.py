@@ -10,7 +10,9 @@ matrix exponential conjugation toward the thermal fixed point.
 
 Two propagators share that flow. propagate() conjugates the full 8x8 moment
 matrix by exp(tM) from flow(), which diagonalises the coupling K numerically and
-so does not rely on K^2 = I; it is the general reference.
+so does not rely on K^2 = I; it is the general reference. Given an array of
+times, flow() and propagate() return stacks over its leading axes, entry for
+entry what scalar calls return. The fixed point is thermal_moments().
 normal_mode_variances() evaluates only the first modes, in closed form and over
 a whole time grid at once; it is what curves are computed from.
 """
@@ -134,8 +136,9 @@ class GaussianState:
     Gamma is ordered (modes; conjugate modes): the upper-left block holds the
     symmetrized second moments, the lower-left block the anomalous pair
     moments (negated), and conjugation symmetry Gamma = Swap conj(Gamma) Swap
-    ties the halves together. Construction enforces Hermiticity and the swap
-    symmetry, then stores the exactly symmetrized matrix.
+    ties the halves together. A stack (..., 8, 8) holds one state per leading
+    index. Construction enforces Hermiticity and the swap symmetry of every
+    matrix, then stores the exactly symmetrized stack.
     """
 
     moment_matrix: np.ndarray
@@ -143,19 +146,23 @@ class GaussianState:
 
     def __post_init__(self) -> None:
         g = np.asarray(self.moment_matrix, dtype=complex)
-        if g.shape != (8, 8):
-            raise ContractViolation(f"moment matrix must be 8x8, got {g.shape}")
-        scale = max(1.0, float(np.abs(g).max()))
-        if np.abs(g - g.conj().T).max() > STRUCTURAL_TOL * scale:
+        if g.shape[-2:] != (8, 8):
+            raise ContractViolation(f"moment matrix must be (..., 8, 8), got {g.shape}")
+        limit = STRUCTURAL_TOL * np.maximum(1.0, np.abs(g).max(axis=(-2, -1)))
+        if np.any(np.abs(g - g.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > limit):
             raise ContractViolation("moment matrix must be Hermitian")
-        swapped = _SWAP @ g.conj() @ _SWAP
-        if np.abs(g - swapped).max() > STRUCTURAL_TOL * scale:
+        if np.any(np.abs(g - _SWAP @ g.conj() @ _SWAP).max(axis=(-2, -1)) > limit):
             raise ContractViolation(
                 "moment matrix must equal its conjugate under mode-conjugate swap"
             )
-        g = 0.5 * (g + g.conj().T)
+        g = 0.5 * (g + g.conj().swapaxes(-1, -2))
         g = 0.5 * (g + _SWAP @ g.conj() @ _SWAP)
         object.__setattr__(self, "moment_matrix", g)
+
+
+def thermal_moments(eta: float) -> np.ndarray:
+    """The thermal fixed point Gamma_th = I/(2*eta), the one place it is written."""
+    return np.eye(8, dtype=complex) / (2.0 * eta)
 
 
 def initial_state(params: ModelParams, squeeze_r: float = 0.0) -> GaussianState:
@@ -165,55 +172,53 @@ def initial_state(params: ModelParams, squeeze_r: float = 0.0) -> GaussianState:
     (alpha -> cosh(r) alpha - sinh(r) alpha*), so the state is a product over
     the two chains and carries no cross correlations: entanglement between
     the chains can only be generated by the common bath afterwards.
-    r = 0 returns the exact fixed point I/(2*eta).
+    r = 0 returns the exact fixed point thermal_moments(eta).
     """
     r = float(squeeze_r)
     if not np.isfinite(r):
         raise ContractViolation(f"squeeze parameter must be finite, got {squeeze_r!r}")
     eta = params.eta
-    ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
-    sym = np.diag([ch, 1.0, ch, 1.0]).astype(complex) / (2.0 * eta)
-    pair = np.zeros((4, 4), dtype=complex)
-    pair[0, 0] = pair[2, 2] = -sh / (2.0 * eta)
-    g = np.zeros((8, 8), dtype=complex)
-    g[:4, :4] = sym
-    g[4:, 4:] = sym.T
-    g[4:, :4] = -pair
-    g[:4, 4:] = -pair.conj()
+    g = thermal_moments(eta)
+    for i in (0, 2):  # a1 and b1, and their conjugates at i + 4
+        thermal = g[i, i]
+        g[i, i] = g[i + 4, i + 4] = np.cosh(2.0 * r) * thermal
+        g[i + 4, i] = g[i, i + 4] = np.sinh(2.0 * r) * thermal
     return GaussianState(moment_matrix=g, eta=eta)
 
 
-def flow(gen: MesoGenerator, t: float) -> np.ndarray:
+def flow(gen: MesoGenerator, t) -> np.ndarray:
     """The 4x4 mode flow exp(tM) = e^{-(1+i*eps)t} exp(gamma*t*K) for t >= 0.
 
     The identity part of M commutes with K and factors out as a scalar; the
     Hermitian exponential of the coupling is taken from its eigendecomposition.
-    t = 0 gives the exact identity.
+    An array t of shape S gives shape S + (4, 4). t = 0 gives the exact identity.
     """
-    t = float(t)
-    if not np.isfinite(t) or t < 0.0:
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)) or np.any(t < 0.0):
         raise ContractViolation(f"propagation time must be nonnegative, got {t!r}")
     phase = np.exp(-(1.0 + 1.0j * gen.epsilon) * t)
-    return phase * expm(gen.coupling, gen.gamma * t)
+    return phase[..., None, None] * expm(gen.coupling, gen.gamma * t)
 
 
-def propagate(state: GaussianState, gen: MesoGenerator, t: float) -> GaussianState:
+def propagate(state: GaussianState, gen: MesoGenerator, t) -> GaussianState:
     """Evolve the moment matrix for time t >= 0 in closed form.
 
     Gamma(t) = T(t)^dag (Gamma(0) - Gamma_th) T(t) + Gamma_th with
-    T = exp(tM) (+) conj(exp(tM)) and Gamma_th = I/(2*eta); the deviation from
-    the fixed point is conjugated by a strict contraction whenever gamma < 1.
+    T = exp(tM) (+) conj(exp(tM)) and Gamma_th = thermal_moments(eta); the
+    deviation from the fixed point is conjugated by a strict contraction
+    whenever gamma < 1. An array t of shape S gives a stack S + (8, 8).
     """
     if abs(state.eta - gen.eta) > 1e-15:
         raise ContractViolation(
             "state and generator were built from different thermal parameters"
         )
     u = flow(gen, t)
-    transfer = np.zeros((8, 8), dtype=complex)
-    transfer[:4, :4] = u
-    transfer[4:, 4:] = u.conj()
-    reference = np.eye(8, dtype=complex) / (2.0 * state.eta)
-    g = transfer.conj().T @ (state.moment_matrix - reference) @ transfer + reference
+    transfer = np.zeros(u.shape[:-2] + (8, 8), dtype=complex)
+    transfer[..., :4, :4] = u
+    transfer[..., 4:, 4:] = u.conj()
+    reference = thermal_moments(state.eta)
+    g = transfer.conj().swapaxes(-1, -2) @ (state.moment_matrix - reference) @ transfer
+    g += reference
     return GaussianState(moment_matrix=g, eta=state.eta)
 
 

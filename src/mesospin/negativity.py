@@ -14,6 +14,9 @@ symplectic spectra where a general eigensolver loses half its digits. The two
 routes must agree; disagreement is reported as a numeric failure, never
 papered over.
 
+Every step broadcasts over leading axes: a state stack gives nu_min and E as
+arrays, a single state gives floats.
+
 Curves take a shorter road to the same verdict: min_symplectic_pt_grid reads
 nu_min of a whole time grid from the normal-mode variances of the closed-form
 dynamics and checks every point against the same spectral route, batched.
@@ -35,48 +38,44 @@ _BLOCK_TOL = 1e-10
 def first_mode_block(state: GaussianState) -> np.ndarray:
     """Moment block of (a1, b1) and conjugates: rows/columns 0, 2, 4, 6."""
     idx = np.array([0, 2, 4, 6])
-    return state.moment_matrix[np.ix_(idx, idx)].copy()
+    return state.moment_matrix[..., idx[:, None], idx]
 
 
 def quadrature_covariance(block: np.ndarray) -> np.ndarray:
     """Real covariance over (x_1, p_1, ..., x_n, p_n), vacuum = identity.
 
-    Accepts a 2n x 2n complex moment block ordered (modes; conjugate modes).
-    The block must be Hermitian and conjugation-symmetric within 1e-10;
-    the assembled real matrix must be symmetric to the same tolerance.
+    Accepts a 2n x 2n complex moment block ordered (modes; conjugate modes),
+    or a stack (..., 2n, 2n). Every block must be Hermitian and
+    conjugation-symmetric within 1e-10; every assembled real matrix must be
+    symmetric to the same tolerance.
     """
     block = np.asarray(block, dtype=complex)
-    if block.ndim != 2 or block.shape[0] != block.shape[1] or block.shape[0] % 2:
-        raise ContractViolation(f"moment block must be 2n x 2n, got {block.shape}")
-    n = block.shape[0] // 2
-    scale = max(1.0, float(np.abs(block).max()))
-    if np.abs(block - block.conj().T).max() > _BLOCK_TOL * scale:
+    if block.ndim < 2 or block.shape[-1] != block.shape[-2] or block.shape[-1] % 2:
+        raise ContractViolation(f"moment block must be (..., 2n, 2n), got {block.shape}")
+    n = block.shape[-1] // 2
+    limit = _BLOCK_TOL * np.maximum(1.0, _max_abs(block))
+    if np.any(_max_abs(block - block.conj().swapaxes(-1, -2)) > limit):
         raise ContractViolation("moment block must be Hermitian")
-    swap = np.zeros_like(block)
-    swap[:n, n:] = np.eye(n)
-    swap[n:, :n] = np.eye(n)
-    if np.abs(block - swap @ block.conj() @ swap).max() > _BLOCK_TOL * scale:
+    swap = np.roll(np.eye(2 * n), n, axis=1)  # modes <-> conjugate modes
+    if np.any(_max_abs(block - swap @ block.conj() @ swap) > limit):
         raise ContractViolation("moment block breaks mode-conjugate symmetry")
 
-    sym = block[:n, :n].conj()
-    pair = -block[n:, :n]
-    cov = np.empty((2 * n, 2 * n))
-    cov[0::2, 0::2] = (sym + pair).real
-    cov[0::2, 1::2] = pair.imag - sym.imag
-    cov[1::2, 0::2] = pair.imag + sym.imag
-    cov[1::2, 1::2] = (sym - pair).real
+    sym = block[..., :n, :n].conj()
+    pair = -block[..., n:, :n]
+    cov = np.empty(block.shape, dtype=float)
+    cov[..., 0::2, 0::2] = (sym + pair).real
+    cov[..., 0::2, 1::2] = pair.imag - sym.imag
+    cov[..., 1::2, 0::2] = pair.imag + sym.imag
+    cov[..., 1::2, 1::2] = (sym - pair).real
     cov *= 2.0
-    if np.abs(cov - cov.T).max() > _BLOCK_TOL * max(1.0, float(np.abs(cov).max())):
+    cov_t = cov.swapaxes(-1, -2)
+    if np.any(_max_abs(cov - cov_t) > _BLOCK_TOL * np.maximum(1.0, _max_abs(cov))):
         raise ContractViolation("assembled quadrature covariance is not symmetric")
-    return 0.5 * (cov + cov.T)
+    return 0.5 * (cov + cov_t)
 
 
-def _symplectic_form(n: int) -> np.ndarray:
-    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    omega = np.zeros((2 * n, 2 * n))
-    for k in range(n):
-        omega[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = j
-    return omega
+def _max_abs(a: np.ndarray) -> np.ndarray:
+    return np.abs(a).max(axis=(-2, -1))
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
@@ -99,44 +98,48 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise NumericError("covariance is not positive definite") from exc
-    herm = 1.0j * (np.swapaxes(chol, -1, -2) @ _symplectic_form(n) @ chol)
+    omega = np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]])
+    herm = 1.0j * (np.swapaxes(chol, -1, -2) @ omega @ chol)
     spectrum = np.linalg.eigvalsh(herm)
     return np.sort(np.abs(spectrum), axis=-1)[..., ::2]
 
 
-def min_symplectic_pt(cov: np.ndarray) -> float:
+def min_symplectic_pt(cov: np.ndarray) -> float | np.ndarray:
     """Smallest symplectic eigenvalue after partial transposition of mode two.
 
-    cov is the 4x4 quadrature covariance of two modes, vacuum-normalized.
+    cov is the 4x4 quadrature covariance of two modes, vacuum-normalized (a
+    float is returned), or a stack (..., 4, 4) (an array (...) is returned).
     Computed both from the closed determinant formula and from the symplectic
     spectrum of the transposed matrix; the routes must agree within 1e-9.
     """
     cov = np.asarray(cov, dtype=float)
-    if cov.shape != (4, 4):
-        raise ContractViolation(f"two-mode covariance must be 4x4, got {cov.shape}")
+    if cov.shape[-2:] != (4, 4):
+        raise ContractViolation(f"two-mode covariance must be (..., 4, 4), got {cov.shape}")
     flip = np.diag([1.0, 1.0, 1.0, -1.0])
     transposed = flip @ cov @ flip
 
-    a_blk, b_blk, c_blk = cov[:2, :2], cov[2:, 2:], cov[:2, 2:]
-    a = float(np.linalg.det(a_blk))
-    b = float(np.linalg.det(b_blk))
-    c = float(np.linalg.det(c_blk))
+    a_blk, b_blk, c_blk = cov[..., :2, :2], cov[..., 2:, 2:], cov[..., :2, 2:]
+    a, b, c = np.linalg.det(a_blk), np.linalg.det(b_blk), np.linalg.det(c_blk)
     delta = a + b - 2.0 * c
     # delta^2 - 4 det(cov) cancels catastrophically near degenerate spectra
     # (product states would lose half the digits). The expanded form below is
     # algebraically identical and evaluates to exactly zero at C = 0, A = B.
-    c_adj = np.array([[c_blk[1, 1], -c_blk[0, 1]], [-c_blk[1, 0], c_blk[0, 0]]])
-    tau = float(np.trace(a_blk @ c_adj.T @ b_blk @ c_adj))
-    disc = max((a - b) ** 2 + 4.0 * (tau - c * (a + b)), 0.0)
-    nu_formula = float(np.sqrt(max(0.5 * (delta - np.sqrt(disc)), 0.0)))
+    # adj(C) = [[c11, -c01], [-c10, c00]]: C rotated by a half turn, transposed, signed
+    c_adj = c_blk[..., ::-1, ::-1].swapaxes(-1, -2) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    product = a_blk @ c_adj.swapaxes(-1, -2) @ b_blk @ c_adj
+    tau = np.trace(product, axis1=-2, axis2=-1)
+    disc = np.maximum((a - b) ** 2 + 4.0 * (tau - c * (a + b)), 0.0)
+    nu_formula = np.sqrt(np.maximum(0.5 * (delta - np.sqrt(disc)), 0.0))
 
-    nu_spectral = float(symplectic_eigenvalues(transposed)[0])
-    if abs(nu_formula - nu_spectral) > SPECTRAL_TOL * max(1.0, nu_spectral):
+    nu_spectral = symplectic_eigenvalues(transposed)[..., 0]
+    bad = np.abs(nu_formula - nu_spectral) > SPECTRAL_TOL * np.maximum(1.0, nu_spectral)
+    if bad.any():
+        k = np.unravel_index(np.argmax(bad), bad.shape)
         raise NumericError(
             "symplectic eigenvalue routes disagree: "
-            f"formula {nu_formula:.12e} vs spectrum {nu_spectral:.12e}"
+            f"formula {nu_formula[k]:.12e} vs spectrum {nu_spectral[k]:.12e}"
         )
-    return nu_formula
+    return float(nu_formula) if nu_formula.ndim == 0 else nu_formula
 
 
 def min_symplectic_pt_grid(x: np.ndarray, p: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -185,24 +188,28 @@ def min_symplectic_pt_grid(x: np.ndarray, p: np.ndarray, times: np.ndarray) -> n
     return nu
 
 
-def log_negativity(nu_min: float) -> float:
-    """E = max(0, -ln nu_min); nu_min must be strictly positive."""
-    nu_min = float(nu_min)
-    if not np.isfinite(nu_min) or nu_min <= 0.0:
+def log_negativity(nu_min: float | np.ndarray) -> float | np.ndarray:
+    """E = -ln nu_min where nu_min < 1, else +0; a float for a scalar, else elementwise.
+
+    Every nu_min must be finite and strictly positive (ContractViolation).
+    """
+    nu = np.asarray(nu_min, dtype=float)
+    if not np.all(np.isfinite(nu) & (nu > 0.0)):
         raise ContractViolation(
             f"smallest symplectic eigenvalue must be positive, got {nu_min!r}"
         )
-    return max(0.0, -float(np.log(nu_min)))
+    e = np.where(nu < 1.0, -np.log(nu), 0.0)
+    return float(e) if e.ndim == 0 else e
 
 
 @dataclass(frozen=True)
 class NegativityResult:
-    nu_min: float
-    log_negativity: float
+    nu_min: float | np.ndarray
+    log_negativity: float | np.ndarray
 
 
 def negativity(state: GaussianState) -> NegativityResult:
-    """Logarithmic negativity between a1 and b1 in the given Gaussian state."""
+    """Logarithmic negativity between a1 and b1 in the given state or state stack."""
     cov = quadrature_covariance(first_mode_block(state))
     nu_min = min_symplectic_pt(cov)
     return NegativityResult(nu_min=nu_min, log_negativity=log_negativity(nu_min))

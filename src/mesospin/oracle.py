@@ -168,6 +168,20 @@ def weyl_expectation_limit(x: np.ndarray, state: ThermalSiteState) -> float:
     return float(np.exp(-0.5 * variance))
 
 
+def clt_table(state: ThermalSiteState, sites: tuple[int, ...]) -> list[tuple]:
+    """(limit, finite-n values, |errors|, monotone) per observable x_1 .. x_8.
+
+    monotone is the convergence test: every error below the one before it.
+    """
+    table = []
+    for x in observables().ops:
+        limit = weyl_expectation_limit(x, state)
+        finite = [weyl_expectation_finite(x, n, state) for n in sites]
+        errors = [abs(f - limit) for f in finite]
+        table.append((limit, finite, errors, all(a > b for a, b in zip(errors, errors[1:]))))
+    return table
+
+
 def weyl_product_finite(
     x: np.ndarray, y: np.ndarray, n: int, state: ThermalSiteState
 ) -> complex:

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 import mesospin.checks as checks
-from mesospin.modes import mode_operators
-from mesospin.sites import ThermalSiteState
+from mesospin.modes import mode_operators, thermal_moments
+from mesospin.sites import ModelParams, ThermalSiteState
 
 
 def test_mode_ccr_fails_when_a_mode_is_mis_normalised(monkeypatch):
@@ -30,3 +30,14 @@ def test_thermal_invariance_fails_for_a_non_stationary_state(monkeypatch):
     result = checks.check_thermal_invariance("fast")
     assert not result.passed
     assert abs(result.residual - 0.2) < 1e-12
+
+
+def test_thermal_covariance_fails_for_a_mis_scaled_fixed_point(monkeypatch):
+    monkeypatch.setattr(
+        checks, "thermal_moments", lambda eta: (1.0 + 1e-6) * thermal_moments(eta)
+    )
+    result = checks.check_thermal_covariance("fast")
+    assert not result.passed
+    # the largest diagonal entry 1/(2 eta) sits at the hottest (eps, T)
+    worst = max(1e-6 / (2.0 * ModelParams(e, t, 0.0).eta) for e, t in checks.FAST_EPS_TEMPS)
+    assert abs(result.residual - worst) < 1e-12

@@ -19,6 +19,10 @@ def test_expm_zero_time_is_exact_identity():
     h = _random_hermitian(5, 1)
     assert np.array_equal(expm(h, 0.0), np.eye(5, dtype=complex))
     assert np.array_equal(expm(h, 0j), np.eye(5, dtype=complex))
+    stack = expm(h, np.array([[0.7, 0.0], [0j, 0.4 - 1.1j]]))
+    assert stack.shape == (2, 2, 5, 5)
+    assert np.array_equal(stack[0, 1], np.eye(5, dtype=complex))
+    assert np.array_equal(stack[1, 0], np.eye(5, dtype=complex))
 
 
 def test_expm_diagonal_case():
@@ -30,10 +34,16 @@ def test_expm_diagonal_case():
 
 def test_expm_semigroup_property():
     h = _random_hermitian(8, 2)
-    for z1, z2 in ((0.7, 0.9), (0.3 + 0.5j, -0.2 + 1.1j), (1.5j, -0.4j)):
+    pairs = ((0.7, 0.9), (0.3 + 0.5j, -0.2 + 1.1j), (1.5j, -0.4j))
+    for z1, z2 in pairs:
         combined = expm(h, z1 + z2)
         split = expm(h, z1) @ expm(h, z2)
         assert np.abs(combined - split).max() < 1e-12 * np.abs(combined).max()
+    # An array of scalars gives, entry for entry, the matrices of the scalar calls.
+    zs = np.array(pairs).ravel()
+    stack = expm(h, zs)
+    for z, matrix in zip(zs, stack):
+        assert np.array_equal(matrix, expm(h, z))
 
 
 def test_expm_determinant_matches_trace():
@@ -51,6 +61,8 @@ def test_expm_rejects_nonsquare_and_bad_time():
         expm(np.eye(2), float("nan"))
     with pytest.raises(ContractViolation):
         expm(np.eye(2), complex(0.0, float("inf")))
+    with pytest.raises(ContractViolation):
+        expm(np.eye(2), np.array([0.0, 1.0, float("nan")]))
 
 
 def test_expm_rejects_non_hermitian():

@@ -14,6 +14,7 @@ from mesospin.modes import (
     mode_map,
     mode_operators,
     propagate,
+    thermal_moments,
 )
 from mesospin.sites import ModelParams, fluctuation_inner, observables, thermal_state
 
@@ -113,6 +114,7 @@ def test_initial_state_without_squeeze_is_the_fixed_point():
     p = ModelParams(1.0, 0.1, 0.5)
     state = initial_state(p, 0.0)
     assert np.array_equal(state.moment_matrix, _reference(p.eta))
+    assert np.array_equal(thermal_moments(p.eta), _reference(p.eta))
 
 
 def test_initial_state_reference_moments():
@@ -152,11 +154,18 @@ def test_flow_is_the_exponential_of_the_drift_matrix():
     mp = pytest.importorskip("mpmath").mp
     p = ModelParams(1.3, 0.4, 0.45)
     gen = drift_matrix(p)
-    for t in (0.0, 0.3, 1.7, 6.0):
+    times = (0.0, 0.3, 1.7, 6.0)
+    for t in times:
         with mp.workdps(30):
             reference = mp.expm(mp.mpf(t) * mp.matrix(gen.matrix.tolist()))
             expected = np.array(reference.tolist(), dtype=complex)
         assert np.abs(flow(gen, t) - expected).max() < 1e-13
+    # A time array gives, entry for entry, the flows of the scalar calls.
+    stack = flow(gen, np.array(times))
+    assert stack.shape == (len(times), 4, 4)
+    assert np.array_equal(stack[0], np.eye(4, dtype=complex))
+    for t, u in zip(times, stack):
+        assert np.array_equal(u, flow(gen, t))
 
 
 def test_propagate_validates_time_and_parameters():
@@ -165,6 +174,11 @@ def test_propagate_validates_time_and_parameters():
     gen = drift_matrix(p)
     with pytest.raises(ContractViolation):
         propagate(state, gen, -0.1)
+    for bad in (-0.1, float("nan")):
+        with pytest.raises(ContractViolation):
+            propagate(state, gen, np.array([0.0, 1.0, bad, 2.0]))
+        with pytest.raises(ContractViolation):
+            flow(gen, np.array([bad, 0.5]))
     other = drift_matrix(ModelParams(1.0, 0.2, 0.5))
     with pytest.raises(ContractViolation):
         propagate(state, other, 1.0)
@@ -175,6 +189,13 @@ def test_propagate_zero_time_is_identity():
     state = initial_state(p, 1.0)
     gen = drift_matrix(p)
     assert np.array_equal(propagate(state, gen, 0.0).moment_matrix, state.moment_matrix)
+    # A time array gives a state stack, entry for entry what scalar calls give.
+    times = np.array([0.7, 0.0, 2.3, 5.0])
+    stack = propagate(state, gen, times).moment_matrix
+    assert stack.shape == (4, 8, 8)
+    assert np.array_equal(stack[1], state.moment_matrix)
+    for t, g in zip(times, stack):
+        assert np.array_equal(g, propagate(state, gen, t).moment_matrix)
 
 
 def test_propagation_semigroup():

@@ -116,15 +116,28 @@ def test_dual_routes_agree_at_degenerate_spectra():
     p = ModelParams(1.0, 0.1, 0.0)
     gen = drift_matrix(p)
     start = initial_state(p, 1.0)
-    for t in (0.0, 0.5, 1.0, 3.0):
+    times = (0.0, 0.5, 1.0, 3.0)
+    for t in times:
         result = negativity(propagate(start, gen, t))
+        assert type(result.nu_min) is float and type(result.log_negativity) is float
         assert result.log_negativity == 0.0
         assert result.nu_min >= 1.0
+    # A state stack gives arrays, entry for entry what single states give.
+    stacked = negativity(propagate(start, gen, np.array(times)))
+    loop = [negativity(propagate(start, gen, t)) for t in times]
+    assert np.array_equal(stacked.nu_min, [r.nu_min for r in loop])
+    assert np.array_equal(stacked.log_negativity, [r.log_negativity for r in loop])
 
 
 def test_log_negativity_contract():
     assert log_negativity(1.0) == 0.0
     assert log_negativity(2.5) == 0.0
+    assert type(log_negativity(0.5)) is float
+    values = log_negativity(np.array([0.5, 1.0, 2.5]))
+    assert np.array_equal(values, [np.log(2.0), 0.0, 0.0])
+    assert not np.signbit(values).any()  # E = +0, which prints as "0", not "-0"
+    with pytest.raises(ContractViolation):
+        log_negativity(np.array([0.5, float("nan"), 2.0]))
     with pytest.raises(ContractViolation):
         log_negativity(0.0)
     with pytest.raises(ContractViolation):
