@@ -180,7 +180,9 @@ def check_thermal_covariance(level: str = "fast") -> CheckResult:
 def _curve_configs(level: str) -> list[ExperimentConfig]:
     configs = [ExperimentConfig(t_steps=51)]
     if level == "full":
-        configs.append(ExperimentConfig(gamma=0.3, temperature=0.5, t_steps=51))
+        configs.append(
+            ExperimentConfig(gamma=0.3, temperature=0.5, squeeze_r=-2.0, t_steps=51)
+        )
         configs.append(ExperimentConfig(gamma=0.1, temperature=1.0, t_steps=51))
     return configs
 

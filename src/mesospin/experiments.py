@@ -4,8 +4,8 @@ A run is fully specified by an ExperimentConfig; all defaults live on the
 dataclass so the CLI, the config file, and library callers agree. A curve is
 one batched, closed-form evaluation over a uniform time grid: the normal-mode
 variances of the first modes (modes.normal_mode_variances) and nu_min from
-them (negativity.min_symplectic_pt_grid), each point checked against the
-spectral route. The 8x8 moment-matrix path (modes.propagate plus
+them (negativity.min_symplectic_pt_grid), every point held to checks a wrong
+state fails. The 8x8 moment-matrix path (modes.propagate plus
 negativity.negativity) is the independent reference that the tests and
 `mesospin verify` compare curves against. The engine is certified to
 SPECTRAL_TOL against a 50-digit reference for |squeeze_r| <= SQUEEZE_R_MAX;
@@ -21,19 +21,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError, ContractViolation, NumericError
 from .modes import normal_mode_variances
 from .negativity import log_negativity, min_symplectic_pt_grid
 from .sites import ModelParams
 
 LIFETIME_THRESHOLD = 1e-12
-# Largest |squeeze_r| at which curves are certified: the property test in
-# tests/test_engine.py checks run_curve against a 50-digit reference up to
-# here. The limit is set by the per-point spectral cross-check, not by the
-# closed form: the check assembles the (x1, x2) covariance, which rounds the
-# smaller normal-mode variance away once the two differ by ~1/eps, and from
-# about r = 13 (cold bath, gamma near 1/2) it reports a false disagreement.
+# Largest |squeeze_r| accepted: the range of the 50-digit property test in
+# tests/test_engine.py. Beyond it the closed form is untested.
 SQUEEZE_R_MAX = 10.0
+# The closed form stays within about 3 ulps of its start and envelope over
+# T in [0.027, 5], gamma in [0, 1/2], |r| <= 10 and t in [0, 200].
+_ENVELOPE_RTOL = 16 * np.finfo(float).eps
 
 _SCALAR_FIELDS = ("epsilon", "temperature", "gamma", "squeeze_r", "t_max")
 _LIST_FIELDS = ("gamma_list", "temperature_list")
@@ -120,14 +119,7 @@ class ExperimentConfig:
         return cls(**cleaned)
 
     def meta(self) -> dict[str, float | int]:
-        return {
-            "epsilon": self.epsilon,
-            "temperature": self.temperature,
-            "gamma": self.gamma,
-            "squeeze_r": self.squeeze_r,
-            "t_max": self.t_max,
-            "t_steps": self.t_steps,
-        }
+        return {name: getattr(self, name) for name in (*_SCALAR_FIELDS, "t_steps")}
 
 
 @dataclass(frozen=True)
@@ -161,11 +153,27 @@ class NegativityCurve:
 
 
 def run_curve(config: ExperimentConfig) -> NegativityCurve:
-    """Negativity of the squeezed thermal state over the whole time grid at once."""
+    """Negativity of the squeezed thermal state over the whole time grid at once.
+
+    The variances must start at t = 0 in the exact squeezed state (np.exp, not
+    expm1) and stay between it and 1/eta; else NumericError names the first t.
+    """
     params = ModelParams(config.epsilon, config.temperature, config.gamma)
     times = np.linspace(0.0, config.t_max, config.t_steps)
     x, p = normal_mode_variances(params, config.squeeze_r, times)
     nu = min_symplectic_pt_grid(x, p, times)
+    thermal, r = 1.0 / params.eta, abs(config.squeeze_r)
+    x0, p0 = thermal * np.exp(2.0 * r), thermal * np.exp(-2.0 * r)
+    lo, hi = 1.0 - _ENVELOPE_RTOL, 1.0 + _ENVELOPE_RTOL
+    inside = (x >= lo * thermal) & (x <= hi * x0) & (p >= lo * p0) & (p <= hi * thermal)
+    inside[:, 0] &= (x[:, 0] >= lo * x0) & (p[:, 0] <= hi * p0)
+    if not inside.all():
+        k = int(np.argmin(inside.all(axis=0)))
+        raise NumericError(
+            f"normal-mode variances leave the relaxation from x = {float(x0)!r}, "
+            f"p = {float(p0)!r} toward {float(thermal)!r} at t = {float(times[k])!r}: "
+            f"x = {x[:, k].tolist()}, p = {p[:, k].tolist()}"
+        )
     return NegativityCurve(times, nu, log_negativity(nu), config.meta())
 
 

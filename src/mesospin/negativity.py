@@ -17,9 +17,9 @@ papered over.
 Every step broadcasts over leading axes: a state stack gives nu_min and E as
 arrays, a single state gives floats.
 
-Curves take a shorter road to the same verdict: min_symplectic_pt_grid reads
-nu_min of a whole time grid from the normal-mode variances of the closed-form
-dynamics and checks every point against the same spectral route, batched.
+Curves take a shorter road: min_symplectic_pt_grid reads nu_min of a whole
+time grid from the normal-mode variances and holds every point to the
+uncertainty bound x p >= 1 of each normal mode (Simon, PRL 84, 2726 (2000)).
 """
 
 from __future__ import annotations
@@ -135,8 +135,9 @@ def min_symplectic_pt(cov: np.ndarray) -> float | np.ndarray:
     bad = np.abs(nu_formula - nu_spectral) > SPECTRAL_TOL * np.maximum(1.0, nu_spectral)
     if bad.any():
         k = np.unravel_index(np.argmax(bad), bad.shape)
+        entry = f" at stack index {', '.join(str(int(i)) for i in k)}" if k else ""
         raise NumericError(
-            "symplectic eigenvalue routes disagree: "
+            f"symplectic eigenvalue routes disagree{entry}: "
             f"formula {nu_formula[k]:.12e} vs spectrum {nu_spectral[k]:.12e}"
         )
     return float(nu_formula) if nu_formula.ndim == 0 else nu_formula
@@ -150,11 +151,9 @@ def min_symplectic_pt_grid(x: np.ndarray, p: np.ndarray, times: np.ndarray) -> n
     Flipping p2 swaps p_+ and p_-, so the transposed state pairs x_+ with p_-
     and x_- with p_+: nu_min = sqrt(min(x_+ p_-, x_- p_+)).
 
-    Every point gets the checks the single-state route makes. nu_min must be
-    finite and positive (ContractViolation). The (x1, p1, x2, p2) covariance
-    is then assembled, p2 flipped, and its spectrum read from
-    symplectic_eigenvalues: a Cholesky failure or a disagreement beyond
-    SPECTRAL_TOL raises NumericError naming the first bad time.
+    Every point is checked, each check naming the first bad time. nu_min must
+    be finite and positive (ContractViolation). Each normal mode must be a
+    physical state: x > 0, p > 0 and x p >= 1 - SPECTRAL_TOL (NumericError).
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -164,27 +163,17 @@ def min_symplectic_pt_grid(x: np.ndarray, p: np.ndarray, times: np.ndarray) -> n
             f"variances must have shape (2, {len(times)}), got {x.shape} and {p.shape}"
         )
     nu = np.sqrt(np.minimum(x[0] * p[1], x[1] * p[0]))
-    bad = ~(np.isfinite(nu) & (nu > 0.0))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ContractViolation(
-            f"smallest symplectic eigenvalue must be positive, got {float(nu[k])!r} "
-            f"at t = {float(times[k])!r}"
-        )
-
-    cov = np.zeros((len(times), 4, 4))
-    cov[:, 0, 0] = cov[:, 2, 2] = 0.5 * (x[0] + x[1])
-    cov[:, 0, 2] = cov[:, 2, 0] = 0.5 * (x[0] - x[1])
-    cov[:, 1, 1] = cov[:, 3, 3] = 0.5 * (p[0] + p[1])
-    cov[:, 1, 3] = cov[:, 3, 1] = -0.5 * (p[0] - p[1])
-    nu_spectral = symplectic_eigenvalues(cov)[:, 0]
-    bad = np.abs(nu - nu_spectral) > SPECTRAL_TOL * np.maximum(1.0, nu_spectral)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise NumericError(
-            f"symplectic eigenvalue routes disagree at t = {float(times[k])!r}: "
-            f"closed form {nu[k]:.12e} vs spectrum {nu_spectral[k]:.12e}"
-        )
+    unphysical = ~((x > 0.0) & (p > 0.0) & (x * p >= 1.0 - SPECTRAL_TOL)).all(axis=0)
+    for error, bad, what in (
+        (ContractViolation, ~(np.isfinite(nu) & (nu > 0.0)), "nu_min must be positive"),
+        (NumericError, unphysical, "normal modes break the uncertainty bound x p >= 1"),
+    ):
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise error(
+                f"{what} at t = {float(times[k])!r}: nu_min = {float(nu[k])!r}, "
+                f"x = {x[:, k].tolist()}, p = {p[:, k].tolist()}"
+            )
     return nu
 
 

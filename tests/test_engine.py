@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mesospin.experiments as experiments
 from mesospin.errors import ConfigError, ContractViolation, NumericError
 from mesospin.experiments import SQUEEZE_R_MAX, ExperimentConfig, run_curve
+from mesospin.linalg import SPECTRAL_TOL
 from mesospin.modes import drift_matrix, initial_state, normal_mode_variances, propagate
 from mesospin.negativity import (
     min_symplectic_pt_grid,
@@ -80,20 +82,45 @@ def test_strong_squeeze_curve_is_returned_and_accurate():
     assert abs(curve.nu_min[1] - want) <= 1e-12 * want
 
 
-def test_disagreeing_spectral_route_raises_at_the_first_bad_time(monkeypatch):
-    negativity_module = importlib.import_module("mesospin.negativity")
-    honest = negativity_module.symplectic_eigenvalues
+def _tamper_p_minus(monkeypatch, factor, from_index):
+    """Scale P- (row sigma = -) by factor from grid index from_index on."""
+    honest = normal_mode_variances
 
-    def skewed(cov):
-        values = honest(cov)
-        values[7:, 0] *= 1.0 + 1e-6
-        return values
+    def tampered(params, squeeze_r, times):
+        x, p = honest(params, squeeze_r, times)
+        p[1, from_index:] *= factor
+        return x, p
 
-    monkeypatch.setattr(negativity_module, "symplectic_eigenvalues", skewed)
+    monkeypatch.setattr(experiments, "normal_mode_variances", tampered)
+
+
+def test_mis_scaled_squeezed_variance_is_refused(monkeypatch):
+    # Physical at every point (x p >= 1 still holds), but nu comes back 2.5%
+    # wrong: only the exact start and the relaxation envelope can see it.
+    _tamper_p_minus(monkeypatch, 1.05, 0)
+    with pytest.raises(NumericError, match="leave the relaxation .* at t = 0.0:"):
+        run_curve(ExperimentConfig(t_steps=20))
+
+
+def test_broken_uncertainty_bound_names_the_first_bad_time(monkeypatch):
     config = ExperimentConfig(t_steps=20)
     times = np.linspace(0.0, config.t_max, config.t_steps)
-    with pytest.raises(NumericError, match=f"t = {float(times[7])!r}"):
+    x, p = normal_mode_variances(ModelParams(1.0, 0.1, 0.5), 1.0, times)
+    first_bad = 1 + int(np.argmax(0.9 * x[1, 1:] * p[1, 1:] < 1.0 - SPECTRAL_TOL))
+    assert first_bad > 1  # the bound breaks later than the tamper begins
+    _tamper_p_minus(monkeypatch, 0.9, 1)
+    with pytest.raises(NumericError, match=f"x p >= 1 at t = {float(times[first_bad])!r}:"):
         run_curve(config)
+
+
+def test_curves_need_no_spectral_route(monkeypatch):
+    def refuse(cov):
+        raise AssertionError("run_curve must not recompute nu_min spectrally")
+
+    negativity_module = importlib.import_module("mesospin.negativity")
+    monkeypatch.setattr(negativity_module, "symplectic_eigenvalues", refuse)
+    curve = run_curve(ExperimentConfig(t_steps=2000))
+    assert len(curve.nu_min) == 2000
 
 
 def test_grid_checks_positivity_and_definiteness():
@@ -103,8 +130,8 @@ def test_grid_checks_positivity_and_definiteness():
         min_symplectic_pt_grid(ones, np.array([[1.0, 0.0], [1.0, 0.0]]), times)
     with pytest.raises(ContractViolation):
         min_symplectic_pt_grid(ones, np.full((2, 2), np.nan), times)
-    # nu_min comes out positive, but the covariance is negative definite.
-    with pytest.raises(NumericError, match="not positive definite"):
+    # nu_min comes out positive, but the variances are negative.
+    with pytest.raises(NumericError, match="uncertainty bound x p >= 1 at t = 0.0"):
         min_symplectic_pt_grid(-ones, -ones, times)
     with pytest.raises(ContractViolation):
         min_symplectic_pt_grid(ones, np.ones((2, 3)), times)

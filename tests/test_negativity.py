@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
-from mesospin.errors import ContractViolation
+from mesospin.errors import ContractViolation, NumericError
 from mesospin.modes import drift_matrix, initial_state, propagate
 from mesospin.negativity import (
     first_mode_block,
@@ -16,6 +18,8 @@ from mesospin.negativity import (
     symplectic_eigenvalues,
 )
 from mesospin.sites import ModelParams
+
+negativity_module = importlib.import_module("mesospin.negativity")
 
 
 def _entangled_state():
@@ -108,7 +112,7 @@ def test_initial_state_minimum_eigenvalue_is_inverse_eta():
             assert log_negativity(nu) == 0.0
 
 
-def test_dual_routes_agree_at_degenerate_spectra():
+def test_dual_routes_agree_at_degenerate_spectra(monkeypatch):
     # gamma = 0 keeps the two modes in locked identical states: the partially
     # transposed spectrum is doubly degenerate along the whole curve, the
     # worst case for a general eigensolver. The internal cross-check must
@@ -127,6 +131,20 @@ def test_dual_routes_agree_at_degenerate_spectra():
     loop = [negativity(propagate(start, gen, t)) for t in times]
     assert np.array_equal(stacked.nu_min, [r.nu_min for r in loop])
     assert np.array_equal(stacked.log_negativity, [r.log_negativity for r in loop])
+    # A disagreement in a stack names the entry; a single 4x4 names none.
+    honest = negativity_module.symplectic_eigenvalues
+
+    def skewed(cov):
+        values = np.array(honest(cov))
+        values.reshape(-1, 2)[-1, 0] *= 1.0 + 1e-6  # the last entry only
+        return values
+
+    monkeypatch.setattr(negativity_module, "symplectic_eigenvalues", skewed)
+    covs = quadrature_covariance(first_mode_block(propagate(start, gen, np.array(times))))
+    with pytest.raises(NumericError, match="routes disagree at stack index 3: formula"):
+        min_symplectic_pt(covs)
+    with pytest.raises(NumericError, match="routes disagree: formula"):
+        min_symplectic_pt(covs[3])
 
 
 def test_log_negativity_contract():
