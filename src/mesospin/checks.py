@@ -15,6 +15,7 @@ corresponding check fail; nothing here is ever skipped or clamped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .oracle import (
     liouvillian,
     vec,
 )
-from .sites import ModelParams, dissipation_matrix, kron2, thermal_state
+from .sites import ModelParams, dissipation_matrix, frozen, kron2, thermal_state
 
 DEFAULT_GAMMAS = (0.0, 0.1, 0.25, 0.5)
 FULL_EPS_TEMPS = tuple(
@@ -83,9 +84,15 @@ def _eps_temps(level: str) -> tuple[tuple[float, float], ...]:
     return FULL_EPS_TEMPS if level == "full" else FAST_EPS_TEMPS
 
 
+@lru_cache(maxsize=1)
+def _pauli_words() -> np.ndarray:
+    """Read-only 16x16 columns vec(sigma_i x sigma_j), every two-site Pauli word."""
+    return frozen(np.column_stack([vec(kron2(i, j)) for i in range(4) for j in range(4)]))
+
+
 def check_thermal_invariance(level: str = "fast") -> CheckResult:
     """The thermal state is stationary: w(L[P]) = 0 for all 16 Pauli words."""
-    words = np.column_stack([vec(kron2(i, j)) for i in range(4) for j in range(4)])
+    words = _pauli_words()
     residual = 0.0
     for eps, temp in _eps_temps(level):
         for gamma in DEFAULT_GAMMAS:

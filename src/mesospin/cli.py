@@ -4,7 +4,7 @@ Subcommands: curve (one negativity curve), sweep-gamma and sweep-temp (one
 curve per swept value plus a summary), verify (self-check suite), clt
 (central-limit convergence table). Options may come from a flat JSON config
 file, from flags, or both; flags win. Exit codes: 0 success, 1 verification
-failure, 2 configuration error.
+failure, 2 configuration error or an output that cannot be written.
 """
 
 from __future__ import annotations
@@ -252,6 +252,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ContractViolation as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # Config files are read inside ConfigError; what is left is output.
+        print(f"cannot write '{exc.filename}': {exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

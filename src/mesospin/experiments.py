@@ -91,7 +91,17 @@ class ExperimentConfig:
             for v in values:
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
                     raise ConfigError(f"{name}: expected a number, got {v!r}")
-            object.__setattr__(self, name, tuple(float(v) for v in values))
+            values = tuple(float(v) for v in values)
+            # A sweep names each curve file by the value's CSV format.
+            if len(set(map(format_float, values))) < len(values):
+                printed = [format_float(v) for v in values]
+                k = next(k for k, text in enumerate(printed) if text in printed[:k])
+                first = values[printed.index(printed[k])]
+                raise ConfigError(
+                    f"{name}: {first!r} and {values[k]!r} both print as {printed[k]} "
+                    "and would write the same curve file"
+                )
+            object.__setattr__(self, name, values)
         # ModelParams owns the physical domain. Build it for every parameter
         # set a run can use, so a bad value surfaces now, with the config field
         # that carried it named, rather than later inside the numerics.

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .linalg import STRUCTURAL_TOL, expm
-from .sites import SIGMA0, SIGMA_MINUS, ModelParams
+from .sites import SIGMA0, SIGMA_MINUS, ModelParams, frozen
 
 
 @dataclass(frozen=True)
@@ -71,23 +71,30 @@ def mode_map(params: ModelParams) -> ModeMap:
     return ModeMap(matrix=r, inverse=inv, eta=eta)
 
 
+# sigma_- x 1 and 1 x sigma_-, the constant Kronecker factors of the modes.
+_LOWER_ONE = frozen(np.kron(SIGMA_MINUS, SIGMA0))
+_LOWER_TWO = frozen(np.kron(SIGMA0, SIGMA_MINUS))
+
+
 def mode_operators(params: ModelParams) -> tuple[np.ndarray, ...]:
     """The four annihilation modes assembled directly as site matrices.
 
     Equivalent to applying the mode map to the observable vector, but immune
     to the cancellation that plagues that route for eta near 1: the only
     delicate diagonal entry is formed as -(1-eta)/eta, which is exact for
-    eta >= 1/2 and loses nothing below.
+    eta >= 1/2 and loses nothing below. The second modes sigma_- x d and
+    d x sigma_- with d = diag(1 + 1/eta, -(1-eta)/eta) are the lowering
+    factors with their columns scaled by the diagonal of 1 x d and d x 1.
     """
     eta, w = params.eta, params.eta_perp
     sq = np.sqrt(eta)
     c2 = sq / (2.0 * w)
-    d = np.diag([1.0 + 1.0 / eta, -(1.0 - eta) / eta]).astype(complex)
+    d = np.array([1.0 + 1.0 / eta, -(1.0 - eta) / eta])
     return (
-        np.kron(SIGMA_MINUS, SIGMA0) / sq,
-        2.0 * c2 * np.kron(SIGMA_MINUS, d),
-        np.kron(SIGMA0, SIGMA_MINUS) / sq,
-        2.0 * c2 * np.kron(d, SIGMA_MINUS),
+        _LOWER_ONE / sq,
+        2.0 * c2 * (_LOWER_ONE * np.tile(d, 2)),
+        _LOWER_TWO / sq,
+        2.0 * c2 * (_LOWER_TWO * np.repeat(d, 2)),
     )
 
 

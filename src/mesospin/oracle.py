@@ -11,6 +11,7 @@ routes can be compared.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .sites import (
     ThermalSiteState,
     dissipation_matrix,
     fluctuation_inner,
+    frozen,
     lindblad_ops,
     observables,
     site_hamiltonian,
@@ -52,31 +54,60 @@ class Superoperator:
         return _unvec(self.matrix @ vec(x))
 
 
-def liouvillian(params: ModelParams) -> Superoperator:
-    """Heisenberg generator L[X] = i[H,X] + (1/2) sum D_mn [[V_m,X],V_n^dag].
+def _commutator_part(h: np.ndarray) -> np.ndarray:
+    """i[H, X] as a 16x16 matrix."""
+    eye = np.eye(_DIM)
+    return 1.0j * (np.kron(eye, h) - np.kron(h.T, eye))
 
-    The half in front of the double commutator makes the generator agree with
-    the standard completely positive form (sum over both Lindblad pairings);
-    unitality L[1] = 0 holds exactly by construction and is checked.
+
+def _dissipator_part(d: np.ndarray) -> np.ndarray:
+    """(1/2) sum D_mn [[V_m, X], V_n^dag] as a 16x16 matrix, linear in D.
+
     Expanding the double commutator into V_m X V_n^dag + V_n^dag X V_m
     - X A - B X with A = sum D_mn V_m V_n^dag and B = sum D_mn V_n^dag V_m,
     every term is assembled in closed form from vec(AXB) = (B^T (x) A) vec(X).
     """
-    h = site_hamiltonian(params)
-    d = dissipation_matrix(params.gamma).matrix
     v = np.array(lindblad_ops())
     vd = v.conj().transpose(0, 2, 1)
     eye = np.eye(_DIM)
-
     sandwich = np.einsum("mn,nji,mkl->ikjl", d, vd, v) + np.einsum(
         "mn,mji,nkl->ikjl", d, v, vd
     )
     a = np.einsum("mn,mij,njk->ik", d, v, vd)
     b = np.einsum("mn,nij,mjk->ik", d, vd, v)
-    gen = 1.0j * (np.kron(eye, h) - np.kron(h.T, eye)) + 0.5 * (
+    return 0.5 * (
         sandwich.reshape(_DIM**2, _DIM**2) - np.kron(a.T, eye) - np.kron(eye, b)
     )
 
+
+@lru_cache(maxsize=1)
+def generator_pieces() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (L_H, L_0, L_1) with L(eps, gamma) = eps L_H + L_0 + gamma L_1.
+
+    The Hamiltonian is linear in epsilon and the Kossakowski matrix affine in
+    gamma, and neither the generator nor its pieces depend on the temperature:
+    L_H is the commutator part at epsilon = 1, L_0 the dissipator of D(0) and
+    L_1 that of D(1) - D(0). Built on first use, once per process.
+    """
+    d0 = dissipation_matrix(0.0).matrix
+    d1 = dissipation_matrix(1.0).matrix - d0
+    h1 = site_hamiltonian(ModelParams(epsilon=1.0))
+    return tuple(
+        frozen(piece)
+        for piece in (_commutator_part(h1), _dissipator_part(d0), _dissipator_part(d1))
+    )
+
+
+def liouvillian(params: ModelParams) -> Superoperator:
+    """Heisenberg generator L[X] = i[H,X] + (1/2) sum D_mn [[V_m,X],V_n^dag].
+
+    The half in front of the double commutator makes the generator agree with
+    the standard completely positive form (sum over both Lindblad pairings);
+    unitality L[1] = 0 holds exactly by construction and is checked. The
+    matrix is eps L_H + L_0 + gamma L_1 from generator_pieces().
+    """
+    l_h, l_0, l_1 = generator_pieces()
+    gen = params.epsilon * l_h + l_0 + params.gamma * l_1
     sup = Superoperator(matrix=gen, params=params)
     unital = float(np.abs(sup.apply(np.eye(_DIM))).max())
     if unital > STRUCTURAL_TOL:
@@ -103,11 +134,17 @@ class GeneratorExtraction:
     annihilation_block: np.ndarray
 
 
+@lru_cache(maxsize=1)
+def _observable_basis() -> np.ndarray:
+    """Read-only 16x9 columns vec(1), vec(x_1) .. vec(x_8)."""
+    return frozen(np.column_stack([vec(x) for x in (np.eye(_DIM),) + observables().ops]))
+
+
 def extract_mode_generator(
     sup: Superoperator, params: ModelParams
 ) -> GeneratorExtraction:
     # Pauli words are orthogonal under tr(x^dag y) = 4 delta, so basis^H / 4 projects.
-    basis = np.column_stack([vec(x) for x in (np.eye(_DIM),) + observables().ops])
+    basis = _observable_basis()
     images = sup.matrix @ basis[:, 1:]
     components = basis.conj().T @ images / 4.0
     residual = float(np.abs(images - basis @ components).max())

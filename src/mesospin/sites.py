@@ -34,6 +34,12 @@ def kron2(i: int, j: int) -> np.ndarray:
     return np.kron(_PAULI[i], _PAULI[j])
 
 
+def frozen(x: np.ndarray) -> np.ndarray:
+    """x made read-only, for arrays built once and shared by every caller."""
+    x.setflags(write=False)
+    return x
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Model parameters with derived thermal quantities.
@@ -133,24 +139,29 @@ class ObservableSet:
 
 @lru_cache(maxsize=1)
 def observables() -> ObservableSet:
+    """The shared, read-only observable set."""
     ops = tuple(
-        kron2(i, j)
+        frozen(kron2(i, j))
         for i, j in ((1, 0), (2, 0), (1, 3), (2, 3), (0, 1), (0, 2), (3, 1), (3, 2))
     )
     complement = tuple(
-        kron2(i, j)
+        frozen(kron2(i, j))
         for i, j in ((0, 0), (3, 0), (0, 3), (3, 3), (1, 1), (1, 2), (2, 1), (2, 2))
     )
     return ObservableSet(ops=ops, complement=complement)
 
 
+@lru_cache(maxsize=1)
 def lindblad_ops() -> tuple[np.ndarray, ...]:
-    """Environment coupling operators: collective flip-flop and dephasing."""
-    return (
-        np.kron(SIGMA_PLUS, SIGMA_MINUS),
-        np.kron(SIGMA_MINUS, SIGMA_PLUS),
-        0.5 * kron2(3, 0),
-        0.5 * kron2(0, 3),
+    """Environment coupling operators: collective flip-flop and dephasing (read-only)."""
+    return tuple(
+        frozen(v)
+        for v in (
+            np.kron(SIGMA_PLUS, SIGMA_MINUS),
+            np.kron(SIGMA_MINUS, SIGMA_PLUS),
+            0.5 * kron2(3, 0),
+            0.5 * kron2(0, 3),
+        )
     )
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 import mesospin.checks as checks
+import mesospin.oracle as oracle
 from mesospin.modes import mode_operators, thermal_moments
 from mesospin.sites import ModelParams, ThermalSiteState
 
@@ -41,3 +42,16 @@ def test_thermal_covariance_fails_for_a_mis_scaled_fixed_point(monkeypatch):
     # the largest diagonal entry 1/(2 eta) sits at the hottest (eps, T)
     worst = max(1e-6 / (2.0 * ModelParams(e, t, 0.0).eta) for e, t in checks.FAST_EPS_TEMPS)
     assert abs(result.residual - worst) < 1e-12
+
+
+def test_generator_match_fails_for_a_mis_scaled_coupling_piece(monkeypatch):
+    l_h, l_0, l_1 = oracle.generator_pieces()
+    monkeypatch.setattr(oracle, "generator_pieces", lambda: (l_h, l_0, (1.0 + 1e-6) * l_1))
+    results = {r.name: r for r in checks.run_checks("full")}
+    assert not results["generator-match"].passed
+    # gamma K gains 1e-6 gamma K; the largest |K| entry is max(eta, eta_perp)
+    grid = [ModelParams(e, t, g) for e, t in checks.FULL_EPS_TEMPS for g in checks.DEFAULT_GAMMAS]
+    worst = max(1e-6 * p.gamma * max(p.eta, p.eta_perp) for p in grid)
+    assert abs(results["generator-match"].residual - worst) < 1e-12
+    # L_1 alone maps the observables into their span and keeps the thermal state
+    assert [name for name, r in results.items() if not r.passed] == ["generator-match"]

@@ -202,21 +202,56 @@ def test_clt_refuses_a_non_integral_site_count(sites, capsys):
     assert captured.out == ""
 
 
-def test_cli_import_loads_no_scipy():
+def _fresh_interpreter(probe: str) -> str:
+    """Stdout of probe run in a new Python process that imports this package."""
     src = str(Path(mesospin.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    probe = (
-        "import sys, mesospin.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
     ).stdout
-    assert out.strip() == "[]"
+
+
+def test_cli_import_loads_no_scipy():
+    probe = (
+        "import sys, mesospin.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert _fresh_interpreter(probe).strip() == "[]"
+
+
+def test_curve_leaves_the_generator_pieces_unbuilt(tmp_path):
+    out = tmp_path / "curve.csv"
+    probe = (
+        "import mesospin, mesospin.oracle as oracle; from mesospin.cli import main; "
+        f"main(['curve', '--t-steps', '40', '--output', {str(out)!r}]); "
+        "print(oracle.generator_pieces.cache_info().currsize)"
+    )
+    lines = _fresh_interpreter(probe).splitlines()
+    assert lines[0].startswith("wrote ")
+    assert lines[-1] == "0"
+
+
+def test_curve_to_a_missing_directory_is_refused(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["curve", "--t-steps", "20", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"cannot write '{out}': ")
+    assert "Traceback" not in captured.err
+
+
+def test_sweep_into_an_existing_file_is_refused(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    argv = ["sweep-gamma", "--t-steps", "20", "--output-dir", str(taken)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"cannot write '{taken}': ")
+    assert captured.out == ""
+    assert taken.read_text() == "keep\n"
 
 
 def test_curve_plot_script(tmp_path):

@@ -49,6 +49,9 @@ def test_defaults():
         ({"gamma_list": (0.1, -0.1)}, "gamma_list"),
         ({"temperature_list": (0.001,)}, "temperature_list"),
         ({"temperature_list": (float("inf"),)}, "temperature_list"),
+        ({"gamma_list": (0.1, 0.1000000000001)}, "gamma_list"),
+        ({"gamma_list": (0.2, 0.3, 0.2)}, "gamma_list"),
+        ({"temperature_list": (0.5, 0.50000000000004)}, "temperature_list"),
     ],
 )
 def test_invalid_config_names_the_field(kwargs, field):

@@ -7,10 +7,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+import mesospin.checks as checks
+import mesospin.modes as modes
+import mesospin.oracle as oracle
 from mesospin.errors import ClosureError, ContractViolation
 from mesospin.modes import drift_matrix
 from mesospin.oracle import (
     extract_mode_generator,
+    generator_pieces,
     liouvillian,
     vec,
     weyl_expectation_finite,
@@ -35,6 +39,15 @@ GRID = [
     for gamma in (0.0, 0.3, 0.5)
 ]
 
+# Off-grid points for the affine generator: eps in (0.1, 5), gamma in [0, 1/2].
+_OFF = np.random.default_rng(11)
+OFF_GRID = [
+    ModelParams(eps, temp, gamma)
+    for eps, temp, gamma in zip(
+        _OFF.uniform(0.1, 5.0, 6), _OFF.uniform(0.5, 5.0, 6), _OFF.uniform(0.0, 0.5, 6)
+    )
+]
+
 
 def test_generator_is_unital_and_annihilates_the_hamiltonian():
     for p in (ModelParams(1.0, 1.0, 0.5), ModelParams(2.0, 0.1, 0.25)):
@@ -47,7 +60,7 @@ def test_generator_is_unital_and_annihilates_the_hamiltonian():
 def test_generator_matches_the_double_commutator_form():
     # Plain 4x4 products, independent of the vec identities behind the 16x16 matrix.
     rng = np.random.default_rng(7)
-    for p in GRID:
+    for p in GRID + OFF_GRID:
         h = site_hamiltonian(p)
         d = dissipation_matrix(p.gamma).matrix
         sup = liouvillian(p)
@@ -60,6 +73,22 @@ def test_generator_matches_the_double_commutator_form():
                     vnd = vn.conj().T
                     expected = expected + 0.5 * d[m, n] * (inner @ vnd - vnd @ inner)
             assert np.abs(sup.apply(x) - expected).max() < 1e-13
+
+
+def test_shared_constant_arrays_are_read_only():
+    shared = [
+        observables().ops[0],
+        observables().complement[0],
+        lindblad_ops()[0],
+        *generator_pieces(),
+        oracle._observable_basis(),
+        checks._pauli_words(),
+        modes._LOWER_ONE,
+        modes._LOWER_TWO,
+    ]
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
 
 
 def test_thermal_state_is_stationary_for_all_pauli_words():
