@@ -10,6 +10,7 @@ failure, 2 configuration error or an output that cannot be written.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -40,7 +41,7 @@ _CONFIG_FLAGS = (
 )
 
 
-_WORKERS_HELP = "accepted for compatibility; no effect, curves are computed serially"
+_WORKERS_HELP = "accepted for compatibility; no effect, a sweep computes its curves in one pass"
 
 
 def _parse_number_list(text: str, field: str) -> tuple[float, ...]:
@@ -105,9 +106,17 @@ def _plot_script_text(csv_names: list[str], labels: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _require_parent_dirs(*paths: str) -> None:
+    """Refuse, before anything is written, an output whose directory is missing."""
+    for path in paths:
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _cmd_curve(args: argparse.Namespace) -> int:
     config = _load_config(args)
     curve = run_curve(config)
+    _require_parent_dirs(*filter(None, (args.output, args.plot_script)))
     write_text(args.output, curve_csv_text(curve))
     print(
         f"wrote {args.output} (max E = {format_float(curve.max_log_negativity)}, "
@@ -124,6 +133,10 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _write_sweep(sweep: SweepResult, out_dir: str, plot_script: str | None) -> int:
+    # The CSV files go into out_dir itself, which is made below; a plot
+    # script with a directory part needs that directory to exist already.
+    if plot_script and os.path.dirname(plot_script):
+        _require_parent_dirs(os.path.join(out_dir, plot_script))
     os.makedirs(out_dir, exist_ok=True)
     names = []
     for value, curve in zip(sweep.values, sweep.curves):

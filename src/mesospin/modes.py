@@ -14,12 +14,14 @@ so does not rely on K^2 = I; it is the general reference. Given an array of
 times, flow() and propagate() return stacks over its leading axes, entry for
 entry what scalar calls return. The fixed point is thermal_moments().
 normal_mode_variances() evaluates only the first modes, in closed form and over
-a whole time grid at once; it is what curves are computed from.
+a whole time grid at once, for one parameter set or a stack of them; it is
+what curves are computed from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -230,7 +232,7 @@ def propagate(state: GaussianState, gen: MesoGenerator, t) -> GaussianState:
 
 
 def normal_mode_variances(
-    params: ModelParams, squeeze_r: float, times: np.ndarray
+    params: ModelParams | Sequence[ModelParams], squeeze_r: float, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature variances of the modes (a1 +/- b1)/sqrt(2) over a time grid.
 
@@ -246,7 +248,10 @@ def normal_mode_variances(
 
     Returns (x, p), each of shape (2, len(times)) with rows sigma = +, -:
     x starts anti-squeezed at e^{2|r|}/eta, p squeezed at e^{-2|r|}/eta.
-    The state depends on r only through |r|.
+    A sequence of V parameter sets gives shape (V, 2, len(times)), one curve
+    per set on the shared grid; the arithmetic is elementwise, so each curve
+    is bit for bit what its own call returns. The state depends on r only
+    through |r|.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or not np.all(np.isfinite(t)) or np.any(t < 0.0):
@@ -254,18 +259,20 @@ def normal_mode_variances(
     r = abs(float(squeeze_r))
     if not np.isfinite(r):
         raise ContractViolation(f"squeeze parameter must be finite, got {squeeze_r!r}")
-    eta = params.eta
-    low = 1.0 / (np.exp(params.epsilon * params.beta) + 1.0)  # (1 - eta) / 2
-    high = 0.5 * (1.0 + eta)
+    stack = not isinstance(params, ModelParams)
+    sets = tuple(params) if stack else (params,)
+    eta = np.array([[[s.eta]] for s in sets])
+    low = [1.0 / (np.exp(s.epsilon * s.beta) + 1.0) for s in sets]  # (1 - eta) / 2
+    high = [0.5 * (1.0 + s.eta) for s in sets]
     # Row sigma = + weighs the slow rate 1 - gamma by (1 - eta)/2.
-    slow_weight = np.array([[low], [high]])
-    fast_weight = np.array([[high], [low]])
-    slow = -(1.0 - params.gamma) * t
-    fast = -(1.0 + params.gamma) * t
+    slow_weight = np.array([[[a], [b]] for a, b in zip(low, high)])
+    fast_weight = np.array([[[b], [a]] for a, b in zip(low, high)])
+    slow = np.array([[[-(1.0 - s.gamma)]] for s in sets]) * t
+    fast = np.array([[[-(1.0 + s.gamma)]] for s in sets]) * t
     q = slow_weight * np.exp(slow) + fast_weight * np.exp(fast)
     one_minus_q = -(slow_weight * np.expm1(slow) + fast_weight * np.expm1(fast))
     w = q * q
     one_minus_w = one_minus_q * (1.0 + q)
     x = (1.0 + np.expm1(2.0 * r) * w) / eta
     p = (one_minus_w + np.exp(-2.0 * r) * w) / eta
-    return x, p
+    return (x, p) if stack else (x[0], p[0])

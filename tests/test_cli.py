@@ -254,6 +254,33 @@ def test_sweep_into_an_existing_file_is_refused(tmp_path, capsys):
     assert taken.read_text() == "keep\n"
 
 
+def test_curve_with_a_plot_script_in_a_missing_directory_writes_nothing(
+    tmp_path, monkeypatch, capsys
+):
+    if os.path.exists("/missing"):
+        pytest.skip("/missing exists on this machine")
+    monkeypatch.chdir(tmp_path)
+    argv = ["curve", "--output", "ok.csv", "--plot-script", "/missing/x.gp"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert not (tmp_path / "ok.csv").exists()
+    assert "wrote" not in captured.out
+    assert captured.err.startswith("cannot write '/missing/x.gp': ")
+
+
+def test_sweep_plot_script_in_a_missing_subdirectory_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["sweep-temp", "--t-steps", "20", "--output-dir", str(out)]
+    assert main([*argv, "--plot-script", "sub/s.gp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"cannot write '{out / 'sub' / 's.gp'}': ")
+    assert captured.out == ""
+    assert not out.exists()
+    # A bare name goes into the output directory, which the sweep makes.
+    assert main([*argv, "--plot-script", "s.gp"]) == 0
+    assert (out / "s.gp").exists()
+
+
 def test_curve_plot_script(tmp_path):
     out = tmp_path / "c.csv"
     script = tmp_path / "c.gp"

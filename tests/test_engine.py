@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import mesospin.experiments as experiments
 from mesospin.errors import ConfigError, ContractViolation, NumericError
-from mesospin.experiments import SQUEEZE_R_MAX, ExperimentConfig, run_curve
+from mesospin.experiments import SQUEEZE_R_MAX, ExperimentConfig, run_curve, sweep_gamma
 from mesospin.linalg import SPECTRAL_TOL
 from mesospin.modes import drift_matrix, initial_state, normal_mode_variances, propagate
 from mesospin.negativity import (
@@ -88,7 +89,7 @@ def _tamper_p_minus(monkeypatch, factor, from_index):
 
     def tampered(params, squeeze_r, times):
         x, p = honest(params, squeeze_r, times)
-        p[1, from_index:] *= factor
+        p[..., 1, from_index:] *= factor
         return x, p
 
     monkeypatch.setattr(experiments, "normal_mode_variances", tampered)
@@ -111,6 +112,36 @@ def test_broken_uncertainty_bound_names_the_first_bad_time(monkeypatch):
     _tamper_p_minus(monkeypatch, 0.9, 1)
     with pytest.raises(NumericError, match=f"x p >= 1 at t = {float(times[first_bad])!r}:"):
         run_curve(config)
+
+
+@pytest.mark.parametrize(
+    "tampers,check",
+    [
+        ({0.3: (1.05, 0)}, "leave the relaxation"),
+        # The first failing value decides, whatever check the later one fails.
+        ({0.3: (1.05, 0), 0.4: (0.9, 1)}, "leave the relaxation"),
+        ({0.2: (0.9, 1), 0.3: (1.05, 0)}, "uncertainty bound"),
+    ],
+)
+def test_a_sweep_raises_what_its_first_failing_value_raises(monkeypatch, tampers, check):
+    honest = normal_mode_variances
+
+    def tampered(sets, squeeze_r, times):
+        x, p = honest(sets, squeeze_r, times)
+        for k, params in enumerate(sets):
+            if params.gamma in tampers:
+                factor, from_index = tampers[params.gamma]
+                p[k, 1, from_index:] *= factor
+        return x, p
+
+    monkeypatch.setattr(experiments, "normal_mode_variances", tampered)
+    config = ExperimentConfig(t_steps=20, gamma_list=(0.1, 0.2, 0.3, 0.4, 0.5))
+    with pytest.raises(NumericError) as alone:
+        run_curve(replace(config, gamma=min(tampers)))
+    with pytest.raises(NumericError) as swept:
+        sweep_gamma(config)
+    assert check in str(alone.value)
+    assert str(swept.value) == str(alone.value)
 
 
 def test_curves_need_no_spectral_route(monkeypatch):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from mesospin.experiments import (
     sweep_temperature,
     write_text,
 )
+from mesospin.sites import ModelParams
 
 
 def test_defaults():
@@ -179,3 +183,47 @@ def test_summary_csv_layout():
     assert "gamma,max_E,lifetime" in lines
     assert lines[-1].count(",") == 2
     assert any("# swept = gamma" == line for line in lines)
+
+
+@pytest.mark.parametrize("squeeze_r", [0.0, 2.0, -9.5])
+@pytest.mark.parametrize("t_steps", [2, 100])
+@pytest.mark.parametrize(
+    "sweep,parameter", [(sweep_gamma, "gamma"), (sweep_temperature, "temperature")]
+)
+def test_sweep_curves_equal_their_own_runs(sweep, parameter, squeeze_r, t_steps):
+    cfg = ExperimentConfig(
+        squeeze_r=squeeze_r,
+        t_steps=t_steps,
+        gamma_list=(0.0, 0.13, 0.31, 0.5),
+        temperature_list=(0.05, 0.1, 0.27, 1.0, 4.0),
+    )
+    result = sweep(cfg)
+    assert len(result.curves) == len(result.values)
+    for value, curve in zip(result.values, result.curves):
+        alone = run_curve(replace(cfg, **{parameter: value}))
+        assert np.array_equal(curve.times, alone.times)
+        assert np.array_equal(curve.nu_min, alone.nu_min)
+        assert np.array_equal(curve.log_negativity, alone.log_negativity)
+        assert curve.meta == alone.meta
+        assert list(curve.meta) == list(alone.meta)
+
+
+@pytest.mark.parametrize("sweep,values", [(sweep_gamma, 4), (sweep_temperature, 3)])
+def test_a_sweep_validates_its_config_once(monkeypatch, sweep, values):
+    cfg = ExperimentConfig(t_steps=20, gamma_list=(0.1, 0.2, 0.3, 0.5))
+    built = Counter()
+
+    def counting(cls):
+        check = cls.__post_init__
+
+        def post_init(self):
+            built[cls.__name__] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", post_init)
+
+    counting(ExperimentConfig)
+    counting(ModelParams)
+    sweep(cfg)
+    assert built["ExperimentConfig"] == 0
+    assert built["ModelParams"] == values
