@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import os
 import sys
@@ -164,16 +165,12 @@ def _write_sweep(sweep: SweepResult, out_dir: str, plot_script: str | None) -> i
     return 0
 
 
-def _cmd_sweep_gamma(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    sweep = sweep_gamma(config)
-    return _write_sweep(sweep, args.output_dir, args.plot_script)
-
-
-def _cmd_sweep_temp(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    sweep = sweep_temperature(config)
-    return _write_sweep(sweep, args.output_dir, args.plot_script)
+    # Chosen per call by name, not stored in the cached parser, so that a later
+    # rebinding of sweep_gamma or sweep_temperature in this module is used.
+    sweep = sweep_gamma if args.command == "sweep-gamma" else sweep_temperature
+    return _write_sweep(sweep(config), args.output_dir, args.plot_script)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -204,7 +201,9 @@ def _cmd_clt(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser: built on the first call, then shared and never changed."""
     parser = argparse.ArgumentParser(
         prog="mesospin",
         description=(
@@ -220,25 +219,19 @@ def build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--plot-script", default=None, help="write a gnuplot script")
     curve.set_defaults(func=_cmd_curve)
 
-    sg = sub.add_parser("sweep-gamma", help="one curve per coupling in gamma_list")
-    _add_config_options(sg)
-    sg.add_argument("--gamma-list", default=None, help="comma-separated couplings")
-    sg.add_argument("--output-dir", default=".", help="directory for CSV output")
-    sg.add_argument("--plot-script", default=None, help="gnuplot script filename")
-    sg.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
-    sg.set_defaults(func=_cmd_sweep_gamma)
-
-    st = sub.add_parser(
-        "sweep-temp", help="one curve per temperature in temperature_list"
-    )
-    _add_config_options(st)
-    st.add_argument(
-        "--temperature-list", default=None, help="comma-separated temperatures"
-    )
-    st.add_argument("--output-dir", default=".", help="directory for CSV output")
-    st.add_argument("--plot-script", default=None, help="gnuplot script filename")
-    st.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
-    st.set_defaults(func=_cmd_sweep_temp)
+    for name, help_text, list_flag, list_help in (
+        ("sweep-gamma", "one curve per coupling in gamma_list",
+         "--gamma-list", "comma-separated couplings"),
+        ("sweep-temp", "one curve per temperature in temperature_list",
+         "--temperature-list", "comma-separated temperatures"),
+    ):
+        sweep = sub.add_parser(name, help=help_text)
+        _add_config_options(sweep)
+        sweep.add_argument(list_flag, default=None, help=list_help)
+        sweep.add_argument("--output-dir", default=".", help="directory for CSV output")
+        sweep.add_argument("--plot-script", default=None, help="gnuplot script filename")
+        sweep.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
+        sweep.set_defaults(func=_cmd_sweep)
 
     verify = sub.add_parser("verify", help="run the self-check suite")
     verify.add_argument(
@@ -256,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code; safe to call repeatedly."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -202,12 +202,15 @@ def test_clt_refuses_a_non_integral_site_count(sites, capsys):
     assert captured.out == ""
 
 
-def _fresh_interpreter(probe: str) -> str:
-    """Stdout of probe run in a new Python process that imports this package."""
+def _fresh_interpreter(*argv: str) -> str:
+    """Stdout of `python *argv` in a new process that imports this package.
+
+    A non-zero exit raises CalledProcessError.
+    """
     src = str(Path(mesospin.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, *argv],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
@@ -220,7 +223,7 @@ def test_cli_import_loads_no_scipy():
         "import sys, mesospin.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    assert _fresh_interpreter(probe).strip() == "[]"
+    assert _fresh_interpreter("-c", probe).strip() == "[]"
 
 
 def test_curve_leaves_the_generator_pieces_unbuilt(tmp_path):
@@ -230,7 +233,7 @@ def test_curve_leaves_the_generator_pieces_unbuilt(tmp_path):
         f"main(['curve', '--t-steps', '40', '--output', {str(out)!r}]); "
         "print(oracle.generator_pieces.cache_info().currsize)"
     )
-    lines = _fresh_interpreter(probe).splitlines()
+    lines = _fresh_interpreter("-c", probe).splitlines()
     assert lines[0].startswith("wrote ")
     assert lines[-1] == "0"
 
@@ -323,3 +326,58 @@ def test_curve_values_match_library_results(tmp_path):
         assert abs(float(row[0]) - t) < 5e-12 * max(1.0, abs(t))
         assert abs(float(row[2]) - e) < 1e-12 + 5e-12 * abs(e)
     assert np.isclose(float(rows[0][1]), curve.nu_min[0])
+
+
+def test_calls_on_the_shared_parser_leak_nothing(tmp_path, capsys):
+    a, b, fresh = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "fresh.csv"
+    assert main(["curve", "--gamma", "0.3", "--output", str(a)]) == 0
+    with pytest.raises(SystemExit) as excinfo:
+        main(["curve", "--t-steps", "x"])
+    assert excinfo.value.code == 2
+    sweep = ["sweep-temp", "--t-steps", "20", "--temperature-list", "0.2,0.4"]
+    assert main(sweep + ["--output-dir", str(tmp_path / "sweep")]) == 0
+    assert main(["curve", "--output", str(b)]) == 0
+    _fresh_interpreter(
+        "-c", f"from mesospin.cli import main; main(['curve', '--output', {str(fresh)!r}])"
+    )
+    assert b.read_bytes() == fresh.read_bytes()
+    assert "# gamma = 0.5\n" in _read(b)
+
+
+def test_the_parser_is_built_once_per_process(tmp_path):
+    out = str(tmp_path / "c.csv")
+    probe = (
+        "import argparse; from mesospin.cli import main\n"
+        "built = []; init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1); init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "counts = []\n"
+        "for _ in range(3):\n"
+        f"    main(['curve', '--t-steps', '20', '--output', {out!r}]); counts.append(len(built))\n"
+        "print(counts)"
+    )
+    one, _, three = json.loads(_fresh_interpreter("-c", probe).splitlines()[-1])
+    assert one > 0
+    assert three == one
+
+
+def test_the_cached_parser_runs_the_sweep_bound_in_the_module_now(tmp_path, monkeypatch):
+    import mesospin.cli as cli
+
+    cli.build_parser()
+    calls = []
+    original = cli.sweep_gamma
+
+    def counted(config):
+        calls.append(config)
+        return original(config)
+
+    monkeypatch.setattr(cli, "sweep_gamma", counted)
+    argv = ["sweep-gamma", "--t-steps", "20", "--gamma-list", "0.2", "--output-dir"]
+    assert main(argv + [str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+def test_python_dash_m_mesospin_runs_the_cli():
+    assert "all checks passed" in _fresh_interpreter("-m", "mesospin", "verify")
