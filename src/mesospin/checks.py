@@ -31,7 +31,7 @@ from .oracle import (
     liouvillian,
     vec,
 )
-from .sites import ModelParams, dissipation_matrix, frozen, kron2, thermal_state
+from .sites import ModelParams, dissipation_matrix, fluctuation_inner, frozen, kron2, thermal_state
 
 DEFAULT_GAMMAS = (0.0, 0.1, 0.25, 0.5)
 FULL_EPS_TEMPS = tuple(
@@ -125,23 +125,15 @@ def check_generator_match(level: str = "fast") -> CheckResult:
     return _result("generator-match", residual, CLOSURE_TOL)
 
 
-def _inner_table(x: np.ndarray, y: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Table <x_i, y_j> = w(x_i^dag y_j) - w(x_i^dag) w(y_j) of stacked operators."""
-    xd = x.conj().transpose(0, 2, 1)
-    w_xd = np.einsum("ab,iba->i", rho, xd)
-    w_y = np.einsum("ab,iba->i", rho, y)
-    return np.einsum("ab,ibc,jca->ij", rho, xd, y) - np.outer(w_xd, w_y)
-
-
 def _thermal_mode_tables(level: str):
     """eta and the tables <a, a>, <a^dag, a^dag>, <a^dag, a> per (eps, T) of the level."""
     for eps, temp in _eps_temps(level):
         params = ModelParams(eps, temp, 0.0)
-        rho = thermal_state(params).rho
+        state = thermal_state(params)
         a = np.array(mode_operators(params))
         ad = a.conj().transpose(0, 2, 1)
-        tables = _inner_table(a, a, rho), _inner_table(ad, ad, rho), _inner_table(ad, a, rho)
-        yield (params.eta,) + tables
+        x, y = np.array([a, ad, ad]), np.array([a, ad, a])
+        yield (params.eta, *fluctuation_inner(x[:, :, None], y[:, None, :], state))
 
 
 def check_mode_ccr(level: str = "fast") -> CheckResult:

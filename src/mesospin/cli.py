@@ -10,6 +10,7 @@ failure, 2 configuration error or an output that cannot be written.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import functools
 import json
@@ -31,16 +32,6 @@ from .experiments import (
 )
 from .oracle import clt_table, require_sites
 from .sites import ModelParams, thermal_state
-
-_CONFIG_FLAGS = (
-    ("epsilon", float),
-    ("temperature", float),
-    ("gamma", float),
-    ("squeeze_r", float),
-    ("t_max", float),
-    ("t_steps", int),
-)
-
 
 _WORKERS_HELP = "accepted for compatibility; no effect, a sweep computes its curves in one pass"
 
@@ -69,26 +60,22 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         if not isinstance(loaded, dict):
             raise ConfigError("config: top level must be a JSON object")
         data.update(loaded)
-    for name, _ in _CONFIG_FLAGS:
-        value = getattr(args, name, None)
+    for f in dataclasses.fields(ExperimentConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            data[name] = value
-    for name in ("gamma_list", "temperature_list"):
-        value = getattr(args, name, None)
-        if value is not None:
-            data[name] = _parse_number_list(value, name)
+            is_list = isinstance(f.default, tuple)
+            data[f.name] = _parse_number_list(value, f.name) if is_list else value
     return ExperimentConfig.from_dict(data)
 
 
 def _add_config_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat JSON file with configuration fields")
-    for name, kind in _CONFIG_FLAGS:
-        sub.add_argument(
-            f"--{name.replace('_', '-')}",
-            type=kind,
-            default=None,
-            help=f"override {name}",
-        )
+    # ExperimentConfig owns the fields: each scalar field is one flag of its
+    # default's type; a list field (tuple default) has its sweep's own flag.
+    for f in dataclasses.fields(ExperimentConfig):
+        if not isinstance(f.default, tuple):
+            flag = "--" + f.name.replace("_", "-")
+            sub.add_argument(flag, type=type(f.default), default=None, help=f"override {f.name}")
 
 
 def _plot_script_text(csv_names: list[str], labels: list[str]) -> str:
@@ -188,7 +175,10 @@ def _cmd_clt(args: argparse.Namespace) -> int:
         params = ModelParams(args.epsilon, args.temperature, 0.0)
     except ContractViolation as exc:
         raise ConfigError(str(exc)) from exc
-    table = clt_table(thermal_state(params), sites)
+    try:
+        table = clt_table(thermal_state(params), sites)
+    except ContractViolation as exc:
+        raise ConfigError(f"sites: {exc}") from exc
     print(f"{'observable':<12}{'sites':>8}  {'finite':>16}  {'limit':>16}  {'|error|':>12}")
     for index, (limit, finite, errors, _) in enumerate(table):
         for n, value, err in zip(sites, finite, errors):

@@ -156,9 +156,9 @@ class NegativityCurve:
     def max_log_negativity(self) -> float:
         return float(self.log_negativity.max())
 
-    def lifetime(self, threshold: float = LIFETIME_THRESHOLD) -> float:
-        """Largest sampled time with E above threshold; 0.0 if none."""
-        alive = np.nonzero(self.log_negativity > threshold)[0]
+    def lifetime(self) -> float:
+        """Largest sampled time with E above LIFETIME_THRESHOLD; 0.0 if none."""
+        alive = np.nonzero(self.log_negativity > LIFETIME_THRESHOLD)[0]
         if len(alive) == 0:
             return 0.0
         return float(self.times[alive[-1]])

@@ -1,10 +1,11 @@
-"""Shared tolerances and the one matrix exponential the package needs.
+"""The generic tolerances and the one matrix exponential the package needs.
 
 Both exponentials in the model are of a Hermitian matrix times a scalar: the
 bath coupling K of the mode drift, and the centred site observables of the
 oracle's Weyl factors. expm() takes that structure as its contract and
-evaluates it through numpy's Hermitian eigensolver. Tolerances are declared
-once here and referenced everywhere.
+evaluates it through numpy's Hermitian eigensolver. This module declares
+STRUCTURAL_TOL and SPECTRAL_TOL; a tolerance that belongs to one routine or
+one check is declared beside it, in that routine's or check's module.
 """
 
 from __future__ import annotations

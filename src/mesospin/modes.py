@@ -42,7 +42,6 @@ class ModeMap:
 
     matrix: np.ndarray
     inverse: np.ndarray
-    eta: float
 
 
 def mode_map(params: ModelParams) -> ModeMap:
@@ -70,7 +69,7 @@ def mode_map(params: ModelParams) -> ModeMap:
     inv[4:, 2:4] = inv[:4, 0:2]
     inv[4:, 6:8] = inv[:4, 4:6]
 
-    return ModeMap(matrix=r, inverse=inv, eta=eta)
+    return ModeMap(matrix=r, inverse=inv)
 
 
 # sigma_- x 1 and 1 x sigma_-, the constant Kronecker factors of the modes.

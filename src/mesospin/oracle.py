@@ -48,7 +48,6 @@ class Superoperator:
     """Heisenberg generator as a 16x16 matrix over column-stacked operators."""
 
     matrix: np.ndarray
-    params: ModelParams
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return _unvec(self.matrix @ vec(x))
@@ -108,7 +107,7 @@ def liouvillian(params: ModelParams) -> Superoperator:
     """
     l_h, l_0, l_1 = generator_pieces()
     gen = params.epsilon * l_h + l_0 + params.gamma * l_1
-    sup = Superoperator(matrix=gen, params=params)
+    sup = Superoperator(matrix=gen)
     unital = float(np.abs(sup.apply(np.eye(_DIM))).max())
     if unital > STRUCTURAL_TOL:
         raise ClosureError(f"generator is not unital: ||L[1]|| = {unital:.3e}")
@@ -119,15 +118,15 @@ def liouvillian(params: ModelParams) -> Superoperator:
 class GeneratorExtraction:
     """Restriction of the generator to the span of the eight observables.
 
-    coefficients[b, a] is the component of L[x_a] along x_b in the normalized
-    trace basis; identity_coeffs collects the identity components (zero for
-    unital dynamics restricted to traceless operators... kept explicit so the
-    test can pin it). mode_generator expresses the same action in the ladder
-    basis (a1, a2, b1, b2, and conjugates); its upper-left block is the drift
-    matrix the mesoscopic propagation uses, transposed.
+    identity_coeffs[a] is the identity component of L[x_a]; the observables
+    are traceless and the dynamics unital, so every entry must vanish.
+    residual is the largest entry of any L[x_a] minus its projection onto the
+    span of the identity and the observables. mode_generator is the
+    restriction in the ladder basis (a1, a2, b1, b2, and conjugates); its
+    upper-left block, annihilation_block, is the drift matrix of the
+    mesoscopic propagation, transposed.
     """
 
-    coefficients: np.ndarray
     identity_coeffs: np.ndarray
     residual: float
     mode_generator: np.ndarray
@@ -157,7 +156,6 @@ def extract_mode_generator(
     mm = mode_map(params)
     mode_generator = mm.matrix @ coeffs.T @ mm.inverse
     return GeneratorExtraction(
-        coefficients=coeffs,
         identity_coeffs=identity,
         residual=residual,
         mode_generator=mode_generator,
@@ -209,7 +207,11 @@ def clt_table(state: ThermalSiteState, sites: tuple[int, ...]) -> list[tuple]:
     """(limit, finite-n values, |errors|, monotone) per observable x_1 .. x_8.
 
     monotone is the convergence test: every error below the one before it.
+    It reads convergence only if n rises, so the site counts must be strictly
+    increasing; ContractViolation otherwise.
     """
+    if any(a >= b for a, b in zip(sites, sites[1:])):
+        raise ContractViolation(f"site counts must be strictly increasing, got {list(sites)}")
     table = []
     for x in observables().ops:
         limit = weyl_expectation_limit(x, state)
@@ -217,34 +219,3 @@ def clt_table(state: ThermalSiteState, sites: tuple[int, ...]) -> list[tuple]:
         errors = [abs(f - limit) for f in finite]
         table.append((limit, finite, errors, all(a > b for a, b in zip(errors, errors[1:]))))
     return table
-
-
-def weyl_product_finite(
-    x: np.ndarray, y: np.ndarray, n: int, state: ThermalSiteState
-) -> complex:
-    """Exact n-site expectation of the product of two Weyl operators."""
-    x = _require_hermitian(x, "first Weyl argument")
-    y = _require_hermitian(y, "second Weyl argument")
-    n = require_sites(n)
-    ux = _site_weyl_unitary(x, n, state)
-    uy = _site_weyl_unitary(y, n, state)
-    return state.expectation(ux @ uy) ** n
-
-
-def weyl_product_limit(
-    x: np.ndarray, y: np.ndarray, state: ThermalSiteState
-) -> complex:
-    """Large-n limit exp(-(<x+y, x+y> + [x, y])/2) of the Weyl product.
-
-    The commutator term is the scalar w([x, y]) that survives the central
-    limit; it makes the limit genuinely complex for non-commuting arguments.
-    """
-    x = _require_hermitian(x, "first Weyl argument")
-    y = _require_hermitian(y, "second Weyl argument")
-    ixx = fluctuation_inner(x, x, state)
-    iyy = fluctuation_inner(y, y, state)
-    ixy = fluctuation_inner(x, y, state)
-    iyx = fluctuation_inner(y, x, state)
-    sum_form = ixx + iyy + ixy + iyx
-    commutator = ixy - iyx
-    return complex(np.exp(-0.5 * (sum_form + commutator)))

@@ -100,10 +100,19 @@ class ThermalSiteState:
     """Gibbs state of a single site pair; rho is diagonal in the spin basis."""
 
     rho: np.ndarray
-    params: ModelParams
 
-    def expectation(self, op: np.ndarray) -> complex:
-        return complex(np.trace(self.rho @ op))
+    def expectation(self, op: np.ndarray) -> complex | np.ndarray:
+        """w(op) = tr(rho op), over the last two axes of op.
+
+        One 4x4 operator gives a complex; a stack of shape S + (4, 4) gives
+        an array of shape S.
+        """
+        # sum_a sum_b rho_ba op_ab, rows first. With rho diagonal each row sum
+        # is one exact product and the four are added in order, as a trace
+        # of rho @ op adds them: clt_table raises w(U) to the n-th power,
+        # which magnifies any change in the last bit.
+        value = (self.rho.T * op).sum(axis=-1).sum(axis=-1)
+        return complex(value) if value.ndim == 0 else value
 
 
 def thermal_state(params: ModelParams) -> ThermalSiteState:
@@ -115,12 +124,17 @@ def thermal_state(params: ModelParams) -> ThermalSiteState:
     energies = 0.5 * params.epsilon * np.array([2.0, 0.0, 0.0, -2.0])
     shifted = np.exp(-params.beta * (energies - energies.min()))
     rho = np.diag(shifted / shifted.sum()).astype(complex)
-    return ThermalSiteState(rho=rho, params=params)
+    return ThermalSiteState(rho=rho)
 
 
-def fluctuation_inner(x: np.ndarray, y: np.ndarray, state: ThermalSiteState) -> complex:
-    """Covariance form <x, y> = w(x^dag y) - w(x^dag) w(y) in the given state."""
-    xd = x.conj().T
+def fluctuation_inner(
+    x: np.ndarray, y: np.ndarray, state: ThermalSiteState
+) -> complex | np.ndarray:
+    """Covariance form <x, y> = w(x^dag y) - w(x^dag) w(y) in the given state.
+
+    x and y broadcast as operator stacks (..., 4, 4), as in expectation.
+    """
+    xd = np.swapaxes(x.conj(), -1, -2)
     return state.expectation(xd @ y) - state.expectation(xd) * state.expectation(y)
 
 
@@ -175,7 +189,6 @@ class DissipationMatrix:
     """
 
     matrix: np.ndarray
-    gamma: float
     eigenvalues: np.ndarray
     min_eigenvalue: float
     is_positive: bool
@@ -198,7 +211,6 @@ def dissipation_matrix(gamma: float) -> DissipationMatrix:
     min_eigenvalue = float(eigenvalues[0])
     return DissipationMatrix(
         matrix=m,
-        gamma=gamma,
         eigenvalues=eigenvalues,
         min_eigenvalue=min_eigenvalue,
         is_positive=min_eigenvalue >= -1e-12,

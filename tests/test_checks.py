@@ -25,9 +25,7 @@ def test_mode_ccr_fails_when_a_mode_is_mis_normalised(monkeypatch):
 def test_thermal_invariance_fails_for_a_non_stationary_state(monkeypatch):
     # Not population-reversed: the flip-flop dynamics leave that state invariant.
     rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-    monkeypatch.setattr(
-        checks, "thermal_state", lambda params: ThermalSiteState(rho=rho, params=params)
-    )
+    monkeypatch.setattr(checks, "thermal_state", lambda params: ThermalSiteState(rho=rho))
     result = checks.check_thermal_invariance("fast")
     assert not result.passed
     assert abs(result.residual - 0.2) < 1e-12

@@ -19,8 +19,6 @@ from mesospin.oracle import (
     vec,
     weyl_expectation_finite,
     weyl_expectation_limit,
-    weyl_product_finite,
-    weyl_product_limit,
 )
 from mesospin.sites import (
     ModelParams,
@@ -196,39 +194,3 @@ def test_weyl_rejects_non_hermitian_and_bad_site_count():
     with pytest.raises(ContractViolation):
         weyl_expectation_finite(observables().ops[0], 0, state)
 
-
-def test_weyl_product_limit_anchor():
-    p = ModelParams(1.0, 1.0, 0.5)
-    state = thermal_state(p)
-    x1, x2 = observables().ops[0], observables().ops[1]
-    value = weyl_product_limit(x1, x2, state)
-    expected = 0.32929278071416995 + 0.1640169131709968j
-    assert abs(value - expected) < 1e-12
-    # eta enters only through the commutator phase
-    assert abs(abs(value) - np.exp(-1.0)) < 1e-12
-
-
-def test_weyl_product_converges_for_every_pair():
-    p = ModelParams(1.0, 1.0, 0.5)
-    state = thermal_state(p)
-    obs = observables().ops
-    for x in obs[:2] + obs[4:6]:
-        for y in obs[:2] + obs[4:6]:
-            limit = weyl_product_limit(x, y, state)
-            errors = [
-                abs(weyl_product_finite(x, y, n, state) - limit)
-                for n in (100, 10000)
-            ]
-            assert errors[1] < errors[0]
-            assert errors[1] < 1e-2
-
-
-def test_weyl_product_of_an_observable_with_itself():
-    p = ModelParams(1.0, 0.5, 0.5)
-    state = thermal_state(p)
-    x1 = observables().ops[0]
-    n = 400
-    same = weyl_product_finite(x1, x1, n, state)
-    doubled = weyl_expectation_finite(2.0 * x1, n, state)
-    assert abs(same - doubled) < 1e-12
-    assert abs(weyl_product_limit(x1, x1, state) - np.exp(-2.0)) < 1e-12

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mesospin.errors import ContractViolation
+from mesospin.modes import mode_operators
 from mesospin.sites import (
     ModelParams,
     dissipation_matrix,
@@ -105,6 +106,22 @@ def test_fluctuation_inner_on_the_first_chain_pair():
     assert abs(fluctuation_inner(x1, x1, state) - 1.0) < 1e-14
     assert abs(fluctuation_inner(x1, x2, state) - (-1j * p.eta)) < 1e-14
     assert abs(fluctuation_inner(x2, x1, state) - (1j * p.eta)) < 1e-14
+
+
+def test_stacked_expectation_and_inner_form_match_scalar_calls():
+    p = ModelParams(epsilon=1.3, temperature=0.4, gamma=0.2)
+    state = thermal_state(p)
+    ops = mode_operators(p)
+    stack = np.array(ops)
+    table = fluctuation_inner(stack[:, None], stack[None, :], state)
+    values = state.expectation(stack)
+    assert table.shape == (4, 4) and values.shape == (4,)
+    for i, x in enumerate(ops):
+        assert abs(values[i] - state.expectation(x)) <= 1e-15
+        for j, y in enumerate(ops):
+            assert abs(table[i, j] - fluctuation_inner(x, y, state)) <= 1e-15
+    assert type(state.expectation(ops[0])) is complex
+    assert type(fluctuation_inner(ops[0], ops[1], state)) is complex
 
 
 def test_fluctuation_inner_vanishes_across_chains():
