@@ -15,7 +15,7 @@ corresponding check fail; nothing here is ever skipped or clamped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
@@ -53,10 +53,16 @@ class CheckResult:
     detail: str = ""
 
 
-def _result(name: str, residual: float, tolerance: float, detail: str = "") -> CheckResult:
+def _result(name: str, residuals, tolerance: float, detail: str = "") -> CheckResult:
+    """The check's result; its residual is the largest of residuals, or 0.
+
+    numpy's max keeps a NaN, where the builtin max(0.0, nan) would drop it,
+    and a NaN residual fails.
+    """
+    residual = float(np.max(residuals, initial=0.0))
     return CheckResult(
         name=name,
-        residual=float(residual),
+        residual=residual,
         tolerance=float(tolerance),
         passed=bool(residual <= tolerance),
         detail=detail,
@@ -65,23 +71,35 @@ def _result(name: str, residual: float, tolerance: float, detail: str = "") -> C
 
 def check_dissipation_spectrum(gammas: tuple[float, ...] = DEFAULT_GAMMAS) -> CheckResult:
     """Spectrum {1-2g, 1, 1, 1+2g} and positive semidefiniteness of D."""
-    residual = 0.0
+    residuals = []
     detail = ""
     for gamma in gammas:
         d = dissipation_matrix(gamma)
         expected = np.sort(np.array([1.0 - 2.0 * gamma, 1.0, 1.0, 1.0 + 2.0 * gamma]))
-        residual = max(residual, float(np.abs(d.eigenvalues - expected).max()))
+        residuals.append(np.abs(d.eigenvalues - expected).max())
         if not d.is_positive:
-            residual = max(residual, -d.min_eigenvalue)
+            residuals.append(-d.min_eigenvalue)
             detail = (
                 f"gamma = {gamma:g} is not completely positive: "
                 f"min eigenvalue {d.min_eigenvalue:.6g}"
             )
-    return _result("dissipation-spectrum", residual, STRUCTURAL_TOL, detail)
+    return _result("dissipation-spectrum", residuals, STRUCTURAL_TOL, detail)
 
 
 def _eps_temps(level: str) -> tuple[tuple[float, float], ...]:
     return FULL_EPS_TEMPS if level == "full" else FAST_EPS_TEMPS
+
+
+def _temps_by_epsilon(level: str) -> list[tuple[float, list[float]]]:
+    """The level's (eps, T) grid as (eps, its temperatures), eps in first-seen order.
+
+    The generator reads eps and gamma but not T, so one generator serves
+    every temperature of its eps.
+    """
+    temps: dict[float, list[float]] = {}
+    for eps, temp in _eps_temps(level):
+        temps.setdefault(eps, []).append(temp)
+    return list(temps.items())
 
 
 @lru_cache(maxsize=1)
@@ -93,73 +111,76 @@ def _pauli_words() -> np.ndarray:
 def check_thermal_invariance(level: str = "fast") -> CheckResult:
     """The thermal state is stationary: w(L[P]) = 0 for all 16 Pauli words."""
     words = _pauli_words()
-    residual = 0.0
-    for eps, temp in _eps_temps(level):
+    residuals = []
+    for eps, temps in _temps_by_epsilon(level):
+        # w(Y) = tr(rho Y) = vec(rho^T) . vec(Y): one row per temperature, so
+        # one product takes every image to every state of this eps
+        weights = np.array([vec(thermal_state(ModelParams(eps, t, 0.0)).rho.T) for t in temps])
         for gamma in DEFAULT_GAMMAS:
-            params = ModelParams(eps, temp, gamma)
-            # w(Y) = tr(rho Y) = vec(rho^T) . vec(Y), for all 16 images at once
-            weights = vec(thermal_state(params).rho.T)
-            images = liouvillian(params).matrix @ words
-            residual = max(residual, float(np.abs(weights @ images).max()))
-    return _result("thermal-invariance", residual, STRUCTURAL_TOL)
+            images = liouvillian(ModelParams(eps, temps[0], gamma)).matrix @ words
+            residuals.append(np.abs(weights @ images).max())
+    return _result("thermal-invariance", residuals, STRUCTURAL_TOL)
 
 
 def check_generator_match(level: str = "fast") -> CheckResult:
     """Microscopic restriction equals the mesoscopic drift, block by block."""
-    residual = 0.0
-    for eps, temp in _eps_temps(level):
+    residuals = []
+    for eps, temps in _temps_by_epsilon(level):
         for gamma in DEFAULT_GAMMAS:
-            params = ModelParams(eps, temp, gamma)
-            ext = extract_mode_generator(liouvillian(params), params)
-            m = drift_matrix(params).matrix
-            g = ext.mode_generator
-            residual = max(
-                residual,
+            grid = [ModelParams(eps, t, gamma) for t in temps]
+            # one projection per generator, conjugated by each temperature's mode map
+            ext = extract_mode_generator(liouvillian(grid[0]), grid)
+            m = np.array([drift_matrix(params).matrix for params in grid])
+            m_t, g = m.swapaxes(-1, -2), ext.mode_generator
+            residuals += [
                 ext.residual,
-                float(np.abs(ext.identity_coeffs).max()),
-                float(np.abs(g[:4, :4] - m.T).max()),
-                float(np.abs(g[4:, 4:] - m.conj().T).max()),
-                float(np.abs(g[:4, 4:]).max()),
-                float(np.abs(g[4:, :4]).max()),
-            )
-    return _result("generator-match", residual, CLOSURE_TOL)
+                np.abs(ext.identity_coeffs).max(),
+                np.abs(g[:, :4, :4] - m_t).max(),
+                np.abs(g[:, 4:, 4:] - m_t.conj()).max(),
+                np.abs(g[:, :4, 4:]).max(),
+                np.abs(g[:, 4:, :4]).max(),
+            ]
+    return _result("generator-match", residuals, CLOSURE_TOL)
 
 
-def _thermal_mode_tables(level: str):
+def _thermal_mode_tables(level: str) -> list[tuple]:
     """eta and the tables <a, a>, <a^dag, a^dag>, <a^dag, a> per (eps, T) of the level."""
+    tables = []
     for eps, temp in _eps_temps(level):
         params = ModelParams(eps, temp, 0.0)
         state = thermal_state(params)
         a = np.array(mode_operators(params))
         ad = a.conj().transpose(0, 2, 1)
         x, y = np.array([a, ad, ad]), np.array([a, ad, a])
-        yield (params.eta, *fluctuation_inner(x[:, :, None], y[:, None, :], state))
+        tables.append((params.eta, *fluctuation_inner(x[:, :, None], y[:, None, :], state)))
+    return tables
 
 
 def check_mode_ccr(level: str = "fast") -> CheckResult:
     """Canonical commutators of all four modes through the fluctuation form."""
-    residual = 0.0
-    for _, a_a, ad_ad, ad_a in _thermal_mode_tables(level):
+    return _mode_ccr(_thermal_mode_tables(level))
+
+
+def _mode_ccr(tables: list[tuple]) -> CheckResult:
+    residuals = []
+    for _, a_a, ad_ad, ad_a in tables:
         # [a_i, a_j^dag] = delta_ij and [a_i, a_j] = 0, entry (i, j) of each table
-        residual = max(
-            residual,
-            float(np.abs(ad_ad - a_a.T - np.eye(4)).max()),
-            float(np.abs(ad_a - ad_a.T).max()),
-        )
-    return _result("mode-ccr", residual, STRUCTURAL_TOL)
+        residuals.append(np.abs(ad_ad - a_a.T - np.eye(4)).max())
+        residuals.append(np.abs(ad_a - ad_a.T).max())
+    return _result("mode-ccr", residuals, STRUCTURAL_TOL)
 
 
 def check_clt_convergence(level: str = "fast") -> CheckResult:
     """Weyl expectations approach their Gaussian limits monotonically."""
     state = thermal_state(ModelParams(1.0, 1.0, 0.0))
-    residual = 0.0
+    residuals = []
     detail = ""
     for index, (_, _, errors, monotone) in enumerate(clt_table(state, CLT_SITES)):
         if not monotone:
             detail = f"observable {index + 1}: errors not monotone: {errors}"
-            residual = max(residual, float("inf"))
-        residual = max(residual, errors[-1])
-    return _result("clt-convergence", residual, CLT_TOL, detail)
+            residuals.append(float("inf"))
+        residuals.append(errors[-1])
+    return _result("clt-convergence", residuals, CLT_TOL, detail)
 
 
 def check_thermal_covariance(level: str = "fast") -> CheckResult:
@@ -168,12 +189,16 @@ def check_thermal_covariance(level: str = "fast") -> CheckResult:
     Upper-left block: the symmetric table (1/2)w(a_i^dag a_j + a_j a_i^dag);
     lower-left block: minus the anomalous table (1/2)w(a_i a_j + a_j a_i).
     """
-    residual = 0.0
-    for eta, a_a, ad_ad, ad_a in _thermal_mode_tables(level):
+    return _thermal_covariance(_thermal_mode_tables(level))
+
+
+def _thermal_covariance(tables: list[tuple]) -> CheckResult:
+    residuals = []
+    for eta, a_a, ad_ad, ad_a in tables:
         sym, pair = 0.5 * (a_a + ad_ad.T), 0.5 * (ad_a + ad_a.T)
         moments = np.block([[sym, -pair.conj()], [-pair, sym.T]])
-        residual = max(residual, float(np.abs(moments - thermal_moments(eta)).max()))
-    return _result("thermal-covariance", residual, STRUCTURAL_TOL)
+        residuals.append(np.abs(moments - thermal_moments(eta)).max())
+    return _result("thermal-covariance", residuals, STRUCTURAL_TOL)
 
 
 def _curve_configs(level: str) -> list[ExperimentConfig]:
@@ -186,46 +211,65 @@ def _curve_configs(level: str) -> list[ExperimentConfig]:
     return configs
 
 
-def _reference_states(config: ExperimentConfig):
-    """The 8x8 reference path over the config's whole time grid, as one stack."""
-    params = ModelParams(config.epsilon, config.temperature, config.gamma)
-    times = np.linspace(0.0, config.t_max, config.t_steps)
-    return propagate(initial_state(params, config.squeeze_r), drift_matrix(params), times)
+def _reference_stacks(level: str) -> list[tuple]:
+    """Each curve config of the level with its 8x8 reference path over the whole time grid."""
+    stacks = []
+    for config in _curve_configs(level):
+        params = ModelParams(config.epsilon, config.temperature, config.gamma)
+        times = np.linspace(0.0, config.t_max, config.t_steps)
+        state = initial_state(params, config.squeeze_r)
+        stacks.append((config, propagate(state, drift_matrix(params), times)))
+    return stacks
 
 
 def check_physicality(level: str = "fast") -> CheckResult:
     """Propagated covariances stay physical: symplectic spectrum >= 1."""
-    residual = 0.0
-    for config in _curve_configs(level):
-        cov = quadrature_covariance(_reference_states(config).moment_matrix)
+    return _physicality(_reference_stacks(level))
+
+
+def _physicality(stacks: list[tuple]) -> CheckResult:
+    residuals = []
+    for _, states in stacks:
+        cov = quadrature_covariance(states.moment_matrix)
         smallest = symplectic_eigenvalues(cov)[:, 0]
-        residual = max(residual, float(np.maximum(0.0, 1.0 - smallest).max()))
-    return _result("state-physicality", residual, PHYSICALITY_TOL)
+        residuals.append(np.maximum(0.0, 1.0 - smallest).max())
+    return _result("state-physicality", residuals, PHYSICALITY_TOL)
 
 
 def check_curve_engine(level: str = "fast") -> CheckResult:
     """Closed-form curves match the 8x8 reference path at every grid point."""
-    residual = 0.0
-    for config in _curve_configs(level):
-        reference = negativity(_reference_states(config)).nu_min
-        error = np.abs(run_curve(config).nu_min - reference) / reference
-        residual = max(residual, float(error.max()))
-    return _result("curve-engine", residual, ENGINE_TOL)
+    return _curve_engine(_reference_stacks(level))
+
+
+def _curve_engine(stacks: list[tuple]) -> CheckResult:
+    residuals = []
+    for config, states in stacks:
+        reference = negativity(states).nu_min
+        residuals.append((np.abs(run_curve(config).nu_min - reference) / reference).max())
+    return _result("curve-engine", residuals, ENGINE_TOL)
 
 
 def run_checks(level: str = "fast") -> list[CheckResult]:
-    """Run every check in turn; a NumericError fails only the check that raised it."""
+    """Run every check in turn; a NumericError fails only the check that raised it.
+
+    The mode tables and the reference stacks are each read by two checks, so
+    each is built on first read and handed to the second. Both live only for
+    this call, and a build that raises is tried again, and fails, for each
+    check that reads it.
+    """
     if level not in ("fast", "full"):
         raise ValueError(f"verification level must be 'fast' or 'full', got {level!r}")
+    tables = cache(partial(_thermal_mode_tables, level))
+    stacks = cache(partial(_reference_stacks, level))
     suite = (
         ("dissipation-spectrum", STRUCTURAL_TOL, lambda: check_dissipation_spectrum()),
         ("thermal-invariance", STRUCTURAL_TOL, lambda: check_thermal_invariance(level)),
         ("generator-match", CLOSURE_TOL, lambda: check_generator_match(level)),
-        ("mode-ccr", STRUCTURAL_TOL, lambda: check_mode_ccr(level)),
+        ("mode-ccr", STRUCTURAL_TOL, lambda: _mode_ccr(tables())),
         ("clt-convergence", CLT_TOL, lambda: check_clt_convergence(level)),
-        ("thermal-covariance", STRUCTURAL_TOL, lambda: check_thermal_covariance(level)),
-        ("state-physicality", PHYSICALITY_TOL, lambda: check_physicality(level)),
-        ("curve-engine", ENGINE_TOL, lambda: check_curve_engine(level)),
+        ("thermal-covariance", STRUCTURAL_TOL, lambda: _thermal_covariance(tables())),
+        ("state-physicality", PHYSICALITY_TOL, lambda: _physicality(stacks())),
+        ("curve-engine", ENGINE_TOL, lambda: _curve_engine(stacks())),
     )
     results = []
     for name, tolerance, check in suite:

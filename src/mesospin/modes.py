@@ -44,7 +44,14 @@ class ModeMap:
     inverse: np.ndarray
 
 
-def mode_map(params: ModelParams) -> ModeMap:
+def mode_map(params: ModelParams | Sequence[ModelParams]) -> ModeMap:
+    """The mode map of one parameter set, or (V, 8, 8) stacks for a sequence of V."""
+    if not isinstance(params, ModelParams):
+        maps = [mode_map(p) for p in params]
+        return ModeMap(
+            matrix=np.array([m.matrix for m in maps]),
+            inverse=np.array([m.inverse for m in maps]),
+        )
     eta, w = params.eta, params.eta_perp
     sq = np.sqrt(eta)
     c1 = 1.0 / (2.0 * sq)
@@ -132,11 +139,6 @@ def drift_matrix(params: ModelParams) -> MesoGenerator:
     )
 
 
-_SWAP = np.block(
-    [[np.zeros((4, 4)), np.eye(4)], [np.eye(4), np.zeros((4, 4))]]
-).astype(complex)
-
-
 @dataclass(frozen=True)
 class GaussianState:
     """Quasi-free fluctuation state, held as the 8x8 moment matrix Gamma.
@@ -159,12 +161,13 @@ class GaussianState:
         limit = STRUCTURAL_TOL * np.maximum(1.0, np.abs(g).max(axis=(-2, -1)))
         if np.any(np.abs(g - g.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > limit):
             raise ContractViolation("moment matrix must be Hermitian")
-        if np.any(np.abs(g - _SWAP @ g.conj() @ _SWAP).max(axis=(-2, -1)) > limit):
+        # Swap conj(g) Swap is a roll by four rows and four columns.
+        if np.any(np.abs(g - np.roll(g.conj(), 4, axis=(-2, -1))).max(axis=(-2, -1)) > limit):
             raise ContractViolation(
                 "moment matrix must equal its conjugate under mode-conjugate swap"
             )
         g = 0.5 * (g + g.conj().swapaxes(-1, -2))
-        g = 0.5 * (g + _SWAP @ g.conj() @ _SWAP)
+        g = 0.5 * (g + np.roll(g.conj(), 4, axis=(-2, -1)))
         object.__setattr__(self, "moment_matrix", g)
 
 

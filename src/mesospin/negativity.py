@@ -57,8 +57,8 @@ def quadrature_covariance(block: np.ndarray) -> np.ndarray:
     limit = _BLOCK_TOL * np.maximum(1.0, _max_abs(block))
     if np.any(_max_abs(block - block.conj().swapaxes(-1, -2)) > limit):
         raise ContractViolation("moment block must be Hermitian")
-    swap = np.roll(np.eye(2 * n), n, axis=1)  # modes <-> conjugate modes
-    if np.any(_max_abs(block - swap @ block.conj() @ swap) > limit):
+    # Swap conj(block) Swap, Swap exchanging modes and conjugate modes, is a roll.
+    if np.any(_max_abs(block - np.roll(block.conj(), n, axis=(-2, -1))) > limit):
         raise ContractViolation("moment block breaks mode-conjugate symmetry")
 
     sym = block[..., :n, :n].conj()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -109,7 +110,7 @@ def liouvillian(params: ModelParams) -> Superoperator:
     gen = params.epsilon * l_h + l_0 + params.gamma * l_1
     sup = Superoperator(matrix=gen)
     unital = float(np.abs(sup.apply(np.eye(_DIM))).max())
-    if unital > STRUCTURAL_TOL:
+    if not unital <= STRUCTURAL_TOL:
         raise ClosureError(f"generator is not unital: ||L[1]|| = {unital:.3e}")
     return sup
 
@@ -124,7 +125,9 @@ class GeneratorExtraction:
     span of the identity and the observables. mode_generator is the
     restriction in the ladder basis (a1, a2, b1, b2, and conjugates); its
     upper-left block, annihilation_block, is the drift matrix of the
-    mesoscopic propagation, transposed.
+    mesoscopic propagation, transposed. Extracted for a sequence of parameter
+    sets, mode_generator and annihilation_block are stacks with one matrix
+    per set.
     """
 
     identity_coeffs: np.ndarray
@@ -140,8 +143,15 @@ def _observable_basis() -> np.ndarray:
 
 
 def extract_mode_generator(
-    sup: Superoperator, params: ModelParams
+    sup: Superoperator, params: ModelParams | Sequence[ModelParams]
 ) -> GeneratorExtraction:
+    """Restrict sup to the observables and express it in the modes of params.
+
+    The projection reads only sup; params fixes the mode basis. A sequence of
+    parameter sets, such as one generator's temperatures, projects once and
+    conjugates by each set's mode map, each matrix bit for bit what its own
+    call returns.
+    """
     # Pauli words are orthogonal under tr(x^dag y) = 4 delta, so basis^H / 4 projects.
     basis = _observable_basis()
     images = sup.matrix @ basis[:, 1:]
@@ -159,7 +169,7 @@ def extract_mode_generator(
         identity_coeffs=identity,
         residual=residual,
         mode_generator=mode_generator,
-        annihilation_block=mode_generator[:4, :4].copy(),
+        annihilation_block=mode_generator[..., :4, :4].copy(),
     )
 
 
@@ -179,8 +189,13 @@ def require_sites(n: float) -> int:
     return int(n)
 
 
-def _site_weyl_unitary(x: np.ndarray, n: int, state: ThermalSiteState) -> np.ndarray:
-    """One site's factor exp(i(x - w(x))/sqrt(n)) of the centred Weyl operator."""
+def _site_weyl_unitary(
+    x: np.ndarray, n: int | np.ndarray, state: ThermalSiteState
+) -> np.ndarray:
+    """One site's factor exp(i(x - w(x))/sqrt(n)) of the centred Weyl operator.
+
+    An array of site counts gives one factor per count, from a single eigh.
+    """
     centered = x - state.expectation(x) * np.eye(_DIM)
     return expm(centered, 1.0j / np.sqrt(n))
 
@@ -212,10 +227,14 @@ def clt_table(state: ThermalSiteState, sites: tuple[int, ...]) -> list[tuple]:
     """
     if any(a >= b for a, b in zip(sites, sites[1:])):
         raise ContractViolation(f"site counts must be strictly increasing, got {list(sites)}")
+    sites = tuple(require_sites(n) for n in sites)
     table = []
     for x in observables().ops:
         limit = weyl_expectation_limit(x, state)
-        finite = [weyl_expectation_finite(x, n, state) for n in sites]
+        factors = state.expectation(_site_weyl_unitary(x, np.array(sites), state))
+        # Python's complex ** int, as in weyl_expectation_finite: numpy's power
+        # rounds differently at large n, and the errors read the last bits.
+        finite = [complex(f) ** n for f, n in zip(factors, sites)]
         errors = [abs(f - limit) for f in finite]
         table.append((limit, finite, errors, all(a > b for a, b in zip(errors, errors[1:]))))
     return table

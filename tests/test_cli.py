@@ -174,8 +174,10 @@ def test_verify_reports_a_numeric_error_as_a_failure(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     results = [line for line in lines if " residual " in line]
     assert len(results) == 8
-    physicality = next(line for line in results if line.startswith("state-physicality"))
-    assert physicality.endswith("FAIL") and " inf " in physicality
+    # both checks that read the reference stacks fail
+    for name in ("state-physicality", "curve-engine"):
+        line = next(line for line in results if line.startswith(name))
+        assert line.endswith("FAIL") and " inf " in line
     assert "    covariance is not positive definite" in lines
 
 

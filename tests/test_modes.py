@@ -148,6 +148,20 @@ def test_gaussian_state_validation():
         GaussianState(moment_matrix=asymmetric, eta=p.eta)
 
 
+def test_gaussian_state_stores_the_swap_symmetrised_stack():
+    # The reference symmetrises with the permutation matrix written out.
+    swap = np.block([[np.zeros((4, 4)), np.eye(4)], [np.eye(4), np.zeros((4, 4))]])
+    rng = np.random.default_rng(17)
+    g = rng.standard_normal((5, 8, 8)) + 1j * rng.standard_normal((5, 8, 8))
+    g = g + g.conj().swapaxes(-1, -2)
+    g = g + swap @ g.conj() @ swap
+    g[:, 0, 4] += 1e-14  # a drift below the tolerance, which the symmetrising removes
+    g[:, 4, 0] += 1e-14
+    hermitian = 0.5 * (g + g.conj().swapaxes(-1, -2))
+    expected = 0.5 * (hermitian + swap @ hermitian.conj() @ swap)
+    assert np.array_equal(GaussianState(moment_matrix=g, eta=0.5).moment_matrix, expected)
+
+
 def test_flow_is_the_exponential_of_the_drift_matrix():
     # flow() exponentiates only the coupling K; a 30-digit expm of the whole
     # drift matrix M pins that the split reproduces exp(tM) itself.

@@ -13,6 +13,7 @@ import mesospin.oracle as oracle
 from mesospin.errors import ClosureError, ContractViolation
 from mesospin.modes import drift_matrix
 from mesospin.oracle import (
+    clt_table,
     extract_mode_generator,
     generator_pieces,
     liouvillian,
@@ -105,6 +106,26 @@ def test_observables_close_and_identity_components_vanish():
         assert np.abs(ext.identity_coeffs).max() < 1e-10
 
 
+def test_a_nan_coupling_piece_is_not_unital(monkeypatch):
+    l_h, l_0, l_1 = generator_pieces()
+    monkeypatch.setattr(oracle, "generator_pieces", lambda: (l_h, l_0, np.nan * l_1))
+    with pytest.raises(ClosureError, match="not unital"):
+        liouvillian(ModelParams(1.0, 1.0, 0.3))
+
+
+def test_extraction_over_temperatures_is_each_single_extraction():
+    for eps, gamma in ((0.5, 0.0), (1.0, 0.3), (2.0, 0.5)):
+        grid = [ModelParams(eps, temp, gamma) for temp in (0.1, 0.5, 1.0, 5.0)]
+        sup = liouvillian(grid[0])
+        stacked = extract_mode_generator(sup, grid)
+        assert stacked.mode_generator.shape == (4, 8, 8)
+        for i, p in enumerate(grid):
+            single = extract_mode_generator(sup, p)
+            assert np.array_equal(stacked.mode_generator[i], single.mode_generator)
+            assert np.array_equal(stacked.annihilation_block[i], single.annihilation_block)
+            assert stacked.residual == single.residual
+
+
 def test_leak_onto_a_complement_word_breaks_closure():
     p = ModelParams(1.0, 1.0, 0.3)
     sup = liouvillian(p)
@@ -181,6 +202,15 @@ def test_weyl_errors_shrink_monotonically_for_every_observable():
         ]
         assert errors[0] > errors[1] > errors[2]
         assert errors[2] < 1e-2
+
+
+def test_clt_table_is_each_single_weyl_expectation():
+    for p in (ModelParams(1.0, 1.0, 0.0), ModelParams(2.0, 0.3, 0.0)):
+        state = thermal_state(p)
+        sites = (7, 100, 1000, 10000)
+        for x, (limit, finite, _, _) in zip(observables().ops, clt_table(state, sites)):
+            assert limit == weyl_expectation_limit(x, state)
+            assert finite == [weyl_expectation_finite(x, n, state) for n in sites]
 
 
 def test_weyl_rejects_non_hermitian_and_bad_site_count():
