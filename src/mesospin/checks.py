@@ -10,6 +10,13 @@ every grid point) and reports the worst residual against its tolerance.
 The checks are pure functions of their parameter grids, so a harness can
 inject out-of-window couplings or a tampered drift builder and watch the
 corresponding check fail; nothing here is ever skipped or clamped.
+
+Each oracle check evaluates its whole (eps, T, gamma) grid as stacked
+arrays: one stack of generators, one stack of mode maps, drift matrices and
+mode operators, one fluctuation_inner for the thermal mode tables and one
+eigh for the Weyl observables. Every residual is the one a loop over the
+grid points gives, to the last bit. The 8x8 reference of the last two
+checks propagates one stack per curve config.
 """
 
 from __future__ import annotations
@@ -19,19 +26,28 @@ from functools import cache, lru_cache, partial
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import ContractViolation, NumericError
 from .experiments import ExperimentConfig, run_curve
 from .linalg import STRUCTURAL_TOL
 from .modes import drift_matrix, initial_state, mode_operators, propagate, thermal_moments
 from .negativity import negativity, quadrature_covariance, symplectic_eigenvalues
 from .oracle import (
     CLOSURE_TOL,
+    Superoperator,
     clt_table,
     extract_mode_generator,
     liouvillian,
     vec,
 )
-from .sites import ModelParams, dissipation_matrix, fluctuation_inner, frozen, kron2, thermal_state
+from .sites import (
+    ModelParams,
+    ThermalSiteState,
+    dissipation_matrix,
+    fluctuation_inner,
+    frozen,
+    kron2,
+    thermal_state,
+)
 
 DEFAULT_GAMMAS = (0.0, 0.1, 0.25, 0.5)
 FULL_EPS_TEMPS = tuple(
@@ -90,16 +106,32 @@ def _eps_temps(level: str) -> tuple[tuple[float, float], ...]:
     return FULL_EPS_TEMPS if level == "full" else FAST_EPS_TEMPS
 
 
-def _temps_by_epsilon(level: str) -> list[tuple[float, list[float]]]:
-    """The level's (eps, T) grid as (eps, its temperatures), eps in first-seen order.
+# A level's parameter sets: one row per gamma, one column per (eps, T).
+_Grid = tuple[tuple[ModelParams, ...], ...]
 
-    The generator reads eps and gamma but not T, so one generator serves
-    every temperature of its eps.
+
+def _parameter_grid(level: str) -> _Grid:
+    """The level's parameter sets, one row per gamma and one column per (eps, T)."""
+    return tuple(
+        tuple(ModelParams(eps, temp, gamma) for eps, temp in _eps_temps(level))
+        for gamma in DEFAULT_GAMMAS
+    )
+
+
+def _generator_stack(grid: _Grid) -> np.ndarray:
+    """The generator at every point of grid, shape (rows, columns, 16, 16).
+
+    The generator reads eps and gamma but not T, so one liouvillian call
+    builds one per (eps, gamma), from the first column of that eps, and
+    every column of the same eps holds a copy of it.
     """
-    temps: dict[float, list[float]] = {}
-    for eps, temp in _eps_temps(level):
-        temps.setdefault(eps, []).append(temp)
-    return list(temps.items())
+    first: dict[float, int] = {}
+    for column, params in enumerate(grid[0]):
+        first.setdefault(params.epsilon, column)
+    built = list(first.values())
+    slot = [built.index(first[params.epsilon]) for params in grid[0]]
+    stack = liouvillian([row[column] for row in grid for column in built]).matrix
+    return stack.reshape(len(grid), len(built), *stack.shape[-2:])[:, slot]
 
 
 @lru_cache(maxsize=1)
@@ -108,65 +140,78 @@ def _pauli_words() -> np.ndarray:
     return frozen(np.column_stack([vec(kron2(i, j)) for i in range(4) for j in range(4)]))
 
 
+def _thermal_states(columns: tuple[ModelParams, ...]) -> np.ndarray:
+    """rho of the thermal state at each (eps, T) of columns, shape (P, 4, 4)."""
+    return np.array([thermal_state(params).rho for params in columns])
+
+
 def check_thermal_invariance(level: str = "fast") -> CheckResult:
     """The thermal state is stationary: w(L[P]) = 0 for all 16 Pauli words."""
-    words = _pauli_words()
-    residuals = []
-    for eps, temps in _temps_by_epsilon(level):
-        # w(Y) = tr(rho Y) = vec(rho^T) . vec(Y): one row per temperature, so
-        # one product takes every image to every state of this eps
-        weights = np.array([vec(thermal_state(ModelParams(eps, t, 0.0)).rho.T) for t in temps])
-        for gamma in DEFAULT_GAMMAS:
-            images = liouvillian(ModelParams(eps, temps[0], gamma)).matrix @ words
-            residuals.append(np.abs(weights @ images).max())
-    return _result("thermal-invariance", residuals, STRUCTURAL_TOL)
+    grid = _parameter_grid(level)
+    return _thermal_invariance(_thermal_states(grid[0]), _generator_stack(grid))
+
+
+def _thermal_invariance(rho: np.ndarray, generators: np.ndarray) -> CheckResult:
+    # w(Y) = tr(rho Y) = vec(rho^T) . vec(Y), and vec(rho^T) is rho read by rows
+    weights = rho.reshape(len(rho), 1, -1)
+    values = weights @ (generators @ _pauli_words())
+    return _result("thermal-invariance", np.abs(values), STRUCTURAL_TOL)
 
 
 def check_generator_match(level: str = "fast") -> CheckResult:
     """Microscopic restriction equals the mesoscopic drift, block by block."""
-    residuals = []
-    for eps, temps in _temps_by_epsilon(level):
-        for gamma in DEFAULT_GAMMAS:
-            grid = [ModelParams(eps, t, gamma) for t in temps]
-            # one projection per generator, conjugated by each temperature's mode map
-            ext = extract_mode_generator(liouvillian(grid[0]), grid)
-            m = np.array([drift_matrix(params).matrix for params in grid])
-            m_t, g = m.swapaxes(-1, -2), ext.mode_generator
-            residuals += [
-                ext.residual,
-                np.abs(ext.identity_coeffs).max(),
-                np.abs(g[:, :4, :4] - m_t).max(),
-                np.abs(g[:, 4:, 4:] - m_t.conj()).max(),
-                np.abs(g[:, :4, 4:]).max(),
-                np.abs(g[:, 4:, :4]).max(),
-            ]
+    grid = _parameter_grid(level)
+    return _generator_match(grid, _generator_stack(grid))
+
+
+def _generator_match(grid: _Grid, generators: np.ndarray) -> CheckResult:
+    # every generator projected at once, then conjugated by its (eps, T) mode map
+    ext = extract_mode_generator(Superoperator(generators), grid[0])
+    g = ext.mode_generator
+    m = drift_matrix([params for row in grid for params in row]).matrix
+    m_t = m.reshape(g.shape[:-2] + m.shape[-2:]).swapaxes(-1, -2)
+    residuals = [
+        ext.residual,
+        np.abs(ext.identity_coeffs).max(),
+        np.abs(g[..., :4, :4] - m_t).max(),
+        np.abs(g[..., 4:, 4:] - m_t.conj()).max(),
+        np.abs(g[..., :4, 4:]).max(),
+        np.abs(g[..., 4:, :4]).max(),
+    ]
     return _result("generator-match", residuals, CLOSURE_TOL)
 
 
-def _thermal_mode_tables(level: str) -> list[tuple]:
-    """eta and the tables <a, a>, <a^dag, a^dag>, <a^dag, a> per (eps, T) of the level."""
-    tables = []
-    for eps, temp in _eps_temps(level):
-        params = ModelParams(eps, temp, 0.0)
-        state = thermal_state(params)
-        a = np.array(mode_operators(params))
-        ad = a.conj().transpose(0, 2, 1)
-        x, y = np.array([a, ad, ad]), np.array([a, ad, a])
-        tables.append((params.eta, *fluctuation_inner(x[:, :, None], y[:, None, :], state)))
-    return tables
+def _thermal_mode_tables(
+    columns: tuple[ModelParams, ...], rho: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """eta and the tables <a, a>, <a^dag, a^dag>, <a^dag, a> at each (eps, T) of columns.
+
+    rho holds the thermal state of each column. eta has shape (P,) and each
+    table (P, 4, 4): every state and every mode pair from one
+    fluctuation_inner.
+    """
+    a = mode_operators(columns)
+    ad = a.conj().swapaxes(-1, -2)
+    x, y = np.stack([a, ad, ad], axis=1), np.stack([a, ad, a], axis=1)
+    # states (P, 1, 1, 1, 4, 4) against operator pairs (P, 3, 4, 4, 4, 4)
+    state = ThermalSiteState(rho=rho[:, None, None, None])
+    tables = fluctuation_inner(x[:, :, :, None], y[:, :, None, :], state)
+    return np.array([p.eta for p in columns]), tables[:, 0], tables[:, 1], tables[:, 2]
 
 
 def check_mode_ccr(level: str = "fast") -> CheckResult:
     """Canonical commutators of all four modes through the fluctuation form."""
-    return _mode_ccr(_thermal_mode_tables(level))
+    columns = _parameter_grid(level)[0]
+    return _mode_ccr(_thermal_mode_tables(columns, _thermal_states(columns)))
 
 
-def _mode_ccr(tables: list[tuple]) -> CheckResult:
-    residuals = []
-    for _, a_a, ad_ad, ad_a in tables:
-        # [a_i, a_j^dag] = delta_ij and [a_i, a_j] = 0, entry (i, j) of each table
-        residuals.append(np.abs(ad_ad - a_a.T - np.eye(4)).max())
-        residuals.append(np.abs(ad_a - ad_a.T).max())
+def _mode_ccr(tables: tuple[np.ndarray, ...]) -> CheckResult:
+    _, a_a, ad_ad, ad_a = tables
+    # [a_i, a_j^dag] = delta_ij and [a_i, a_j] = 0, entry (i, j) of each table
+    residuals = [
+        np.abs(ad_ad - a_a.swapaxes(-1, -2) - np.eye(4)).max(),
+        np.abs(ad_a - ad_a.swapaxes(-1, -2)).max(),
+    ]
     return _result("mode-ccr", residuals, STRUCTURAL_TOL)
 
 
@@ -189,16 +234,18 @@ def check_thermal_covariance(level: str = "fast") -> CheckResult:
     Upper-left block: the symmetric table (1/2)w(a_i^dag a_j + a_j a_i^dag);
     lower-left block: minus the anomalous table (1/2)w(a_i a_j + a_j a_i).
     """
-    return _thermal_covariance(_thermal_mode_tables(level))
+    columns = _parameter_grid(level)[0]
+    return _thermal_covariance(_thermal_mode_tables(columns, _thermal_states(columns)))
 
 
-def _thermal_covariance(tables: list[tuple]) -> CheckResult:
-    residuals = []
-    for eta, a_a, ad_ad, ad_a in tables:
-        sym, pair = 0.5 * (a_a + ad_ad.T), 0.5 * (ad_a + ad_a.T)
-        moments = np.block([[sym, -pair.conj()], [-pair, sym.T]])
-        residuals.append(np.abs(moments - thermal_moments(eta)).max())
-    return _result("thermal-covariance", residuals, STRUCTURAL_TOL)
+def _thermal_covariance(tables: tuple[np.ndarray, ...]) -> CheckResult:
+    eta, a_a, ad_ad, ad_a = tables
+    sym = 0.5 * (a_a + ad_ad.swapaxes(-1, -2))
+    pair = 0.5 * (ad_a + ad_a.swapaxes(-1, -2))
+    moments = np.block([[sym, -pair.conj()], [-pair, sym.swapaxes(-1, -2)]])
+    return _result(
+        "thermal-covariance", np.abs(moments - thermal_moments(eta)), STRUCTURAL_TOL
+    )
 
 
 def _curve_configs(level: str) -> list[ExperimentConfig]:
@@ -250,21 +297,25 @@ def _curve_engine(stacks: list[tuple]) -> CheckResult:
 
 
 def run_checks(level: str = "fast") -> list[CheckResult]:
-    """Run every check in turn; a NumericError fails only the check that raised it.
+    """Run every check in turn; a NumericError or ContractViolation fails only its check.
 
-    The mode tables and the reference stacks are each read by two checks, so
-    each is built on first read and handed to the second. Both live only for
-    this call, and a build that raises is tried again, and fails, for each
-    check that reads it.
+    The failed check reports residual inf and the error's message. The
+    parameter grid, the generator stack, the thermal states, the mode tables
+    and the reference stacks are each read by two checks, so each is built on first read and
+    handed to the second. All live only for this call, and a build that
+    raises is tried again, and fails, for each check that reads it.
     """
     if level not in ("fast", "full"):
         raise ValueError(f"verification level must be 'fast' or 'full', got {level!r}")
-    tables = cache(partial(_thermal_mode_tables, level))
+    grid = cache(partial(_parameter_grid, level))
+    gens = cache(lambda: _generator_stack(grid()))
+    states = cache(lambda: _thermal_states(grid()[0]))
+    tables = cache(lambda: _thermal_mode_tables(grid()[0], states()))
     stacks = cache(partial(_reference_stacks, level))
     suite = (
         ("dissipation-spectrum", STRUCTURAL_TOL, lambda: check_dissipation_spectrum()),
-        ("thermal-invariance", STRUCTURAL_TOL, lambda: check_thermal_invariance(level)),
-        ("generator-match", CLOSURE_TOL, lambda: check_generator_match(level)),
+        ("thermal-invariance", STRUCTURAL_TOL, lambda: _thermal_invariance(states(), gens())),
+        ("generator-match", CLOSURE_TOL, lambda: _generator_match(grid(), gens())),
         ("mode-ccr", STRUCTURAL_TOL, lambda: _mode_ccr(tables())),
         ("clt-convergence", CLT_TOL, lambda: check_clt_convergence(level)),
         ("thermal-covariance", STRUCTURAL_TOL, lambda: _thermal_covariance(tables())),
@@ -275,7 +326,7 @@ def run_checks(level: str = "fast") -> list[CheckResult]:
     for name, tolerance, check in suite:
         try:
             results.append(check())
-        except NumericError as exc:
+        except (NumericError, ContractViolation) as exc:
             results.append(_result(name, float("inf"), tolerance, str(exc)))
     return results
 

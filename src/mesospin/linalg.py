@@ -3,7 +3,8 @@
 Both exponentials in the model are of a Hermitian matrix times a scalar: the
 bath coupling K of the mode drift, and the centred site observables of the
 oracle's Weyl factors. expm() takes that structure as its contract and
-evaluates it through numpy's Hermitian eigensolver. This module declares
+evaluates it through numpy's Hermitian eigensolver, for one matrix or a
+stack of them at one scalar or an array of scalars. This module declares
 STRUCTURAL_TOL and SPECTRAL_TOL; a tolerance that belongs to one routine or
 one check is declared beside it, in that routine's or check's module.
 """
@@ -21,23 +22,31 @@ SPECTRAL_TOL = 1e-9
 
 
 def expm(h: np.ndarray, z) -> np.ndarray:
-    """exp(z*h) for a Hermitian matrix h and finite complex z, scalar or array.
+    """exp(z*h) for Hermitian h, or a stack of them, and finite complex z.
 
     With h = V diag(w) V^dag and V unitary, exp(z*h) = V diag(exp(z*w)) V^dag.
-    h is diagonalised once; an array z of shape S gives a stack of shape
-    S + h.shape, and a scalar z one matrix. Every z = 0 entry is the exact
-    identity. Raises ContractViolation for a non-square or non-Hermitian h
-    and for any non-finite z.
+    h of shape H + (n, n) is diagonalised by one eigh; z of shape S, scalar or
+    array, gives shape H + S + (n, n): every matrix at every scalar. Each entry
+    is bit for bit what the call on its own matrix and scalar returns, and
+    every z = 0 entry is the exact identity. Raises ContractViolation for a
+    non-square h, for any non-finite entry of h or z, and for any matrix of h
+    that is not Hermitian.
     """
     h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ContractViolation(f"expm argument must be a square matrix, got shape {h.shape}")
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
+        raise ContractViolation(f"expm argument must be (..., n, n), got shape {h.shape}")
     z = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(z)):
         raise ContractViolation(f"expm scalar must be finite, got {z!r}")
-    scale = max(1.0, float(np.abs(h).max(initial=0.0)))
-    if np.abs(h - h.conj().T).max(initial=0.0) > STRUCTURAL_TOL * scale:
+    if not np.all(np.isfinite(h)):
+        raise ContractViolation("expm argument must be finite")
+    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1), initial=0.0))
+    asymmetry = np.abs(h - h.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    if not np.all(asymmetry <= STRUCTURAL_TOL * scale):
         raise ContractViolation("expm requires a Hermitian matrix")
     w, v = np.linalg.eigh(h)
-    out = (v * np.exp(z[..., None, None] * w)) @ v.conj().T
-    return np.where((z == 0)[..., None, None], np.eye(h.shape[0]), out)
+    # H + S + (n, n): the eigenbasis of each matrix meets every scalar.
+    n, lead = h.shape[-1], h.shape[:-2] + (1,) * z.ndim
+    v = v.reshape(lead + (n, n))
+    out = (v * np.exp(z[..., None, None] * w.reshape(lead + (1, n)))) @ v.conj().swapaxes(-1, -2)
+    return np.where((z == 0)[..., None, None], np.eye(n), out)

@@ -4,7 +4,10 @@ The eight site observables carry, in the large-size limit, a Gaussian
 fluctuation field with two ladder modes per chain: a1, a2 for chain one and
 b1, b2 for chain two. This module owns the change of basis between site
 observables and modes, the quadratic drift generator of the dissipative
-evolution, and the closed-form propagation of Gaussian moment matrices. No
+evolution, and the closed-form propagation of Gaussian moment matrices.
+mode_map(), mode_operators() and drift_matrix() take one parameter set or a
+sequence of V; a sequence gives (V, ...) stacks computed by array arithmetic,
+each entry bit for bit what the call on its own set returns. No
 time stepping is involved: the drift is linear, so the flow is an exact
 matrix exponential conjugation toward the thermal fixed point.
 
@@ -27,7 +30,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .linalg import STRUCTURAL_TOL, expm
-from .sites import SIGMA0, SIGMA_MINUS, ModelParams, frozen
+from .sites import SIGMA0, SIGMA_MINUS, ModelParams, frozen, parameter_sets
 
 
 @dataclass(frozen=True)
@@ -44,39 +47,46 @@ class ModeMap:
     inverse: np.ndarray
 
 
+def _field(sets: tuple[ModelParams, ...], name: str) -> np.ndarray:
+    """One field of every set, shape (V,)."""
+    return np.array([getattr(s, name) for s in sets])
+
+
 def mode_map(params: ModelParams | Sequence[ModelParams]) -> ModeMap:
-    """The mode map of one parameter set, or (V, 8, 8) stacks for a sequence of V."""
-    if not isinstance(params, ModelParams):
-        maps = [mode_map(p) for p in params]
-        return ModeMap(
-            matrix=np.array([m.matrix for m in maps]),
-            inverse=np.array([m.inverse for m in maps]),
-        )
-    eta, w = params.eta, params.eta_perp
+    """The mode map of one parameter set, or (V, 8, 8) stacks for a sequence of V.
+
+    The stack is filled entry by entry from (V,) coefficient arrays; every
+    entry is the same floating-point expression as for one set, so each
+    matrix is bit for bit what the call on its own set returns.
+    """
+    sets, stack = parameter_sets(params)
+    eta, w = _field(sets, "eta"), _field(sets, "eta_perp")
     sq = np.sqrt(eta)
     c1 = 1.0 / (2.0 * sq)
     c2 = sq / (2.0 * w)
 
-    r = np.zeros((8, 8), dtype=complex)
-    r[0, 0], r[0, 1] = c1, -1.0j * c1
-    r[1, 0], r[1, 1] = c2, -1.0j * c2
-    r[1, 2], r[1, 3] = c2 / eta, -1.0j * c2 / eta
-    r[2, 4], r[2, 5] = c1, -1.0j * c1
-    r[3, 4], r[3, 5] = c2, -1.0j * c2
-    r[3, 6], r[3, 7] = c2 / eta, -1.0j * c2 / eta
-    r[4:, :] = r[:4, :].conj()
+    r = np.zeros((len(sets), 8, 8), dtype=complex)
+    r[:, 0, 0], r[:, 0, 1] = c1, -1.0j * c1
+    r[:, 1, 0], r[:, 1, 1] = c2, -1.0j * c2
+    # The quotient is real: numpy divides a complex array by a real one through
+    # the reciprocal, which can round c2 / eta differently.
+    r[:, 1, 2], r[:, 1, 3] = c2 / eta, -1.0j * (c2 / eta)
+    r[:, 2, 4], r[:, 2, 5] = c1, -1.0j * c1
+    r[:, 3, 4], r[:, 3, 5] = c2, -1.0j * c2
+    r[:, 3, 6], r[:, 3, 7] = c2 / eta, -1.0j * (c2 / eta)
+    r[:, 4:, :] = r[:, :4, :].conj()
 
-    inv = np.zeros((8, 8), dtype=complex)
-    inv[0, 0], inv[0, 4] = sq, sq
-    inv[1, 0], inv[1, 4] = 1.0j * sq, -1.0j * sq
-    inv[2, 0], inv[2, 1] = -eta * sq, w * sq
-    inv[2, 4], inv[2, 5] = -eta * sq, w * sq
-    inv[3, 0], inv[3, 1] = -1.0j * eta * sq, 1.0j * w * sq
-    inv[3, 4], inv[3, 5] = 1.0j * eta * sq, -1.0j * w * sq
-    inv[4:, 2:4] = inv[:4, 0:2]
-    inv[4:, 6:8] = inv[:4, 4:6]
+    inv = np.zeros((len(sets), 8, 8), dtype=complex)
+    inv[:, 0, 0], inv[:, 0, 4] = sq, sq
+    inv[:, 1, 0], inv[:, 1, 4] = 1.0j * sq, -1.0j * sq
+    inv[:, 2, 0], inv[:, 2, 1] = -eta * sq, w * sq
+    inv[:, 2, 4], inv[:, 2, 5] = -eta * sq, w * sq
+    inv[:, 3, 0], inv[:, 3, 1] = -1.0j * eta * sq, 1.0j * w * sq
+    inv[:, 3, 4], inv[:, 3, 5] = 1.0j * eta * sq, -1.0j * w * sq
+    inv[:, 4:, 2:4] = inv[:, :4, 0:2]
+    inv[:, 4:, 6:8] = inv[:, :4, 4:6]
 
-    return ModeMap(matrix=r, inverse=inv)
+    return ModeMap(matrix=r, inverse=inv) if stack else ModeMap(matrix=r[0], inverse=inv[0])
 
 
 # sigma_- x 1 and 1 x sigma_-, the constant Kronecker factors of the modes.
@@ -84,8 +94,8 @@ _LOWER_ONE = frozen(np.kron(SIGMA_MINUS, SIGMA0))
 _LOWER_TWO = frozen(np.kron(SIGMA0, SIGMA_MINUS))
 
 
-def mode_operators(params: ModelParams) -> tuple[np.ndarray, ...]:
-    """The four annihilation modes assembled directly as site matrices.
+def mode_operators(params: ModelParams | Sequence[ModelParams]) -> np.ndarray:
+    """The four annihilation modes a1, a2, b1, b2 assembled directly as site matrices.
 
     Equivalent to applying the mode map to the observable vector, but immune
     to the cancellation that plagues that route for eta near 1: the only
@@ -93,17 +103,24 @@ def mode_operators(params: ModelParams) -> tuple[np.ndarray, ...]:
     eta >= 1/2 and loses nothing below. The second modes sigma_- x d and
     d x sigma_- with d = diag(1 + 1/eta, -(1-eta)/eta) are the lowering
     factors with their columns scaled by the diagonal of 1 x d and d x 1.
+    One set gives shape (4, 4, 4), mode first; a sequence of V sets gives
+    (V, 4, 4, 4), each entry bit for bit what its own call returns.
     """
-    eta, w = params.eta, params.eta_perp
+    sets, stack = parameter_sets(params)
+    eta, w = _field(sets, "eta")[:, None, None], _field(sets, "eta_perp")[:, None, None]
     sq = np.sqrt(eta)
     c2 = sq / (2.0 * w)
-    d = np.array([1.0 + 1.0 / eta, -(1.0 - eta) / eta])
-    return (
-        _LOWER_ONE / sq,
-        2.0 * c2 * (_LOWER_ONE * np.tile(d, 2)),
-        _LOWER_TWO / sq,
-        2.0 * c2 * (_LOWER_TWO * np.repeat(d, 2)),
+    d = np.concatenate([1.0 + 1.0 / eta, -(1.0 - eta) / eta], axis=-1)  # (V, 1, 2)
+    ops = np.stack(
+        [
+            _LOWER_ONE / sq,
+            2.0 * c2 * (_LOWER_ONE * np.tile(d, 2)),
+            _LOWER_TWO / sq,
+            2.0 * c2 * (_LOWER_TWO * np.repeat(d, 2, axis=-1)),
+        ],
+        axis=1,
     )
+    return ops if stack else ops[0]
 
 
 @dataclass(frozen=True)
@@ -123,20 +140,28 @@ class MesoGenerator:
     eta: float
 
 
-def drift_matrix(params: ModelParams) -> MesoGenerator:
-    eta, w = params.eta, params.eta_perp
-    k = np.zeros((4, 4))
-    k[0, 2], k[0, 3] = -eta, w
-    k[1, 2], k[1, 3] = w, eta
-    k[2:, :2] = k[:2, 2:].T
-    m = -(1.0 + 1.0j * params.epsilon) * np.eye(4, dtype=complex) + params.gamma * k
-    return MesoGenerator(
-        matrix=m,
-        coupling=k,
-        epsilon=params.epsilon,
-        gamma=params.gamma,
-        eta=eta,
+def drift_matrix(params: ModelParams | Sequence[ModelParams]) -> MesoGenerator:
+    """The drift of one parameter set, or of a sequence of V as one stacked generator.
+
+    A stack holds matrix and coupling of shape (V, 4, 4) and epsilon, gamma
+    and eta of shape (V,), each entry bit for bit what its own call returns.
+    flow() and propagate() take one generator.
+    """
+    sets, stack = parameter_sets(params)
+    eta, w = _field(sets, "eta"), _field(sets, "eta_perp")
+    epsilon, gamma = _field(sets, "epsilon"), _field(sets, "gamma")
+    k = np.zeros((len(sets), 4, 4))
+    k[:, 0, 2], k[:, 0, 3] = -eta, w
+    k[:, 1, 2], k[:, 1, 3] = w, eta
+    k[:, 2:, :2] = k[:, :2, 2:].swapaxes(-1, -2)
+    m = (
+        -(1.0 + 1.0j * epsilon)[:, None, None] * np.eye(4, dtype=complex)
+        + gamma[:, None, None] * k
     )
+    if stack:
+        return MesoGenerator(matrix=m, coupling=k, epsilon=epsilon, gamma=gamma, eta=eta)
+    p = sets[0]
+    return MesoGenerator(matrix=m[0], coupling=k[0], epsilon=p.epsilon, gamma=p.gamma, eta=p.eta)
 
 
 @dataclass(frozen=True)
@@ -148,7 +173,7 @@ class GaussianState:
     moments (negated), and conjugation symmetry Gamma = Swap conj(Gamma) Swap
     ties the halves together. A stack (..., 8, 8) holds one state per leading
     index. Construction enforces Hermiticity and the swap symmetry of every
-    matrix, then stores the exactly symmetrized stack.
+    matrix, which a NaN entry fails, then stores the exactly symmetrized stack.
     """
 
     moment_matrix: np.ndarray
@@ -159,10 +184,11 @@ class GaussianState:
         if g.shape[-2:] != (8, 8):
             raise ContractViolation(f"moment matrix must be (..., 8, 8), got {g.shape}")
         limit = STRUCTURAL_TOL * np.maximum(1.0, np.abs(g).max(axis=(-2, -1)))
-        if np.any(np.abs(g - g.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > limit):
+        # Written as not (x <= limit), so that a NaN fails.
+        if not np.all(np.abs(g - g.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= limit):
             raise ContractViolation("moment matrix must be Hermitian")
         # Swap conj(g) Swap is a roll by four rows and four columns.
-        if np.any(np.abs(g - np.roll(g.conj(), 4, axis=(-2, -1))).max(axis=(-2, -1)) > limit):
+        if not np.all(np.abs(g - np.roll(g.conj(), 4, axis=(-2, -1))).max(axis=(-2, -1)) <= limit):
             raise ContractViolation(
                 "moment matrix must equal its conjugate under mode-conjugate swap"
             )
@@ -171,9 +197,12 @@ class GaussianState:
         object.__setattr__(self, "moment_matrix", g)
 
 
-def thermal_moments(eta: float) -> np.ndarray:
-    """The thermal fixed point Gamma_th = I/(2*eta), the one place it is written."""
-    return np.eye(8, dtype=complex) / (2.0 * eta)
+def thermal_moments(eta) -> np.ndarray:
+    """The thermal fixed point Gamma_th = I/(2*eta), the one place it is written.
+
+    An array eta of shape S gives the stack S + (8, 8).
+    """
+    return np.eye(8, dtype=complex) / (2.0 * np.asarray(eta)[..., None, None])
 
 
 def initial_state(params: ModelParams, squeeze_r: float = 0.0) -> GaussianState:
@@ -203,7 +232,10 @@ def flow(gen: MesoGenerator, t) -> np.ndarray:
     The identity part of M commutes with K and factors out as a scalar; the
     Hermitian exponential of the coupling is taken from its eigendecomposition.
     An array t of shape S gives shape S + (4, 4). t = 0 gives the exact identity.
+    gen must be one generator; ContractViolation for a stack.
     """
+    if np.ndim(gen.epsilon):
+        raise ContractViolation("flow takes one generator, not a stack")
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)) or np.any(t < 0.0):
         raise ContractViolation(f"propagation time must be nonnegative, got {t!r}")
@@ -219,11 +251,11 @@ def propagate(state: GaussianState, gen: MesoGenerator, t) -> GaussianState:
     deviation from the fixed point is conjugated by a strict contraction
     whenever gamma < 1. An array t of shape S gives a stack S + (8, 8).
     """
+    u = flow(gen, t)
     if abs(state.eta - gen.eta) > 1e-15:
         raise ContractViolation(
             "state and generator were built from different thermal parameters"
         )
-    u = flow(gen, t)
     transfer = np.zeros(u.shape[:-2] + (8, 8), dtype=complex)
     transfer[..., :4, :4] = u
     transfer[..., 4:, 4:] = u.conj()
@@ -261,8 +293,7 @@ def normal_mode_variances(
     r = abs(float(squeeze_r))
     if not np.isfinite(r):
         raise ContractViolation(f"squeeze parameter must be finite, got {squeeze_r!r}")
-    stack = not isinstance(params, ModelParams)
-    sets = tuple(params) if stack else (params,)
+    sets, stack = parameter_sets(params)
     eta = np.array([[[s.eta]] for s in sets])
     low = [1.0 / (np.exp(s.epsilon * s.beta) + 1.0) for s in sets]  # (1 - eta) / 2
     high = [0.5 * (1.0 + s.eta) for s in sets]

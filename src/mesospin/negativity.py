@@ -48,17 +48,19 @@ def quadrature_covariance(block: np.ndarray) -> np.ndarray:
     Accepts a 2n x 2n complex moment block ordered (modes; conjugate modes),
     or a stack (..., 2n, 2n). Every block must be Hermitian and
     conjugation-symmetric within 1e-10; every assembled real matrix must be
-    symmetric to the same tolerance.
+    symmetric to the same tolerance. A NaN entry fails these tests
+    (ContractViolation).
     """
     block = np.asarray(block, dtype=complex)
     if block.ndim < 2 or block.shape[-1] != block.shape[-2] or block.shape[-1] % 2:
         raise ContractViolation(f"moment block must be (..., 2n, 2n), got {block.shape}")
     n = block.shape[-1] // 2
     limit = _BLOCK_TOL * np.maximum(1.0, _max_abs(block))
-    if np.any(_max_abs(block - block.conj().swapaxes(-1, -2)) > limit):
+    # Each tolerance test is not (x <= limit), which a NaN fails.
+    if not np.all(_max_abs(block - block.conj().swapaxes(-1, -2)) <= limit):
         raise ContractViolation("moment block must be Hermitian")
     # Swap conj(block) Swap, Swap exchanging modes and conjugate modes, is a roll.
-    if np.any(_max_abs(block - np.roll(block.conj(), n, axis=(-2, -1))) > limit):
+    if not np.all(_max_abs(block - np.roll(block.conj(), n, axis=(-2, -1))) <= limit):
         raise ContractViolation("moment block breaks mode-conjugate symmetry")
 
     sym = block[..., :n, :n].conj()
@@ -70,7 +72,7 @@ def quadrature_covariance(block: np.ndarray) -> np.ndarray:
     cov[..., 1::2, 1::2] = (sym - pair).real
     cov *= 2.0
     cov_t = cov.swapaxes(-1, -2)
-    if np.any(_max_abs(cov - cov_t) > _BLOCK_TOL * np.maximum(1.0, _max_abs(cov))):
+    if not np.all(_max_abs(cov - cov_t) <= _BLOCK_TOL * np.maximum(1.0, _max_abs(cov))):
         raise ContractViolation("assembled quadrature covariance is not symmetric")
     return 0.5 * (cov + cov_t)
 
@@ -85,7 +87,8 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     Accepts one 2n x 2n matrix or a stack of shape (..., 2n, 2n) and returns
     shape (..., n). Uses the similarity i*Omega*cov ~ i L^T Omega L (L the
     Cholesky factor), whose right side is Hermitian: the Hermitian eigensolver
-    keeps full accuracy even when the spectrum is degenerate.
+    keeps full accuracy even when the spectrum is degenerate. A covariance
+    that is not symmetric, NaN entries included, raises ContractViolation.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim < 2 or cov.shape[-1] != cov.shape[-2] or cov.shape[-1] % 2:
@@ -93,7 +96,7 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     n = cov.shape[-1] // 2
     asymmetry = np.abs(cov - np.swapaxes(cov, -1, -2)).max(axis=(-2, -1))
     scale = np.maximum(1.0, np.abs(cov).max(axis=(-2, -1)))
-    if np.any(asymmetry > _BLOCK_TOL * scale):
+    if not np.all(asymmetry <= _BLOCK_TOL * scale):
         raise ContractViolation("covariance must be symmetric")
     try:
         chol = np.linalg.cholesky(cov)

@@ -6,6 +6,10 @@ restriction to the eight closing observables, and finite-size Weyl
 expectations whose central limit fixes the Gaussian fluctuation state. The
 mesoscopic propagation never depends on this module; it exists so the two
 routes can be compared.
+
+liouvillian() builds a whole stack of generators in one expression and
+extract_mode_generator() restricts a stack in one product, so a parameter
+grid costs a few array operations rather than a Python loop per point.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .sites import (
     frozen,
     lindblad_ops,
     observables,
+    parameter_sets,
     site_hamiltonian,
 )
 
@@ -46,7 +51,10 @@ def _unvec(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Heisenberg generator as a 16x16 matrix over column-stacked operators."""
+    """Heisenberg generator as a 16x16 matrix over column-stacked operators.
+
+    matrix may be a stack (..., 16, 16) of generators; apply() takes one.
+    """
 
     matrix: np.ndarray
 
@@ -98,21 +106,26 @@ def generator_pieces() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def liouvillian(params: ModelParams) -> Superoperator:
+def liouvillian(params: ModelParams | Sequence[ModelParams]) -> Superoperator:
     """Heisenberg generator L[X] = i[H,X] + (1/2) sum D_mn [[V_m,X],V_n^dag].
 
     The half in front of the double commutator makes the generator agree with
     the standard completely positive form (sum over both Lindblad pairings);
     unitality L[1] = 0 holds exactly by construction and is checked. The
-    matrix is eps L_H + L_0 + gamma L_1 from generator_pieces().
+    matrix is eps L_H + L_0 + gamma L_1 from generator_pieces(). A sequence of
+    V parameter sets gives the (V, 16, 16) stack from the same one expression,
+    each generator bit for bit its own call's; every one must be unital, and
+    the error reports the largest ||L[1]||.
     """
     l_h, l_0, l_1 = generator_pieces()
-    gen = params.epsilon * l_h + l_0 + params.gamma * l_1
-    sup = Superoperator(matrix=gen)
-    unital = float(np.abs(sup.apply(np.eye(_DIM))).max())
-    if not unital <= STRUCTURAL_TOL:
-        raise ClosureError(f"generator is not unital: ||L[1]|| = {unital:.3e}")
-    return sup
+    sets, stack = parameter_sets(params)
+    epsilon = np.array([p.epsilon for p in sets])[:, None, None]
+    gamma = np.array([p.gamma for p in sets])[:, None, None]
+    gen = epsilon * l_h + l_0 + gamma * l_1
+    unital = np.abs(gen @ vec(np.eye(_DIM))).max(axis=-1)
+    if not np.all(unital <= STRUCTURAL_TOL):
+        raise ClosureError(f"generator is not unital: ||L[1]|| = {np.max(unital):.3e}")
+    return Superoperator(matrix=gen if stack else gen[0])
 
 
 @dataclass(frozen=True)
@@ -125,9 +138,10 @@ class GeneratorExtraction:
     span of the identity and the observables. mode_generator is the
     restriction in the ladder basis (a1, a2, b1, b2, and conjugates); its
     upper-left block, annihilation_block, is the drift matrix of the
-    mesoscopic propagation, transposed. Extracted for a sequence of parameter
-    sets, mode_generator and annihilation_block are stacks with one matrix
-    per set.
+    mesoscopic propagation, transposed. For a stack of generators or of
+    parameter sets, identity_coeffs, mode_generator and annihilation_block
+    are stacks over the broadcast leading axes, and residual is the largest
+    over all of them.
     """
 
     identity_coeffs: np.ndarray
@@ -147,10 +161,13 @@ def extract_mode_generator(
 ) -> GeneratorExtraction:
     """Restrict sup to the observables and express it in the modes of params.
 
-    The projection reads only sup; params fixes the mode basis. A sequence of
-    parameter sets, such as one generator's temperatures, projects once and
-    conjugates by each set's mode map, each matrix bit for bit what its own
-    call returns.
+    The projection reads only sup; params fixes the mode basis. sup may hold
+    a stack of generators of shape G + (16, 16) and params be a sequence
+    whose mode maps have shape M + (8, 8): all generators are projected in
+    one product and then conjugated by the mode maps, G broadcast against M.
+    One generator with a sequence of sets, such as its temperatures, is
+    thus projected once and expressed in each set's modes. Every matrix is
+    bit for bit what the call on its own generator and set returns.
     """
     # Pauli words are orthogonal under tr(x^dag y) = 4 delta, so basis^H / 4 projects.
     basis = _observable_basis()
@@ -161,10 +178,10 @@ def extract_mode_generator(
         raise ClosureError(
             f"observables do not close under the generator: residual {residual:.3e}"
         )
-    identity, coeffs = components[0], components[1:]
+    identity, coeffs = components[..., 0, :], components[..., 1:, :]
 
     mm = mode_map(params)
-    mode_generator = mm.matrix @ coeffs.T @ mm.inverse
+    mode_generator = mm.matrix @ coeffs.swapaxes(-1, -2) @ mm.inverse
     return GeneratorExtraction(
         identity_coeffs=identity,
         residual=residual,
@@ -177,7 +194,7 @@ def _require_hermitian(x: np.ndarray, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.shape != (_DIM, _DIM):
         raise ContractViolation(f"{name} must be 4x4, got shape {x.shape}")
-    if np.abs(x - x.conj().T).max(initial=0.0) > STRUCTURAL_TOL:
+    if not np.abs(x - x.conj().T).max(initial=0.0) <= STRUCTURAL_TOL:
         raise ContractViolation(f"{name} must be Hermitian")
     return x
 
@@ -194,9 +211,11 @@ def _site_weyl_unitary(
 ) -> np.ndarray:
     """One site's factor exp(i(x - w(x))/sqrt(n)) of the centred Weyl operator.
 
-    An array of site counts gives one factor per count, from a single eigh.
+    x may be a stack of observables and n an array of site counts: one call
+    of expm gives every observable's factor at every count, shape
+    x.shape[:-2] + n.shape + (4, 4).
     """
-    centered = x - state.expectation(x) * np.eye(_DIM)
+    centered = x - np.asarray(state.expectation(x))[..., None, None] * np.eye(_DIM)
     return expm(centered, 1.0j / np.sqrt(n))
 
 
@@ -213,9 +232,12 @@ def weyl_expectation_finite(x: np.ndarray, n: int, state: ThermalSiteState) -> c
 
 def weyl_expectation_limit(x: np.ndarray, state: ThermalSiteState) -> float:
     """Large-n limit exp(-<x,x>/2) of the single Weyl expectation."""
-    x = _require_hermitian(x, "Weyl argument")
-    variance = fluctuation_inner(x, x, state).real
-    return float(np.exp(-0.5 * variance))
+    return float(_gaussian_limit(_require_hermitian(x, "Weyl argument"), state))
+
+
+def _gaussian_limit(x: np.ndarray, state: ThermalSiteState) -> np.ndarray:
+    """exp(-<x,x>/2) for an observable or a stack of them."""
+    return np.exp(-0.5 * np.real(fluctuation_inner(x, x, state)))
 
 
 def clt_table(state: ThermalSiteState, sites: tuple[int, ...]) -> list[tuple]:
@@ -223,18 +245,20 @@ def clt_table(state: ThermalSiteState, sites: tuple[int, ...]) -> list[tuple]:
 
     monotone is the convergence test: every error below the one before it.
     It reads convergence only if n rises, so the site counts must be strictly
-    increasing; ContractViolation otherwise.
+    increasing; ContractViolation otherwise. The eight observables are
+    diagonalised by one eigh, for all site counts at once.
     """
     if any(a >= b for a, b in zip(sites, sites[1:])):
         raise ContractViolation(f"site counts must be strictly increasing, got {list(sites)}")
     sites = tuple(require_sites(n) for n in sites)
+    ops = np.array(observables().ops)
+    limits = _gaussian_limit(ops, state)
+    factors = state.expectation(_site_weyl_unitary(ops, np.array(sites), state))
     table = []
-    for x in observables().ops:
-        limit = weyl_expectation_limit(x, state)
-        factors = state.expectation(_site_weyl_unitary(x, np.array(sites), state))
+    for limit, row in zip(limits.tolist(), factors):
         # Python's complex ** int, as in weyl_expectation_finite: numpy's power
         # rounds differently at large n, and the errors read the last bits.
-        finite = [complex(f) ** n for f, n in zip(factors, sites)]
+        finite = [complex(f) ** n for f, n in zip(row, sites)]
         errors = [abs(f - limit) for f in finite]
         table.append((limit, finite, errors, all(a > b for a, b in zip(errors, errors[1:]))))
     return table

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -90,6 +91,14 @@ class ModelParams:
         object.__setattr__(self, "eta_perp", float(1.0 / np.cosh(u)))
 
 
+def parameter_sets(
+    params: ModelParams | Sequence[ModelParams],
+) -> tuple[tuple[ModelParams, ...], bool]:
+    """params as a tuple of sets, and whether it was a sequence (a stack) or one set."""
+    stack = not isinstance(params, ModelParams)
+    return (tuple(params) if stack else (params,)), stack
+
+
 def site_hamiltonian(params: ModelParams) -> np.ndarray:
     """One-site Hamiltonian (epsilon/2)(sigma3 x 1 + 1 x sigma3)."""
     return 0.5 * params.epsilon * (kron2(3, 0) + kron2(0, 3))
@@ -97,7 +106,11 @@ def site_hamiltonian(params: ModelParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ThermalSiteState:
-    """Gibbs state of a single site pair; rho is diagonal in the spin basis."""
+    """Gibbs state of a single site pair; rho is diagonal in the spin basis.
+
+    rho may also be a stack of states, which expectation() broadcasts against
+    the leading axes of the operators.
+    """
 
     rho: np.ndarray
 
@@ -105,13 +118,13 @@ class ThermalSiteState:
         """w(op) = tr(rho op), over the last two axes of op.
 
         One 4x4 operator gives a complex; a stack of shape S + (4, 4) gives
-        an array of shape S.
+        an array of shape S, and a stack of states broadcasts against S.
         """
         # sum_a sum_b rho_ba op_ab, rows first. With rho diagonal each row sum
         # is one exact product and the four are added in order, as a trace
         # of rho @ op adds them: clt_table raises w(U) to the n-th power,
         # which magnifies any change in the last bit.
-        value = (self.rho.T * op).sum(axis=-1).sum(axis=-1)
+        value = (self.rho.swapaxes(-1, -2) * op).sum(axis=-1).sum(axis=-1)
         return complex(value) if value.ndim == 0 else value
 
 

@@ -7,8 +7,25 @@ import pytest
 
 import mesospin.checks as checks
 import mesospin.oracle as oracle
-from mesospin.modes import mode_operators, thermal_moments
-from mesospin.sites import ModelParams, ThermalSiteState
+from mesospin.experiments import run_curve
+from mesospin.modes import drift_matrix, initial_state, mode_operators, propagate, thermal_moments
+from mesospin.negativity import negativity, quadrature_covariance, symplectic_eigenvalues
+from mesospin.oracle import (
+    extract_mode_generator,
+    liouvillian,
+    vec,
+    weyl_expectation_finite,
+    weyl_expectation_limit,
+)
+from mesospin.sites import (
+    ModelParams,
+    ThermalSiteState,
+    dissipation_matrix,
+    fluctuation_inner,
+    kron2,
+    observables,
+    thermal_state,
+)
 
 # Each public check as a function of the level, in run_checks order.
 ALONE = (
@@ -23,12 +40,13 @@ ALONE = (
 )
 
 
-def test_mode_ccr_fails_when_a_mode_is_mis_normalised(monkeypatch):
-    def scaled(params):
-        a1, a2, b1, b2 = mode_operators(params)
-        return a1, 1.001 * a2, b1, b2
+def _a2_scaled(params):
+    """mode_operators with a2 of every parameter set scaled by 1.001."""
+    return mode_operators(params) * np.array([1.0, 1.001, 1.0, 1.0])[:, None, None]
 
-    monkeypatch.setattr(checks, "mode_operators", scaled)
+
+def test_mode_ccr_fails_when_a_mode_is_mis_normalised(monkeypatch):
+    monkeypatch.setattr(checks, "mode_operators", _a2_scaled)
     result = checks.check_mode_ccr("fast")
     assert not result.passed
     # [a2, a2^dag] = 1.001^2
@@ -100,14 +118,10 @@ def test_each_check_alone_matches_its_result_in_run_checks(level):
 
 
 def test_run_checks_keeps_nothing_from_a_tampered_call(monkeypatch):
-    def scaled(params):
-        a1, a2, b1, b2 = mode_operators(params)
-        return a1, 1.001 * a2, b1, b2
-
     clean = checks.run_checks("fast")
     assert all(r.passed for r in clean)
     with monkeypatch.context() as patch:
-        patch.setattr(checks, "mode_operators", scaled)
+        patch.setattr(checks, "mode_operators", _a2_scaled)
         tampered = checks.run_checks("fast")
     assert [r.name for r in tampered if not r.passed] == ["mode-ccr", "thermal-covariance"]
     assert checks.run_checks("fast") == clean
@@ -129,8 +143,86 @@ def test_a_full_run_builds_each_generator_and_reference_stack_once(monkeypatch):
     counted(checks, "propagate")
     counted(oracle, "expm")
     assert all(r.passed for r in checks.run_checks("full"))
-    # one generator per (eps, gamma) in each of two checks, one stack per
-    # curve config, one Weyl eigendecomposition per observable
-    assert calls["liouvillian"] <= 2 * 3 * len(checks.DEFAULT_GAMMAS)
+    # one generator stack shared by two checks, one reference stack per curve
+    # config, one eigendecomposition for all Weyl observables
+    assert calls["liouvillian"] == 1
     assert calls["propagate"] <= 3
-    assert calls["expm"] <= 8
+    assert calls["expm"] <= 1
+
+
+def test_a_nan_thermal_state_fails_checks_without_aborting_the_run(monkeypatch):
+    rho = np.full((4, 4), np.nan, dtype=complex)
+    monkeypatch.setattr(checks, "thermal_state", lambda params: ThermalSiteState(rho=rho))
+    results = {r.name: r for r in checks.run_checks("fast")}
+    assert len(results) == 8
+    clt = results["clt-convergence"]
+    assert not clt.passed
+    assert clt.residual == float("inf")
+    assert clt.detail == "expm argument must be finite"
+
+
+def _looped_residuals(level):
+    """Every residual of run_checks(level), one (eps, T, gamma) or grid point at a time."""
+    words = np.column_stack([vec(kron2(i, j)) for i in range(4) for j in range(4)])
+    spectrum, invariance, match, ccr, covariance = [], [], [], [], []
+    for gamma in checks.DEFAULT_GAMMAS:
+        expected = np.sort([1.0 - 2.0 * gamma, 1.0, 1.0, 1.0 + 2.0 * gamma])
+        spectrum.append(np.abs(dissipation_matrix(gamma).eigenvalues - expected).max())
+    eps_temps = checks.FULL_EPS_TEMPS if level == "full" else checks.FAST_EPS_TEMPS
+    for eps, temp in eps_temps:
+        thermal = ModelParams(eps, temp, 0.0)
+        state = thermal_state(thermal)
+        for gamma in checks.DEFAULT_GAMMAS:
+            p = ModelParams(eps, temp, gamma)
+            sup = liouvillian(p)
+            invariance.append(np.abs(vec(state.rho.T) @ (sup.matrix @ words)).max())
+            ext = extract_mode_generator(sup, p)
+            g, m_t = ext.mode_generator, drift_matrix(p).matrix.T
+            match += [
+                ext.residual,
+                np.abs(ext.identity_coeffs).max(),
+                np.abs(g[:4, :4] - m_t).max(),
+                np.abs(g[4:, 4:] - m_t.conj()).max(),
+                np.abs(g[:4, 4:]).max(),
+                np.abs(g[4:, :4]).max(),
+            ]
+        a = list(mode_operators(thermal))
+        ad = [x.conj().T for x in a]
+        a_a, ad_ad, ad_a = (
+            np.array([[fluctuation_inner(x, y, state) for y in ys] for x in xs])
+            for xs, ys in ((a, a), (ad, ad), (ad, a))
+        )
+        ccr += [np.abs(ad_ad - a_a.T - np.eye(4)).max(), np.abs(ad_a - ad_a.T).max()]
+        sym, pair = 0.5 * (a_a + ad_ad.T), 0.5 * (ad_a + ad_a.T)
+        moments = np.block([[sym, -pair.conj()], [-pair, sym.T]])
+        covariance.append(np.abs(moments - thermal_moments(thermal.eta)).max())
+    clt = []
+    state = thermal_state(ModelParams(1.0, 1.0, 0.0))
+    for x in observables().ops:
+        limit = weyl_expectation_limit(x, state)
+        errors = [abs(weyl_expectation_finite(x, n, state) - limit) for n in checks.CLT_SITES]
+        if not all(e > f for e, f in zip(errors, errors[1:])):
+            clt.append(float("inf"))
+        clt.append(errors[-1])
+    physicality, engine = [], []
+    for config in checks._curve_configs(level):
+        p = ModelParams(config.epsilon, config.temperature, config.gamma)
+        start, gen = initial_state(p, config.squeeze_r), drift_matrix(p)
+        curve = run_curve(config).nu_min
+        times = np.linspace(0.0, config.t_max, config.t_steps)
+        for t, nu in zip(times, curve):
+            moments = propagate(start, gen, t)
+            smallest = symplectic_eigenvalues(quadrature_covariance(moments.moment_matrix))[0]
+            physicality.append(max(0.0, 1.0 - smallest))
+            reference = negativity(moments).nu_min
+            engine.append(abs(nu - reference) / reference)
+    return [
+        max(r)
+        for r in (spectrum, invariance, match, ccr, clt, covariance, physicality, engine)
+    ]
+
+
+@pytest.mark.parametrize("level", ["fast", "full"])
+def test_each_residual_is_the_one_a_loop_over_the_grid_gives(level):
+    stacked = [repr(r.residual) for r in checks.run_checks(level)]
+    assert stacked == [repr(float(r)) for r in _looped_residuals(level)]

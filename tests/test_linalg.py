@@ -70,3 +70,31 @@ def test_expm_rejects_non_hermitian():
         expm(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
     with pytest.raises(ContractViolation):
         expm(np.array([[1.0, 2.0j], [2.0j, 3.0]]), 1.0j)
+
+
+def test_expm_of_a_stack_is_each_matrix_at_each_scalar():
+    h = np.array([[_random_hermitian(4, seed + 3 * row) for seed in range(3)] for row in range(2)])
+    zs = np.array([0.7, 0.0, 0.4 - 1.1j, 0j])
+    stack = expm(h, zs)
+    assert stack.shape == (2, 3, 4, 4, 4)
+    for index in np.ndindex(2, 3):
+        assert np.array_equal(stack[index], expm(h[index], zs))
+        for k, z in enumerate(zs):
+            assert np.array_equal(stack[index][k], expm(h[index], z))
+        assert np.array_equal(stack[index][1], np.eye(4, dtype=complex))
+        assert np.array_equal(stack[index][3], np.eye(4, dtype=complex))
+    # a scalar keeps the stack's own shape
+    assert np.array_equal(expm(h, 0.3)[1, 2], expm(h[1, 2], 0.3))
+
+
+def test_expm_rejects_a_non_finite_or_non_hermitian_matrix_in_a_stack():
+    with pytest.raises(ContractViolation, match="finite"):
+        expm(np.full((4, 4), np.nan), 1.0)
+    h = np.array([_random_hermitian(3, seed) for seed in range(3)])
+    h[1, 0, 2] = complex(np.inf, 0.0)
+    with pytest.raises(ContractViolation, match="finite"):
+        expm(h, 1.0j)
+    h = np.array([_random_hermitian(3, seed) for seed in range(3)])
+    h[2, 0, 1] += 1e-3
+    with pytest.raises(ContractViolation, match="Hermitian"):
+        expm(h, 1.0j)

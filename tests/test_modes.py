@@ -148,6 +148,38 @@ def test_gaussian_state_validation():
         GaussianState(moment_matrix=asymmetric, eta=p.eta)
 
 
+def test_gaussian_state_rejects_nan_moments():
+    for g in (np.full((8, 8), np.nan), np.where(np.eye(8) > 0, np.nan, 0.0)):
+        with pytest.raises(ContractViolation):
+            GaussianState(moment_matrix=g, eta=0.5)
+    stack = np.array([_reference(0.5)] * 3)
+    stack[1, 2, 5] = stack[1, 5, 2] = np.nan
+    with pytest.raises(ContractViolation):
+        GaussianState(moment_matrix=stack, eta=0.5)
+
+
+def test_mode_builders_over_a_sequence_are_each_single_call():
+    sets = [ModelParams(eps, temp, gamma) for eps, temp in EPS_TEMP_GRID for gamma in (0.0, 0.3)]
+    sets += [ModelParams(0.3, 20.0, 0.37), ModelParams(5.0, 0.2, 0.5)]
+    maps, ops, drift = mode_map(sets), mode_operators(sets), drift_matrix(sets)
+    assert maps.matrix.shape == maps.inverse.shape == (len(sets), 8, 8)
+    assert ops.shape == (len(sets), 4, 4, 4)
+    assert drift.matrix.shape == drift.coupling.shape == (len(sets), 4, 4)
+    for i, p in enumerate(sets):
+        single = mode_map(p)
+        assert np.array_equal(maps.matrix[i], single.matrix)
+        assert np.array_equal(maps.inverse[i], single.inverse)
+        assert np.array_equal(ops[i], mode_operators(p))
+        gen = drift_matrix(p)
+        assert np.array_equal(drift.matrix[i], gen.matrix)
+        assert np.array_equal(drift.coupling[i], gen.coupling)
+        assert drift.epsilon[i] == gen.epsilon and drift.gamma[i] == gen.gamma
+        assert drift.eta[i] == gen.eta
+    # one generator at a time through the flow
+    with pytest.raises(ContractViolation):
+        flow(drift, 1.0)
+
+
 def test_gaussian_state_stores_the_swap_symmetrised_stack():
     # The reference symmetrises with the permutation matrix written out.
     swap = np.block([[np.zeros((4, 4)), np.eye(4)], [np.eye(4), np.zeros((4, 4))]])

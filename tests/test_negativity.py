@@ -79,6 +79,21 @@ def test_quadrature_rejects_inconsistent_blocks():
         quadrature_covariance(lopsided)
 
 
+def test_quadrature_covariance_refuses_nan_blocks():
+    with pytest.raises(ContractViolation):
+        quadrature_covariance(np.full((4, 4), np.nan))
+    block = first_mode_block(_entangled_state()[0]).copy()
+    block[1, 3] = block[3, 1] = np.nan
+    with pytest.raises(ContractViolation):
+        quadrature_covariance(np.array([block, block.real]))
+
+
+def test_symplectic_eigenvalues_refuse_a_nan_covariance():
+    # not a NumericError from the Cholesky factor: the input breaks the contract
+    with pytest.raises(ContractViolation, match="symmetric"):
+        symplectic_eigenvalues(np.full((4, 4), np.nan))
+
+
 def test_symplectic_spectrum_of_direct_sums():
     cov = np.diag([1.5, 1.5, 4.0, 4.0])
     values = symplectic_eigenvalues(cov)

@@ -126,6 +126,49 @@ def test_extraction_over_temperatures_is_each_single_extraction():
             assert stacked.residual == single.residual
 
 
+def test_a_generator_stack_is_each_single_generator():
+    sets = GRID + OFF_GRID
+    stack = liouvillian(sets).matrix
+    assert stack.shape == (len(sets), 16, 16)
+    for matrix, p in zip(stack, sets):
+        assert np.array_equal(matrix, liouvillian(p).matrix)
+
+
+def test_a_nan_coupling_piece_fails_the_whole_stack(monkeypatch):
+    l_h, l_0, l_1 = generator_pieces()
+    monkeypatch.setattr(oracle, "generator_pieces", lambda: (l_h, l_0, np.nan * l_1))
+    # 0 * nan is nan, so no generator of the stack is unital
+    with pytest.raises(ClosureError, match="= nan"):
+        liouvillian([ModelParams(1.0, 1.0, 0.0), ModelParams(1.0, 1.0, 0.3)])
+
+
+def test_extraction_of_a_generator_stack_is_each_single_extraction():
+    gammas = (0.0, 0.3, 0.5)
+    temps = [ModelParams(eps, temp, 0.0) for eps, temp in ((0.5, 0.1), (1.0, 1.0), (2.0, 5.0))]
+    # (gamma, (eps, T)) generators against the (eps, T) mode maps
+    grid = [[ModelParams(p.epsilon, p.temperature, gamma) for p in temps] for gamma in gammas]
+    sup = liouvillian([p for row in grid for p in row])
+    sup = dataclasses.replace(sup, matrix=sup.matrix.reshape(3, 3, 16, 16))
+    stacked = extract_mode_generator(sup, temps)
+    assert stacked.mode_generator.shape == (3, 3, 8, 8)
+    assert stacked.identity_coeffs.shape == (3, 3, 8)
+    residuals = []
+    for g, row in enumerate(grid):
+        for t, p in enumerate(row):
+            single = extract_mode_generator(liouvillian(p), p)
+            assert np.array_equal(stacked.mode_generator[g, t], single.mode_generator)
+            assert np.array_equal(stacked.annihilation_block[g, t], single.annihilation_block)
+            assert np.array_equal(stacked.identity_coeffs[g, t], single.identity_coeffs)
+            residuals.append(single.residual)
+    assert stacked.residual == max(residuals)
+
+
+def test_weyl_rejects_a_nan_argument():
+    state = thermal_state(ModelParams(1.0, 1.0, 0.5))
+    with pytest.raises(ContractViolation):
+        weyl_expectation_limit(np.full((4, 4), np.nan), state)
+
+
 def test_leak_onto_a_complement_word_breaks_closure():
     p = ModelParams(1.0, 1.0, 0.3)
     sup = liouvillian(p)
