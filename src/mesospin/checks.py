@@ -14,9 +14,12 @@ corresponding check fail; nothing here is ever skipped or clamped.
 Each oracle check evaluates its whole (eps, T, gamma) grid as stacked
 arrays: one stack of generators, one stack of mode maps, drift matrices and
 mode operators, one fluctuation_inner for the thermal mode tables and one
-eigh for the Weyl observables. Every residual is the one a loop over the
-grid points gives, to the last bit. The 8x8 reference of the last two
-checks propagates one stack per curve config.
+eigh for the Weyl observables. The 8x8 reference of the last two checks
+propagates every curve config of the level as one stack over their shared
+time grid and reads one quadrature covariance of it. Every residual is the
+one a loop over the grid points gives, to the last bit. The parameter grid
+and the curve configs hold only frozen objects, so each is built once per
+process.
 """
 
 from __future__ import annotations
@@ -29,8 +32,15 @@ import numpy as np
 from .errors import ContractViolation, NumericError
 from .experiments import ExperimentConfig, run_curve
 from .linalg import STRUCTURAL_TOL
-from .modes import drift_matrix, initial_state, mode_operators, propagate, thermal_moments
-from .negativity import negativity, quadrature_covariance, symplectic_eigenvalues
+from .modes import (
+    GaussianState,
+    drift_matrix,
+    initial_state,
+    mode_operators,
+    propagate,
+    thermal_moments,
+)
+from .negativity import min_symplectic_pt, quadrature_covariance, symplectic_eigenvalues
 from .oracle import (
     CLOSURE_TOL,
     Superoperator,
@@ -110,6 +120,7 @@ def _eps_temps(level: str) -> tuple[tuple[float, float], ...]:
 _Grid = tuple[tuple[ModelParams, ...], ...]
 
 
+@cache
 def _parameter_grid(level: str) -> _Grid:
     """The level's parameter sets, one row per gamma and one column per (eps, T)."""
     return tuple(
@@ -248,25 +259,42 @@ def _thermal_covariance(tables: tuple[np.ndarray, ...]) -> CheckResult:
     )
 
 
-def _curve_configs(level: str) -> list[ExperimentConfig]:
-    configs = [ExperimentConfig(t_steps=51)]
+@cache
+def _curve_configs(level: str) -> tuple[ExperimentConfig, ...]:
+    """The level's curve configs; all share the 51-point time grid to t = 5."""
+    configs = (ExperimentConfig(t_steps=51),)
     if level == "full":
-        configs.append(
-            ExperimentConfig(gamma=0.3, temperature=0.5, squeeze_r=-2.0, t_steps=51)
+        configs += (
+            ExperimentConfig(gamma=0.3, temperature=0.5, squeeze_r=-2.0, t_steps=51),
+            ExperimentConfig(gamma=0.1, temperature=1.0, t_steps=51),
         )
-        configs.append(ExperimentConfig(gamma=0.1, temperature=1.0, t_steps=51))
     return configs
 
 
-def _reference_stacks(level: str) -> list[tuple]:
-    """Each curve config of the level with its 8x8 reference path over the whole time grid."""
-    stacks = []
-    for config in _curve_configs(level):
-        params = ModelParams(config.epsilon, config.temperature, config.gamma)
-        times = np.linspace(0.0, config.t_max, config.t_steps)
-        state = initial_state(params, config.squeeze_r)
-        stacks.append((config, propagate(state, drift_matrix(params), times)))
-    return stacks
+# Rows and columns (x, p) of a1 and of b1 in the 8x8 quadrature covariance.
+_FIRST_MODES = frozen(np.array([0, 1, 4, 5]))
+
+# A level's curve configs and their reference covariance, (configs, times, 8, 8).
+_Reference = tuple[tuple[ExperimentConfig, ...], np.ndarray]
+
+
+def _reference_stacks(level: str) -> _Reference:
+    """The level's curve configs and the 8x8 reference covariance of each over the time grid.
+
+    Every config starts from its squeezed state and is propagated by its own
+    generator in one propagate call over the shared time grid; the
+    covariance has shape (configs, times, 8, 8).
+    """
+    configs = _curve_configs(level)
+    sets = [ModelParams(c.epsilon, c.temperature, c.gamma) for c in configs]
+    starts = [initial_state(params, c.squeeze_r) for params, c in zip(sets, configs)]
+    start = GaussianState(
+        moment_matrix=np.array([s.moment_matrix for s in starts]),
+        eta=np.array([s.eta for s in starts]),
+    )
+    times = np.linspace(0.0, configs[0].t_max, configs[0].t_steps)
+    states = propagate(start, drift_matrix(sets), times)
+    return configs, quadrature_covariance(states.moment_matrix)
 
 
 def check_physicality(level: str = "fast") -> CheckResult:
@@ -274,13 +302,10 @@ def check_physicality(level: str = "fast") -> CheckResult:
     return _physicality(_reference_stacks(level))
 
 
-def _physicality(stacks: list[tuple]) -> CheckResult:
-    residuals = []
-    for _, states in stacks:
-        cov = quadrature_covariance(states.moment_matrix)
-        smallest = symplectic_eigenvalues(cov)[:, 0]
-        residuals.append(np.maximum(0.0, 1.0 - smallest).max())
-    return _result("state-physicality", residuals, PHYSICALITY_TOL)
+def _physicality(stacks: _Reference) -> CheckResult:
+    _, cov = stacks
+    smallest = symplectic_eigenvalues(cov)[..., 0]
+    return _result("state-physicality", np.maximum(0.0, 1.0 - smallest), PHYSICALITY_TOL)
 
 
 def check_curve_engine(level: str = "fast") -> CheckResult:
@@ -288,34 +313,35 @@ def check_curve_engine(level: str = "fast") -> CheckResult:
     return _curve_engine(_reference_stacks(level))
 
 
-def _curve_engine(stacks: list[tuple]) -> CheckResult:
-    residuals = []
-    for config, states in stacks:
-        reference = negativity(states).nu_min
-        residuals.append((np.abs(run_curve(config).nu_min - reference) / reference).max())
-    return _result("curve-engine", residuals, ENGINE_TOL)
+def _curve_engine(stacks: _Reference) -> CheckResult:
+    # The covariance is assembled entry by entry, so the (a1, b1) block of the
+    # full one is the covariance that negativity() builds from the moment block.
+    configs, cov = stacks
+    reference = min_symplectic_pt(cov[..., _FIRST_MODES[:, None], _FIRST_MODES])
+    curves = np.array([run_curve(config).nu_min for config in configs])
+    return _result("curve-engine", np.abs(curves - reference) / reference, ENGINE_TOL)
 
 
 def run_checks(level: str = "fast") -> list[CheckResult]:
     """Run every check in turn; a NumericError or ContractViolation fails only its check.
 
     The failed check reports residual inf and the error's message. The
-    parameter grid, the generator stack, the thermal states, the mode tables
-    and the reference stacks are each read by two checks, so each is built on first read and
+    generator stack, the thermal states, the mode tables and the reference
+    stacks are each read by two checks, so each is built on first read and
     handed to the second. All live only for this call, and a build that
     raises is tried again, and fails, for each check that reads it.
     """
     if level not in ("fast", "full"):
         raise ValueError(f"verification level must be 'fast' or 'full', got {level!r}")
-    grid = cache(partial(_parameter_grid, level))
-    gens = cache(lambda: _generator_stack(grid()))
-    states = cache(lambda: _thermal_states(grid()[0]))
-    tables = cache(lambda: _thermal_mode_tables(grid()[0], states()))
+    grid = _parameter_grid(level)
+    gens = cache(lambda: _generator_stack(grid))
+    states = cache(lambda: _thermal_states(grid[0]))
+    tables = cache(lambda: _thermal_mode_tables(grid[0], states()))
     stacks = cache(partial(_reference_stacks, level))
     suite = (
         ("dissipation-spectrum", STRUCTURAL_TOL, lambda: check_dissipation_spectrum()),
         ("thermal-invariance", STRUCTURAL_TOL, lambda: _thermal_invariance(states(), gens())),
-        ("generator-match", CLOSURE_TOL, lambda: _generator_match(grid(), gens())),
+        ("generator-match", CLOSURE_TOL, lambda: _generator_match(grid, gens())),
         ("mode-ccr", STRUCTURAL_TOL, lambda: _mode_ccr(tables())),
         ("clt-convergence", CLT_TOL, lambda: check_clt_convergence(level)),
         ("thermal-covariance", STRUCTURAL_TOL, lambda: _thermal_covariance(tables())),

@@ -14,8 +14,9 @@ matrix exponential conjugation toward the thermal fixed point.
 Two propagators share that flow. propagate() conjugates the full 8x8 moment
 matrix by exp(tM) from flow(), which diagonalises the coupling K numerically and
 so does not rely on K^2 = I; it is the general reference. Given an array of
-times, flow() and propagate() return stacks over its leading axes, entry for
-entry what scalar calls return. The fixed point is thermal_moments().
+times, or a stacked generator and a matching state stack, flow() and
+propagate() return stacks over the generators and the times, entry for entry
+what single calls return. The fixed point is thermal_moments().
 normal_mode_variances() evaluates only the first modes, in closed form and over
 a whole time grid at once, for one parameter set or a stack of them; it is
 what curves are computed from.
@@ -145,7 +146,7 @@ def drift_matrix(params: ModelParams | Sequence[ModelParams]) -> MesoGenerator:
 
     A stack holds matrix and coupling of shape (V, 4, 4) and epsilon, gamma
     and eta of shape (V,), each entry bit for bit what its own call returns.
-    flow() and propagate() take one generator.
+    flow() and propagate() take a stack as readily as one generator.
     """
     sets, stack = parameter_sets(params)
     eta, w = _field(sets, "eta"), _field(sets, "eta_perp")
@@ -172,17 +173,24 @@ class GaussianState:
     symmetrized second moments, the lower-left block the anomalous pair
     moments (negated), and conjugation symmetry Gamma = Swap conj(Gamma) Swap
     ties the halves together. A stack (..., 8, 8) holds one state per leading
-    index. Construction enforces Hermiticity and the swap symmetry of every
-    matrix, which a NaN entry fails, then stores the exactly symmetrized stack.
+    index. eta is a float shared by every state, or an array over the first
+    leading axes: eta[i] belongs to every state of moment_matrix[i]. Construction
+    enforces Hermiticity and the swap symmetry of every matrix, which a NaN
+    entry fails, then stores the exactly symmetrized stack.
     """
 
     moment_matrix: np.ndarray
-    eta: float
+    eta: float | np.ndarray
 
     def __post_init__(self) -> None:
         g = np.asarray(self.moment_matrix, dtype=complex)
         if g.shape[-2:] != (8, 8):
             raise ContractViolation(f"moment matrix must be (..., 8, 8), got {g.shape}")
+        lead = np.shape(self.eta)
+        if len(lead) > g.ndim - 2 or g.shape[: len(lead)] != lead:
+            raise ContractViolation(
+                f"eta of shape {lead} does not lead the moment matrices {g.shape}"
+            )
         limit = STRUCTURAL_TOL * np.maximum(1.0, np.abs(g).max(axis=(-2, -1)))
         # Written as not (x <= limit), so that a NaN fails.
         if not np.all(np.abs(g - g.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= limit):
@@ -231,16 +239,19 @@ def flow(gen: MesoGenerator, t) -> np.ndarray:
 
     The identity part of M commutes with K and factors out as a scalar; the
     Hermitian exponential of the coupling is taken from its eigendecomposition.
-    An array t of shape S gives shape S + (4, 4). t = 0 gives the exact identity.
-    gen must be one generator; ContractViolation for a stack.
+    An array t of shape S gives shape S + (4, 4); a stack of V generators gives
+    (V,) + S + (4, 4), every generator at every time, each entry bit for bit
+    the single call. t = 0 gives the exact identity.
     """
-    if np.ndim(gen.epsilon):
-        raise ContractViolation("flow takes one generator, not a stack")
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)) or np.any(t < 0.0):
         raise ContractViolation(f"propagation time must be nonnegative, got {t!r}")
-    phase = np.exp(-(1.0 + 1.0j * gen.epsilon) * t)
-    return phase[..., None, None] * expm(gen.coupling, gen.gamma * t)
+    # each generator's scalars and coupling meet every time
+    at = (..., *(None,) * t.ndim)
+    epsilon, gamma = np.asarray(gen.epsilon)[at], np.asarray(gen.gamma)[at]
+    coupling = gen.coupling[at + (slice(None), slice(None))]
+    phase = np.exp(-(1.0 + 1.0j * epsilon) * t)
+    return phase[..., None, None] * expm(coupling, gamma * t)
 
 
 def propagate(state: GaussianState, gen: MesoGenerator, t) -> GaussianState:
@@ -249,18 +260,31 @@ def propagate(state: GaussianState, gen: MesoGenerator, t) -> GaussianState:
     Gamma(t) = T(t)^dag (Gamma(0) - Gamma_th) T(t) + Gamma_th with
     T = exp(tM) (+) conj(exp(tM)) and Gamma_th = thermal_moments(eta); the
     deviation from the fixed point is conjugated by a strict contraction
-    whenever gamma < 1. An array t of shape S gives a stack S + (8, 8).
+    whenever gamma < 1. An array t of shape S gives a stack S + (8, 8). A
+    stack of V generators takes one state per generator, a (V, 8, 8) stack
+    whose eta matches each generator's, and gives (V,) + S + (8, 8) with eta
+    of shape (V,), each entry bit for bit the single call.
     """
     u = flow(gen, t)
-    if abs(state.eta - gen.eta) > 1e-15:
+    stack = np.shape(gen.eta)
+    # Written as not (x <= limit), so that a NaN fails.
+    if np.shape(state.eta) != stack or not np.all(np.abs(state.eta - gen.eta) <= 1e-15):
         raise ContractViolation(
             "state and generator were built from different thermal parameters"
+        )
+    if stack and state.moment_matrix.shape[:-2] != stack:
+        raise ContractViolation(
+            f"{stack[0]} generators take one state each, got {state.moment_matrix.shape}"
         )
     transfer = np.zeros(u.shape[:-2] + (8, 8), dtype=complex)
     transfer[..., :4, :4] = u
     transfer[..., 4:, 4:] = u.conj()
     reference = thermal_moments(state.eta)
-    g = transfer.conj().swapaxes(-1, -2) @ (state.moment_matrix - reference) @ transfer
+    deviation = state.moment_matrix - reference
+    if stack:  # each generator's state and fixed point meet every time
+        at = (..., *(None,) * np.ndim(t), slice(None), slice(None))
+        deviation, reference = deviation[at], reference[at]
+    g = transfer.conj().swapaxes(-1, -2) @ deviation @ transfer
     g += reference
     return GaussianState(moment_matrix=g, eta=state.eta)
 

@@ -216,6 +216,8 @@ def _site_weyl_unitary(
     x.shape[:-2] + n.shape + (4, 4).
     """
     centered = x - np.asarray(state.expectation(x))[..., None, None] * np.eye(_DIM)
+    # one unit axis per axis of n, so that each observable meets every count
+    centered = centered.reshape(centered.shape[:-2] + (1,) * np.ndim(n) + (_DIM, _DIM))
     return expm(centered, 1.0j / np.sqrt(n))
 
 

@@ -2,14 +2,30 @@
 
 from __future__ import annotations
 
+import importlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import mesospin.checks as checks
+import mesospin.modes as modes
 import mesospin.oracle as oracle
 from mesospin.experiments import run_curve
-from mesospin.modes import drift_matrix, initial_state, mode_operators, propagate, thermal_moments
-from mesospin.negativity import negativity, quadrature_covariance, symplectic_eigenvalues
+from mesospin.modes import (
+    GaussianState,
+    drift_matrix,
+    initial_state,
+    mode_operators,
+    propagate,
+    thermal_moments,
+)
+from mesospin.negativity import (
+    min_symplectic_pt,
+    negativity,
+    quadrature_covariance,
+    symplectic_eigenvalues,
+)
 from mesospin.oracle import (
     extract_mode_generator,
     liouvillian,
@@ -26,6 +42,8 @@ from mesospin.sites import (
     observables,
     thermal_state,
 )
+
+negativity_module = importlib.import_module("mesospin.negativity")
 
 # Each public check as a function of the level, in run_checks order.
 ALONE = (
@@ -128,26 +146,60 @@ def test_run_checks_keeps_nothing_from_a_tampered_call(monkeypatch):
 
 
 def test_a_full_run_builds_each_generator_and_reference_stack_once(monkeypatch):
-    calls = {"liouvillian": 0, "propagate": 0, "expm": 0}
+    calls = Counter()
 
-    def counted(module, name):
+    def counted(module, name, key=None):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[key or f"{module.__name__}.{name}"] += 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
     counted(checks, "liouvillian")
     counted(checks, "propagate")
+    # the reference covariances and spectra, from checks or inside negativity
+    pairs = (("quadrature_covariance", "covariances"), ("symplectic_eigenvalues", "spectra"))
+    for name, key in pairs:
+        counted(checks, name, key)
+        counted(negativity_module, name, key)
     counted(oracle, "expm")
+    counted(modes, "expm")
     assert all(r.passed for r in checks.run_checks("full"))
-    # one generator stack shared by two checks, one reference stack per curve
-    # config, one eigendecomposition for all Weyl observables
-    assert calls["liouvillian"] == 1
-    assert calls["propagate"] <= 3
-    assert calls["expm"] <= 1
+    # one generator stack shared by two checks, one reference stack and one
+    # covariance for all curve configs, one eigendecomposition for all Weyl
+    # observables and one for all couplings
+    assert calls == {
+        "mesospin.checks.liouvillian": 1,
+        "mesospin.checks.propagate": 1,
+        "covariances": 1,
+        "spectra": 2,
+        "mesospin.oracle.expm": 1,
+        "mesospin.modes.expm": 1,
+    }
+
+
+def test_the_first_mode_block_of_the_full_covariance_gives_the_negativity():
+    # curve-engine reads nu_min from rows and columns (x, p) of a1 and b1 of
+    # the full covariance; negativity() builds it from the moment block.
+    rng = np.random.default_rng(29)
+    sets = [
+        ModelParams(eps, temp, gamma)
+        for eps, temp, gamma in zip(
+            rng.uniform(0.2, 3.0, 6), rng.uniform(0.05, 5.0, 6), rng.uniform(0.0, 0.5, 6)
+        )
+    ]
+    starts = [initial_state(p, r) for p, r in zip(sets, rng.uniform(-3.0, 3.0, 6))]
+    start = GaussianState(
+        moment_matrix=np.array([s.moment_matrix for s in starts]),
+        eta=np.array([s.eta for s in starts]),
+    )
+    states = propagate(start, drift_matrix(sets), np.sort(rng.uniform(0.0, 6.0, 40)))
+    block = quadrature_covariance(states.moment_matrix)[..., [[0], [1], [4], [5]], [0, 1, 4, 5]]
+    expected = negativity(states).nu_min
+    assert expected.shape == (6, 40)
+    assert np.array_equal(min_symplectic_pt(block), expected)
 
 
 def test_a_nan_thermal_state_fails_checks_without_aborting_the_run(monkeypatch):

@@ -166,7 +166,7 @@ def test_verify_reports_a_numeric_error_as_a_failure(monkeypatch, capsys):
     def tampered(params):
         gen = drift_matrix(params)
         coupling = gen.coupling.copy()
-        coupling[0, 0] = 3.0
+        coupling[..., 0, 0] = 3.0
         return dataclasses.replace(gen, coupling=coupling)
 
     monkeypatch.setattr(checks, "drift_matrix", tampered)

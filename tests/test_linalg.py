@@ -75,7 +75,8 @@ def test_expm_rejects_non_hermitian():
 def test_expm_of_a_stack_is_each_matrix_at_each_scalar():
     h = np.array([[_random_hermitian(4, seed + 3 * row) for seed in range(3)] for row in range(2)])
     zs = np.array([0.7, 0.0, 0.4 - 1.1j, 0j])
-    stack = expm(h, zs)
+    # every matrix at every scalar: the caller adds the axis the scalars take
+    stack = expm(h[:, :, None], zs)
     assert stack.shape == (2, 3, 4, 4, 4)
     for index in np.ndindex(2, 3):
         assert np.array_equal(stack[index], expm(h[index], zs))
@@ -85,6 +86,24 @@ def test_expm_of_a_stack_is_each_matrix_at_each_scalar():
         assert np.array_equal(stack[index][3], np.eye(4, dtype=complex))
     # a scalar keeps the stack's own shape
     assert np.array_equal(expm(h, 0.3)[1, 2], expm(h[1, 2], 0.3))
+
+
+def test_expm_of_a_stack_at_a_matching_stack_of_scalars_is_each_single_call():
+    h = np.array([[_random_hermitian(4, seed + 3 * row) for seed in range(3)] for row in range(2)])
+    zs = np.array([[0.7, 0.0, 0.4 - 1.1j], [0j, 2.0j, -0.3]])
+    each = expm(h, zs)
+    assert each.shape == (2, 3, 4, 4)
+    for index in np.ndindex(2, 3):
+        assert np.array_equal(each[index], expm(h[index], zs[index]))
+    assert np.array_equal(each[0, 1], np.eye(4, dtype=complex))
+    assert np.array_equal(each[1, 0], np.eye(4, dtype=complex))
+    # a column of scalars broadcasts along each row of matrices
+    rows = expm(h, zs[:, :1])
+    for index in np.ndindex(2, 3):
+        assert np.array_equal(rows[index], expm(h[index], zs[index[0], 0]))
+    # scalars that do not broadcast against the stack are refused
+    with pytest.raises(ContractViolation, match="broadcast"):
+        expm(h, np.array([0.7, 0.0, 0.4, 0.1]))
 
 
 def test_expm_rejects_a_non_finite_or_non_hermitian_matrix_in_a_stack():

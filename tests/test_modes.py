@@ -175,9 +175,81 @@ def test_mode_builders_over_a_sequence_are_each_single_call():
         assert np.array_equal(drift.coupling[i], gen.coupling)
         assert drift.epsilon[i] == gen.epsilon and drift.gamma[i] == gen.gamma
         assert drift.eta[i] == gen.eta
-    # one generator at a time through the flow
-    with pytest.raises(ContractViolation):
-        flow(drift, 1.0)
+    # the stacked generator through the flow: every generator at every time
+    times = np.array([0.0, 0.4, 1.7, 5.0])
+    flows = flow(drift, times)
+    assert flows.shape == (len(sets), len(times), 4, 4)
+    for i, p in enumerate(sets):
+        assert np.array_equal(flows[i], flow(drift_matrix(p), times))
+        assert np.array_equal(flow(drift, 1.3)[i], flow(drift_matrix(p), 1.3))
+
+
+def _start_stack(sets, squeezes):
+    """One squeezed start per parameter set, as one state stack."""
+    starts = [initial_state(p, r) for p, r in zip(sets, squeezes)]
+    return GaussianState(
+        moment_matrix=np.array([s.moment_matrix for s in starts]),
+        eta=np.array([s.eta for s in starts]),
+    )
+
+
+def test_propagate_over_a_generator_stack_is_each_single_call():
+    sets = [
+        ModelParams(eps, temp, gamma) for eps, temp in EPS_TEMP_GRID[::3] for gamma in (0.0, 0.45)
+    ]
+    squeezes = np.linspace(-2.0, 3.0, len(sets))
+    start = _start_stack(sets, squeezes)
+    times = np.array([[0.0, 0.3], [2.5, 5.0], [0.7, 0.0]])
+    stack = propagate(start, drift_matrix(sets), times)
+    assert stack.moment_matrix.shape == (len(sets), 3, 2, 8, 8)
+    assert np.array_equal(stack.eta, start.eta)
+    for i, (p, r) in enumerate(zip(sets, squeezes)):
+        single = propagate(initial_state(p, r), drift_matrix(p), times).moment_matrix
+        assert np.array_equal(stack.moment_matrix[i], single)
+    # a scalar time gives one state per generator
+    at = propagate(start, drift_matrix(sets), 1.1).moment_matrix
+    assert at.shape == (len(sets), 8, 8)
+    for i, (p, r) in enumerate(zip(sets, squeezes)):
+        single = propagate(initial_state(p, r), drift_matrix(p), 1.1).moment_matrix
+        assert np.array_equal(at[i], single)
+
+
+def test_propagate_refuses_a_state_stack_that_does_not_match_the_generators():
+    sets = [ModelParams(1.0, 0.1, 0.5), ModelParams(2.0, 0.5, 0.3), ModelParams(0.5, 5.0, 0.1)]
+    gens = drift_matrix(sets)
+    start = _start_stack(sets, (1.0, 0.0, -1.0))
+    # one entry from another temperature
+    swapped = _start_stack([sets[0], ModelParams(2.0, 0.6, 0.3), sets[2]], (1.0, 0.0, -1.0))
+    with pytest.raises(ContractViolation, match="different thermal parameters"):
+        propagate(swapped, gens, 1.0)
+    # the stack in another order
+    reordered = GaussianState(moment_matrix=start.moment_matrix[::-1], eta=start.eta[::-1])
+    with pytest.raises(ContractViolation, match="different thermal parameters"):
+        propagate(reordered, gens, np.array([0.0, 1.0]))
+    # one state for a stack of generators, and a stack of states for one generator
+    with pytest.raises(ContractViolation, match="different thermal parameters"):
+        propagate(initial_state(sets[0], 1.0), drift_matrix(sets[:1]), 1.0)
+    with pytest.raises(ContractViolation, match="different thermal parameters"):
+        propagate(_start_stack(sets[:1], (1.0,)), drift_matrix(sets[0]), 1.0)
+    # a stack of states per generator
+    later = propagate(start, gens, np.array([0.5, 1.0, 2.0]))
+    with pytest.raises(ContractViolation, match="one state each"):
+        propagate(later, gens, 1.0)
+    # a NaN eta matches nothing
+    nan = GaussianState(moment_matrix=start.moment_matrix, eta=np.array([np.nan, *start.eta[1:]]))
+    with pytest.raises(ContractViolation, match="different thermal parameters"):
+        propagate(nan, gens, 1.0)
+
+
+def test_gaussian_state_takes_eta_over_its_leading_axes_only():
+    g = np.broadcast_to(_reference(0.5), (3, 2, 8, 8))
+    assert GaussianState(moment_matrix=g, eta=np.full(3, 0.5)).moment_matrix.shape == (3, 2, 8, 8)
+    assert GaussianState(moment_matrix=g, eta=np.full((3, 2), 0.5)).eta.shape == (3, 2)
+    for eta in (np.full(2, 0.5), np.full((3, 2, 8), 0.5), np.full(8, 0.5)):
+        with pytest.raises(ContractViolation, match="does not lead"):
+            GaussianState(moment_matrix=g, eta=eta)
+    with pytest.raises(ContractViolation, match="does not lead"):
+        GaussianState(moment_matrix=_reference(0.5), eta=np.full(8, 0.5))
 
 
 def test_gaussian_state_stores_the_swap_symmetrised_stack():
