@@ -11,15 +11,16 @@ The checks are pure functions of their parameter grids, so a harness can
 inject out-of-window couplings or a tampered drift builder and watch the
 corresponding check fail; nothing here is ever skipped or clamped.
 
-Each oracle check evaluates its whole (eps, T, gamma) grid as stacked
-arrays: one stack of generators, one stack of mode maps, drift matrices and
-mode operators, one fluctuation_inner for the thermal mode tables and one
-eigh for the Weyl observables. The 8x8 reference of the last two checks
-propagates every curve config of the level as one stack over their shared
-time grid and reads one quadrature covariance of it. Every residual is the
-one a loop over the grid points gives, to the last bit. The parameter grid
-and the curve configs hold only frozen objects, so each is built once per
-process.
+Each oracle check evaluates its whole (eps, T, gamma) grid as one
+array-valued ModelParams of shape (gammas, eps and T pairs), and every
+builder broadcasts over it: one stack of generators, one stack of mode maps,
+drift matrices and mode operators, one fluctuation_inner for the thermal
+mode tables and one eigh for the Weyl observables. The 8x8 reference of the
+last two checks propagates every curve config of the level as one stack over
+their shared time grid and reads one quadrature covariance of it. Every
+residual is the one a loop over the grid points gives, to the last bit. The
+parameter grid and the curve configs hold only read-only values, so each is
+built once per process.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .errors import ContractViolation, NumericError
 from .experiments import ExperimentConfig, run_curve
 from .linalg import STRUCTURAL_TOL
 from .modes import (
-    GaussianState,
     drift_matrix,
     initial_state,
     mode_operators,
@@ -116,33 +116,16 @@ def _eps_temps(level: str) -> tuple[tuple[float, float], ...]:
     return FULL_EPS_TEMPS if level == "full" else FAST_EPS_TEMPS
 
 
-# A level's parameter sets: one row per gamma, one column per (eps, T).
-_Grid = tuple[tuple[ModelParams, ...], ...]
-
-
 @cache
-def _parameter_grid(level: str) -> _Grid:
+def _parameter_grid(level: str) -> ModelParams:
     """The level's parameter sets, one row per gamma and one column per (eps, T)."""
-    return tuple(
-        tuple(ModelParams(eps, temp, gamma) for eps, temp in _eps_temps(level))
-        for gamma in DEFAULT_GAMMAS
-    )
+    eps, temps = np.array(_eps_temps(level)).T
+    return ModelParams(eps, temps, np.array(DEFAULT_GAMMAS)[:, None])
 
 
-def _generator_stack(grid: _Grid) -> np.ndarray:
-    """The generator at every point of grid, shape (rows, columns, 16, 16).
-
-    The generator reads eps and gamma but not T, so one liouvillian call
-    builds one per (eps, gamma), from the first column of that eps, and
-    every column of the same eps holds a copy of it.
-    """
-    first: dict[float, int] = {}
-    for column, params in enumerate(grid[0]):
-        first.setdefault(params.epsilon, column)
-    built = list(first.values())
-    slot = [built.index(first[params.epsilon]) for params in grid[0]]
-    stack = liouvillian([row[column] for row in grid for column in built]).matrix
-    return stack.reshape(len(grid), len(built), *stack.shape[-2:])[:, slot]
+def _first_row(grid: ModelParams) -> ModelParams:
+    """Row 0 of grid, one set per (eps, T): thermal states and modes do not read gamma."""
+    return ModelParams(grid.epsilon[0], grid.temperature[0], grid.gamma[0])
 
 
 @lru_cache(maxsize=1)
@@ -151,20 +134,15 @@ def _pauli_words() -> np.ndarray:
     return frozen(np.column_stack([vec(kron2(i, j)) for i in range(4) for j in range(4)]))
 
 
-def _thermal_states(columns: tuple[ModelParams, ...]) -> np.ndarray:
-    """rho of the thermal state at each (eps, T) of columns, shape (P, 4, 4)."""
-    return np.array([thermal_state(params).rho for params in columns])
-
-
 def check_thermal_invariance(level: str = "fast") -> CheckResult:
     """The thermal state is stationary: w(L[P]) = 0 for all 16 Pauli words."""
     grid = _parameter_grid(level)
-    return _thermal_invariance(_thermal_states(grid[0]), _generator_stack(grid))
+    return _thermal_invariance(thermal_state(_first_row(grid)).rho, liouvillian(grid).matrix)
 
 
 def _thermal_invariance(rho: np.ndarray, generators: np.ndarray) -> CheckResult:
     # w(Y) = tr(rho Y) = vec(rho^T) . vec(Y), and vec(rho^T) is rho read by rows
-    weights = rho.reshape(len(rho), 1, -1)
+    weights = rho.reshape(rho.shape[:-2] + (1, -1))
     values = weights @ (generators @ _pauli_words())
     return _result("thermal-invariance", np.abs(values), STRUCTURAL_TOL)
 
@@ -172,15 +150,14 @@ def _thermal_invariance(rho: np.ndarray, generators: np.ndarray) -> CheckResult:
 def check_generator_match(level: str = "fast") -> CheckResult:
     """Microscopic restriction equals the mesoscopic drift, block by block."""
     grid = _parameter_grid(level)
-    return _generator_match(grid, _generator_stack(grid))
+    return _generator_match(grid, liouvillian(grid).matrix)
 
 
-def _generator_match(grid: _Grid, generators: np.ndarray) -> CheckResult:
-    # every generator projected at once, then conjugated by its (eps, T) mode map
-    ext = extract_mode_generator(Superoperator(generators), grid[0])
+def _generator_match(grid: ModelParams, generators: np.ndarray) -> CheckResult:
+    # every generator projected at once, then conjugated by its own mode map
+    ext = extract_mode_generator(Superoperator(generators), grid)
     g = ext.mode_generator
-    m = drift_matrix([params for row in grid for params in row]).matrix
-    m_t = m.reshape(g.shape[:-2] + m.shape[-2:]).swapaxes(-1, -2)
+    m_t = drift_matrix(grid).matrix.swapaxes(-1, -2)
     residuals = [
         ext.residual,
         np.abs(ext.identity_coeffs).max(),
@@ -192,28 +169,26 @@ def _generator_match(grid: _Grid, generators: np.ndarray) -> CheckResult:
     return _result("generator-match", residuals, CLOSURE_TOL)
 
 
-def _thermal_mode_tables(
-    columns: tuple[ModelParams, ...], rho: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """eta and the tables <a, a>, <a^dag, a^dag>, <a^dag, a> at each (eps, T) of columns.
+def _thermal_mode_tables(params: ModelParams, rho: np.ndarray) -> tuple[np.ndarray, ...]:
+    """eta and the tables <a, a>, <a^dag, a^dag>, <a^dag, a> of every set of params.
 
-    rho holds the thermal state of each column. eta has shape (P,) and each
-    table (P, 4, 4): every state and every mode pair from one
-    fluctuation_inner.
+    rho holds the thermal state of each set. For params of shape S, eta has
+    shape S and each table S + (4, 4): every state and every mode pair from
+    one fluctuation_inner.
     """
-    a = mode_operators(columns)
+    a = mode_operators(params)
     ad = a.conj().swapaxes(-1, -2)
-    x, y = np.stack([a, ad, ad], axis=1), np.stack([a, ad, a], axis=1)
-    # states (P, 1, 1, 1, 4, 4) against operator pairs (P, 3, 4, 4, 4, 4)
-    state = ThermalSiteState(rho=rho[:, None, None, None])
-    tables = fluctuation_inner(x[:, :, :, None], y[:, :, None, :], state)
-    return np.array([p.eta for p in columns]), tables[:, 0], tables[:, 1], tables[:, 2]
+    x, y = np.stack([a, ad, ad], axis=-4), np.stack([a, ad, a], axis=-4)
+    # states S + (1, 1, 1, 4, 4) against operator pairs S + (3, 4, 4, 4, 4)
+    state = ThermalSiteState(rho=rho[..., None, None, None, :, :])
+    tables = fluctuation_inner(x[..., :, None, :, :], y[..., None, :, :, :], state)
+    return params.eta, tables[..., 0, :, :], tables[..., 1, :, :], tables[..., 2, :, :]
 
 
 def check_mode_ccr(level: str = "fast") -> CheckResult:
     """Canonical commutators of all four modes through the fluctuation form."""
-    columns = _parameter_grid(level)[0]
-    return _mode_ccr(_thermal_mode_tables(columns, _thermal_states(columns)))
+    columns = _first_row(_parameter_grid(level))
+    return _mode_ccr(_thermal_mode_tables(columns, thermal_state(columns).rho))
 
 
 def _mode_ccr(tables: tuple[np.ndarray, ...]) -> CheckResult:
@@ -245,8 +220,8 @@ def check_thermal_covariance(level: str = "fast") -> CheckResult:
     Upper-left block: the symmetric table (1/2)w(a_i^dag a_j + a_j a_i^dag);
     lower-left block: minus the anomalous table (1/2)w(a_i a_j + a_j a_i).
     """
-    columns = _parameter_grid(level)[0]
-    return _thermal_covariance(_thermal_mode_tables(columns, _thermal_states(columns)))
+    columns = _first_row(_parameter_grid(level))
+    return _thermal_covariance(_thermal_mode_tables(columns, thermal_state(columns).rho))
 
 
 def _thermal_covariance(tables: tuple[np.ndarray, ...]) -> CheckResult:
@@ -286,14 +261,10 @@ def _reference_stacks(level: str) -> _Reference:
     covariance has shape (configs, times, 8, 8).
     """
     configs = _curve_configs(level)
-    sets = [ModelParams(c.epsilon, c.temperature, c.gamma) for c in configs]
-    starts = [initial_state(params, c.squeeze_r) for params, c in zip(sets, configs)]
-    start = GaussianState(
-        moment_matrix=np.array([s.moment_matrix for s in starts]),
-        eta=np.array([s.eta for s in starts]),
-    )
+    fields = np.array([(c.epsilon, c.temperature, c.gamma, c.squeeze_r) for c in configs]).T
+    params = ModelParams(*fields[:3])
     times = np.linspace(0.0, configs[0].t_max, configs[0].t_steps)
-    states = propagate(start, drift_matrix(sets), times)
+    states = propagate(initial_state(params, fields[3]), drift_matrix(params), times)
     return configs, quadrature_covariance(states.moment_matrix)
 
 
@@ -334,9 +305,10 @@ def run_checks(level: str = "fast") -> list[CheckResult]:
     if level not in ("fast", "full"):
         raise ValueError(f"verification level must be 'fast' or 'full', got {level!r}")
     grid = _parameter_grid(level)
-    gens = cache(lambda: _generator_stack(grid))
-    states = cache(lambda: _thermal_states(grid[0]))
-    tables = cache(lambda: _thermal_mode_tables(grid[0], states()))
+    gens = cache(lambda: liouvillian(grid).matrix)
+    columns = _first_row(grid)
+    states = cache(lambda: thermal_state(columns).rho)
+    tables = cache(lambda: _thermal_mode_tables(columns, states()))
     stacks = cache(partial(_reference_stacks, level))
     suite = (
         ("dissipation-spectrum", STRUCTURAL_TOL, lambda: check_dissipation_spectrum()),

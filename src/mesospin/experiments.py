@@ -10,8 +10,9 @@ negativity.negativity) is the independent reference that the tests and
 `mesospin verify` compare curves against. The engine is certified to
 SPECTRAL_TOL against a 50-digit reference for |squeeze_r| <= SQUEEZE_R_MAX;
 larger squeezes are refused. A sweep is validated once, as its config, and
-evaluates all of its curves in the same batched pass, with a leading axis over
-the swept values; run_curve is the one-value case of that pass.
+evaluates all of its curves in the same batched pass, from one ModelParams
+whose swept field is the array of swept values; run_curve is the one-value
+case of that pass.
 CSV files are written with fixed 12-significant-digit formatting and '\\n'
 line endings, so repeated runs are byte-identical.
 """
@@ -105,13 +106,16 @@ class ExperimentConfig:
                 )
             object.__setattr__(self, name, values)
         # ModelParams owns the physical domain. Build it for every parameter
-        # set a run can use, so a bad value surfaces now, with the config field
-        # that carried it named, rather than later inside the numerics.
-        # ModelParams's own messages name the scalar field at fault.
-        runs = [("", self.temperature, self.gamma)]
-        runs += [("gamma_list: ", self.temperature, g) for g in self.gamma_list]
-        runs += [("temperature_list: ", t, self.gamma) for t in self.temperature_list]
-        for prefix, temperature, gamma in runs:
+        # set a run can use, one row at a time, so a bad value surfaces now,
+        # with the config field that carried it named, rather than later inside
+        # the numerics. ModelParams's own messages name the scalar field at
+        # fault and the first failing value of a list.
+        rows = (
+            ("", self.temperature, self.gamma),
+            ("gamma_list: ", self.temperature, self.gamma_list),
+            ("temperature_list: ", self.temperature_list, self.gamma),
+        )
+        for prefix, temperature, gamma in rows:
             try:
                 ModelParams(self.epsilon, temperature, gamma)
             except ContractViolation as exc:
@@ -165,9 +169,9 @@ class NegativityCurve:
 
 
 def _curves(
-    config: ExperimentConfig, sets: Sequence[ModelParams], metas: Sequence[dict]
+    config: ExperimentConfig, params: ModelParams, metas: Sequence[dict]
 ) -> tuple[NegativityCurve, ...]:
-    """Negativity of the squeezed thermal state, one curve per parameter set.
+    """Negativity of the squeezed thermal state, one curve per set of params, in flat order.
 
     Every curve is evaluated on the config's time grid in one batched pass.
     The variances must start at t = 0 in the exact squeezed state (np.exp, not
@@ -176,8 +180,9 @@ def _curves(
     and uncertainty checks of min_symplectic_pt_grid come before this one.
     """
     times = np.linspace(0.0, config.t_max, config.t_steps)
-    x, p = normal_mode_variances(sets, config.squeeze_r, times)
-    thermal = 1.0 / np.array([s.eta for s in sets])[:, None, None]
+    x, p = normal_mode_variances(params, config.squeeze_r, times)
+    x, p = x.reshape(-1, 2, len(times)), p.reshape(-1, 2, len(times))
+    thermal = 1.0 / np.reshape(params.eta, (-1, 1, 1))
     r = abs(config.squeeze_r)
     x0, p0 = thermal * np.exp(2.0 * r), thermal * np.exp(-2.0 * r)
     lo, hi = 1.0 - _ENVELOPE_RTOL, 1.0 + _ENVELOPE_RTOL
@@ -204,7 +209,7 @@ def _curves(
 def run_curve(config: ExperimentConfig) -> NegativityCurve:
     """The negativity curve of one configuration: a sweep of one value."""
     params = ModelParams(config.epsilon, config.temperature, config.gamma)
-    return _curves(config, (params,), (config.meta(),))[0]
+    return _curves(config, params, (config.meta(),))[0]
 
 
 @dataclass(frozen=True)
@@ -219,13 +224,14 @@ class SweepResult:
 
 
 def _sweep(config: ExperimentConfig, parameter: str, values: Sequence[float]) -> SweepResult:
-    # The config validated every value already: build each curve's parameters
-    # directly rather than a new config per value.
+    # The config validated every value already: build the curves' parameters
+    # directly, the swept field an array of the values, rather than a new
+    # config per value.
     base = config.meta()
     fixed = {name: base[name] for name in ("epsilon", "temperature", "gamma")}
-    sets = tuple(ModelParams(**{**fixed, parameter: v}) for v in values)
+    params = ModelParams(**{**fixed, parameter: np.array(values, dtype=float)})
     metas = tuple({**base, parameter: float(v)} for v in values)
-    curves = _curves(config, sets, metas)
+    curves = _curves(config, params, metas)
     summary = tuple(
         (float(v), c.max_log_negativity, c.lifetime())
         for v, c in zip(values, curves)

@@ -5,11 +5,11 @@ fluctuation field with two ladder modes per chain: a1, a2 for chain one and
 b1, b2 for chain two. This module owns the change of basis between site
 observables and modes, the quadratic drift generator of the dissipative
 evolution, and the closed-form propagation of Gaussian moment matrices.
-mode_map(), mode_operators() and drift_matrix() take one parameter set or a
-sequence of V; a sequence gives (V, ...) stacks computed by array arithmetic,
-each entry bit for bit what the call on its own set returns. No
-time stepping is involved: the drift is linear, so the flow is an exact
-matrix exponential conjugation toward the thermal fixed point.
+Every builder broadcasts over the parameters: a ModelParams of shape S gives
+arrays of shape S + (n, n), computed by array arithmetic, each entry bit for
+bit what the call on its own parameter set returns. No time stepping is
+involved: the drift is linear, so the flow is an exact matrix exponential
+conjugation toward the thermal fixed point.
 
 Two propagators share that flow. propagate() conjugates the full 8x8 moment
 matrix by exp(tM) from flow(), which diagonalises the coupling K numerically and
@@ -18,20 +18,19 @@ times, or a stacked generator and a matching state stack, flow() and
 propagate() return stacks over the generators and the times, entry for entry
 what single calls return. The fixed point is thermal_moments().
 normal_mode_variances() evaluates only the first modes, in closed form and over
-a whole time grid at once, for one parameter set or a stack of them; it is
+a whole time grid at once, for every parameter set of a ModelParams; it is
 what curves are computed from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractViolation
 from .linalg import STRUCTURAL_TOL, expm
-from .sites import SIGMA0, SIGMA_MINUS, ModelParams, frozen, parameter_sets
+from .sites import SIGMA0, SIGMA_MINUS, ModelParams, frozen
 
 
 @dataclass(frozen=True)
@@ -48,46 +47,40 @@ class ModeMap:
     inverse: np.ndarray
 
 
-def _field(sets: tuple[ModelParams, ...], name: str) -> np.ndarray:
-    """One field of every set, shape (V,)."""
-    return np.array([getattr(s, name) for s in sets])
+def mode_map(params: ModelParams) -> ModeMap:
+    """The mode map of every parameter set, matrix and inverse of shape S + (8, 8).
 
-
-def mode_map(params: ModelParams | Sequence[ModelParams]) -> ModeMap:
-    """The mode map of one parameter set, or (V, 8, 8) stacks for a sequence of V.
-
-    The stack is filled entry by entry from (V,) coefficient arrays; every
-    entry is the same floating-point expression as for one set, so each
+    The stack is filled entry by entry from coefficient arrays of shape S;
+    every entry is the same floating-point expression as for one set, so each
     matrix is bit for bit what the call on its own set returns.
     """
-    sets, stack = parameter_sets(params)
-    eta, w = _field(sets, "eta"), _field(sets, "eta_perp")
+    eta, w = np.asarray(params.eta), np.asarray(params.eta_perp)
     sq = np.sqrt(eta)
     c1 = 1.0 / (2.0 * sq)
     c2 = sq / (2.0 * w)
 
-    r = np.zeros((len(sets), 8, 8), dtype=complex)
-    r[:, 0, 0], r[:, 0, 1] = c1, -1.0j * c1
-    r[:, 1, 0], r[:, 1, 1] = c2, -1.0j * c2
+    r = np.zeros(eta.shape + (8, 8), dtype=complex)
+    r[..., 0, 0], r[..., 0, 1] = c1, -1.0j * c1
+    r[..., 1, 0], r[..., 1, 1] = c2, -1.0j * c2
     # The quotient is real: numpy divides a complex array by a real one through
     # the reciprocal, which can round c2 / eta differently.
-    r[:, 1, 2], r[:, 1, 3] = c2 / eta, -1.0j * (c2 / eta)
-    r[:, 2, 4], r[:, 2, 5] = c1, -1.0j * c1
-    r[:, 3, 4], r[:, 3, 5] = c2, -1.0j * c2
-    r[:, 3, 6], r[:, 3, 7] = c2 / eta, -1.0j * (c2 / eta)
-    r[:, 4:, :] = r[:, :4, :].conj()
+    r[..., 1, 2], r[..., 1, 3] = c2 / eta, -1.0j * (c2 / eta)
+    r[..., 2, 4], r[..., 2, 5] = c1, -1.0j * c1
+    r[..., 3, 4], r[..., 3, 5] = c2, -1.0j * c2
+    r[..., 3, 6], r[..., 3, 7] = c2 / eta, -1.0j * (c2 / eta)
+    r[..., 4:, :] = r[..., :4, :].conj()
 
-    inv = np.zeros((len(sets), 8, 8), dtype=complex)
-    inv[:, 0, 0], inv[:, 0, 4] = sq, sq
-    inv[:, 1, 0], inv[:, 1, 4] = 1.0j * sq, -1.0j * sq
-    inv[:, 2, 0], inv[:, 2, 1] = -eta * sq, w * sq
-    inv[:, 2, 4], inv[:, 2, 5] = -eta * sq, w * sq
-    inv[:, 3, 0], inv[:, 3, 1] = -1.0j * eta * sq, 1.0j * w * sq
-    inv[:, 3, 4], inv[:, 3, 5] = 1.0j * eta * sq, -1.0j * w * sq
-    inv[:, 4:, 2:4] = inv[:, :4, 0:2]
-    inv[:, 4:, 6:8] = inv[:, :4, 4:6]
+    inv = np.zeros(eta.shape + (8, 8), dtype=complex)
+    inv[..., 0, 0], inv[..., 0, 4] = sq, sq
+    inv[..., 1, 0], inv[..., 1, 4] = 1.0j * sq, -1.0j * sq
+    inv[..., 2, 0], inv[..., 2, 1] = -eta * sq, w * sq
+    inv[..., 2, 4], inv[..., 2, 5] = -eta * sq, w * sq
+    inv[..., 3, 0], inv[..., 3, 1] = -1.0j * eta * sq, 1.0j * w * sq
+    inv[..., 3, 4], inv[..., 3, 5] = 1.0j * eta * sq, -1.0j * w * sq
+    inv[..., 4:, 2:4] = inv[..., :4, 0:2]
+    inv[..., 4:, 6:8] = inv[..., :4, 4:6]
 
-    return ModeMap(matrix=r, inverse=inv) if stack else ModeMap(matrix=r[0], inverse=inv[0])
+    return ModeMap(matrix=r, inverse=inv)
 
 
 # sigma_- x 1 and 1 x sigma_-, the constant Kronecker factors of the modes.
@@ -95,7 +88,7 @@ _LOWER_ONE = frozen(np.kron(SIGMA_MINUS, SIGMA0))
 _LOWER_TWO = frozen(np.kron(SIGMA0, SIGMA_MINUS))
 
 
-def mode_operators(params: ModelParams | Sequence[ModelParams]) -> np.ndarray:
+def mode_operators(params: ModelParams) -> np.ndarray:
     """The four annihilation modes a1, a2, b1, b2 assembled directly as site matrices.
 
     Equivalent to applying the mode map to the observable vector, but immune
@@ -104,14 +97,14 @@ def mode_operators(params: ModelParams | Sequence[ModelParams]) -> np.ndarray:
     eta >= 1/2 and loses nothing below. The second modes sigma_- x d and
     d x sigma_- with d = diag(1 + 1/eta, -(1-eta)/eta) are the lowering
     factors with their columns scaled by the diagonal of 1 x d and d x 1.
-    One set gives shape (4, 4, 4), mode first; a sequence of V sets gives
-    (V, 4, 4, 4), each entry bit for bit what its own call returns.
+    The result has shape S + (4, 4, 4), mode first, each entry bit for bit
+    what its own call returns.
     """
-    sets, stack = parameter_sets(params)
-    eta, w = _field(sets, "eta")[:, None, None], _field(sets, "eta_perp")[:, None, None]
+    eta = np.asarray(params.eta)[..., None, None]
+    w = np.asarray(params.eta_perp)[..., None, None]
     sq = np.sqrt(eta)
     c2 = sq / (2.0 * w)
-    d = np.concatenate([1.0 + 1.0 / eta, -(1.0 - eta) / eta], axis=-1)  # (V, 1, 2)
+    d = np.concatenate([1.0 + 1.0 / eta, -(1.0 - eta) / eta], axis=-1)  # S + (1, 2)
     ops = np.stack(
         [
             _LOWER_ONE / sq,
@@ -119,9 +112,9 @@ def mode_operators(params: ModelParams | Sequence[ModelParams]) -> np.ndarray:
             _LOWER_TWO / sq,
             2.0 * c2 * (_LOWER_TWO * np.repeat(d, 2, axis=-1)),
         ],
-        axis=1,
+        axis=-3,
     )
-    return ops if stack else ops[0]
+    return ops
 
 
 @dataclass(frozen=True)
@@ -136,33 +129,30 @@ class MesoGenerator:
 
     matrix: np.ndarray
     coupling: np.ndarray
-    epsilon: float
-    gamma: float
-    eta: float
+    epsilon: float | np.ndarray
+    gamma: float | np.ndarray
+    eta: float | np.ndarray
 
 
-def drift_matrix(params: ModelParams | Sequence[ModelParams]) -> MesoGenerator:
-    """The drift of one parameter set, or of a sequence of V as one stacked generator.
+def drift_matrix(params: ModelParams) -> MesoGenerator:
+    """The drift of every parameter set, as one generator or one stacked generator.
 
-    A stack holds matrix and coupling of shape (V, 4, 4) and epsilon, gamma
-    and eta of shape (V,), each entry bit for bit what its own call returns.
+    matrix and coupling have shape S + (4, 4) and epsilon, gamma and eta are
+    the fields of params, each entry bit for bit what its own call returns.
     flow() and propagate() take a stack as readily as one generator.
     """
-    sets, stack = parameter_sets(params)
-    eta, w = _field(sets, "eta"), _field(sets, "eta_perp")
-    epsilon, gamma = _field(sets, "epsilon"), _field(sets, "gamma")
-    k = np.zeros((len(sets), 4, 4))
-    k[:, 0, 2], k[:, 0, 3] = -eta, w
-    k[:, 1, 2], k[:, 1, 3] = w, eta
-    k[:, 2:, :2] = k[:, :2, 2:].swapaxes(-1, -2)
+    eta, w = np.asarray(params.eta), np.asarray(params.eta_perp)
+    k = np.zeros(eta.shape + (4, 4))
+    k[..., 0, 2], k[..., 0, 3] = -eta, w
+    k[..., 1, 2], k[..., 1, 3] = w, eta
+    k[..., 2:, :2] = k[..., :2, 2:].swapaxes(-1, -2)
     m = (
-        -(1.0 + 1.0j * epsilon)[:, None, None] * np.eye(4, dtype=complex)
-        + gamma[:, None, None] * k
+        -(1.0 + 1.0j * np.asarray(params.epsilon))[..., None, None] * np.eye(4, dtype=complex)
+        + np.asarray(params.gamma)[..., None, None] * k
     )
-    if stack:
-        return MesoGenerator(matrix=m, coupling=k, epsilon=epsilon, gamma=gamma, eta=eta)
-    p = sets[0]
-    return MesoGenerator(matrix=m[0], coupling=k[0], epsilon=p.epsilon, gamma=p.gamma, eta=p.eta)
+    return MesoGenerator(
+        matrix=m, coupling=k, epsilon=params.epsilon, gamma=params.gamma, eta=params.eta
+    )
 
 
 @dataclass(frozen=True)
@@ -213,24 +203,27 @@ def thermal_moments(eta) -> np.ndarray:
     return np.eye(8, dtype=complex) / (2.0 * np.asarray(eta)[..., None, None])
 
 
-def initial_state(params: ModelParams, squeeze_r: float = 0.0) -> GaussianState:
+def initial_state(params: ModelParams, squeeze_r=0.0) -> GaussianState:
     """Thermal fluctuation state with both first modes squeezed by r.
 
     The squeeze acts independently on a1 and b1 with the same real parameter
     (alpha -> cosh(r) alpha - sinh(r) alpha*), so the state is a product over
     the two chains and carries no cross correlations: entanglement between
     the chains can only be generated by the common bath afterwards.
-    r = 0 returns the exact fixed point thermal_moments(eta).
+    r = 0 returns the exact fixed point thermal_moments(eta). params of
+    shape S and r, a scalar or an array, broadcast to one shape B; the state
+    stack has shape B + (8, 8) and its eta shape B.
     """
-    r = float(squeeze_r)
-    if not np.isfinite(r):
+    r = np.asarray(squeeze_r, dtype=float)
+    if not np.all(np.isfinite(r)):
         raise ContractViolation(f"squeeze parameter must be finite, got {squeeze_r!r}")
-    eta = params.eta
+    shape = np.broadcast_shapes(np.shape(params.eta), r.shape)
+    eta = np.broadcast_to(params.eta, shape) if shape else params.eta
     g = thermal_moments(eta)
     for i in (0, 2):  # a1 and b1, and their conjugates at i + 4
-        thermal = g[i, i]
-        g[i, i] = g[i + 4, i + 4] = np.cosh(2.0 * r) * thermal
-        g[i + 4, i] = g[i, i + 4] = np.sinh(2.0 * r) * thermal
+        thermal = g[..., i, i].copy()
+        g[..., i, i] = g[..., i + 4, i + 4] = np.cosh(2.0 * r) * thermal
+        g[..., i + 4, i] = g[..., i, i + 4] = np.sinh(2.0 * r) * thermal
     return GaussianState(moment_matrix=g, eta=eta)
 
 
@@ -239,9 +232,9 @@ def flow(gen: MesoGenerator, t) -> np.ndarray:
 
     The identity part of M commutes with K and factors out as a scalar; the
     Hermitian exponential of the coupling is taken from its eigendecomposition.
-    An array t of shape S gives shape S + (4, 4); a stack of V generators gives
-    (V,) + S + (4, 4), every generator at every time, each entry bit for bit
-    the single call. t = 0 gives the exact identity.
+    An array t of shape S gives shape S + (4, 4); a generator stack of shape
+    G gives G + S + (4, 4), every generator at every time, each entry bit for
+    bit the single call. t = 0 gives the exact identity.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)) or np.any(t < 0.0):
@@ -261,27 +254,27 @@ def propagate(state: GaussianState, gen: MesoGenerator, t) -> GaussianState:
     T = exp(tM) (+) conj(exp(tM)) and Gamma_th = thermal_moments(eta); the
     deviation from the fixed point is conjugated by a strict contraction
     whenever gamma < 1. An array t of shape S gives a stack S + (8, 8). A
-    stack of V generators takes one state per generator, a (V, 8, 8) stack
-    whose eta matches each generator's, and gives (V,) + S + (8, 8) with eta
-    of shape (V,), each entry bit for bit the single call.
+    generator stack of shape G takes one state per generator, a G + (8, 8)
+    stack whose eta matches each generator's, and gives G + S + (8, 8) with
+    eta of shape G, each entry bit for bit the single call.
     """
     u = flow(gen, t)
-    stack = np.shape(gen.eta)
+    lead = np.shape(gen.eta)
     # Written as not (x <= limit), so that a NaN fails.
-    if np.shape(state.eta) != stack or not np.all(np.abs(state.eta - gen.eta) <= 1e-15):
+    if np.shape(state.eta) != lead or not np.all(np.abs(state.eta - gen.eta) <= 1e-15):
         raise ContractViolation(
             "state and generator were built from different thermal parameters"
         )
-    if stack and state.moment_matrix.shape[:-2] != stack:
+    if lead and state.moment_matrix.shape[:-2] != lead:
         raise ContractViolation(
-            f"{stack[0]} generators take one state each, got {state.moment_matrix.shape}"
+            f"generators of shape {lead} take one state each, got {state.moment_matrix.shape}"
         )
     transfer = np.zeros(u.shape[:-2] + (8, 8), dtype=complex)
     transfer[..., :4, :4] = u
     transfer[..., 4:, 4:] = u.conj()
     reference = thermal_moments(state.eta)
     deviation = state.moment_matrix - reference
-    if stack:  # each generator's state and fixed point meet every time
+    if lead:  # each generator's state and fixed point meet every time
         at = (..., *(None,) * np.ndim(t), slice(None), slice(None))
         deviation, reference = deviation[at], reference[at]
     g = transfer.conj().swapaxes(-1, -2) @ deviation @ transfer
@@ -290,7 +283,7 @@ def propagate(state: GaussianState, gen: MesoGenerator, t) -> GaussianState:
 
 
 def normal_mode_variances(
-    params: ModelParams | Sequence[ModelParams], squeeze_r: float, times: np.ndarray
+    params: ModelParams, squeeze_r: float, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature variances of the modes (a1 +/- b1)/sqrt(2) over a time grid.
 
@@ -304,12 +297,11 @@ def normal_mode_variances(
     1 - q is summed from expm1 terms of one sign and 1 - eta comes from
     exp(2u), so no difference cancels at any r, t or temperature.
 
-    Returns (x, p), each of shape (2, len(times)) with rows sigma = +, -:
+    Returns (x, p), each of shape S + (2, len(times)) with rows sigma = +, -:
     x starts anti-squeezed at e^{2|r|}/eta, p squeezed at e^{-2|r|}/eta.
-    A sequence of V parameter sets gives shape (V, 2, len(times)), one curve
-    per set on the shared grid; the arithmetic is elementwise, so each curve
-    is bit for bit what its own call returns. The state depends on r only
-    through |r|.
+    Every parameter set gets one curve on the shared grid; the arithmetic is
+    elementwise, so each curve is bit for bit what its own call returns. The
+    state depends on r only through |r|.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or not np.all(np.isfinite(t)) or np.any(t < 0.0):
@@ -317,19 +309,20 @@ def normal_mode_variances(
     r = abs(float(squeeze_r))
     if not np.isfinite(r):
         raise ContractViolation(f"squeeze parameter must be finite, got {squeeze_r!r}")
-    sets, stack = parameter_sets(params)
-    eta = np.array([[[s.eta]] for s in sets])
-    low = [1.0 / (np.exp(s.epsilon * s.beta) + 1.0) for s in sets]  # (1 - eta) / 2
-    high = [0.5 * (1.0 + s.eta) for s in sets]
-    # Row sigma = + weighs the slow rate 1 - gamma by (1 - eta)/2.
-    slow_weight = np.array([[[a], [b]] for a, b in zip(low, high)])
-    fast_weight = np.array([[[b], [a]] for a, b in zip(low, high)])
-    slow = np.array([[[-(1.0 - s.gamma)]] for s in sets]) * t
-    fast = np.array([[[-(1.0 + s.gamma)]] for s in sets]) * t
-    q = slow_weight * np.exp(slow) + fast_weight * np.exp(fast)
-    one_minus_q = -(slow_weight * np.expm1(slow) + fast_weight * np.expm1(fast))
+    eta = np.asarray(params.eta)[..., None, None]
+    gamma = np.asarray(params.gamma)[..., None]
+    low = 1.0 / (np.exp(np.asarray(params.epsilon * params.beta)) + 1.0)[..., None]  # (1 - eta)/2
+    high = 0.5 * (1.0 + np.asarray(params.eta))[..., None]
+    slow = -(1.0 - gamma) * t
+    fast = -(1.0 + gamma) * t
+    # Row sigma = + weighs the slow rate 1 - gamma by (1 - eta)/2, row - by (1 + eta)/2.
+    def rows(at_slow: np.ndarray, at_fast: np.ndarray) -> np.ndarray:
+        return np.stack([low * at_slow + high * at_fast, high * at_slow + low * at_fast], axis=-2)
+
+    q = rows(np.exp(slow), np.exp(fast))
+    one_minus_q = -rows(np.expm1(slow), np.expm1(fast))
     w = q * q
     one_minus_w = one_minus_q * (1.0 + q)
     x = (1.0 + np.expm1(2.0 * r) * w) / eta
     p = (one_minus_w + np.exp(-2.0 * r) * w) / eta
-    return (x, p) if stack else (x[0], p[0])
+    return x, p

@@ -7,16 +7,16 @@ expectations whose central limit fixes the Gaussian fluctuation state. The
 mesoscopic propagation never depends on this module; it exists so the two
 routes can be compared.
 
-liouvillian() builds a whole stack of generators in one expression and
-extract_mode_generator() restricts a stack in one product, so a parameter
-grid costs a few array operations rather than a Python loop per point.
+liouvillian() builds the generator of every parameter set of an array-valued
+ModelParams in one expression and extract_mode_generator() restricts a stack
+in one product, so a parameter grid costs a few array operations rather than
+a Python loop per point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .sites import (
     frozen,
     lindblad_ops,
     observables,
-    parameter_sets,
     site_hamiltonian,
 )
 
@@ -106,26 +105,25 @@ def generator_pieces() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def liouvillian(params: ModelParams | Sequence[ModelParams]) -> Superoperator:
+def liouvillian(params: ModelParams) -> Superoperator:
     """Heisenberg generator L[X] = i[H,X] + (1/2) sum D_mn [[V_m,X],V_n^dag].
 
     The half in front of the double commutator makes the generator agree with
     the standard completely positive form (sum over both Lindblad pairings);
     unitality L[1] = 0 holds exactly by construction and is checked. The
-    matrix is eps L_H + L_0 + gamma L_1 from generator_pieces(). A sequence of
-    V parameter sets gives the (V, 16, 16) stack from the same one expression,
-    each generator bit for bit its own call's; every one must be unital, and
-    the error reports the largest ||L[1]||.
+    matrix is eps L_H + L_0 + gamma L_1 from generator_pieces(). params of
+    shape S gives the S + (16, 16) stack from the same one expression, each
+    generator bit for bit its own call's; every one must be unital, and the
+    error reports the largest ||L[1]||.
     """
     l_h, l_0, l_1 = generator_pieces()
-    sets, stack = parameter_sets(params)
-    epsilon = np.array([p.epsilon for p in sets])[:, None, None]
-    gamma = np.array([p.gamma for p in sets])[:, None, None]
+    epsilon = np.asarray(params.epsilon)[..., None, None]
+    gamma = np.asarray(params.gamma)[..., None, None]
     gen = epsilon * l_h + l_0 + gamma * l_1
     unital = np.abs(gen @ vec(np.eye(_DIM))).max(axis=-1)
     if not np.all(unital <= STRUCTURAL_TOL):
         raise ClosureError(f"generator is not unital: ||L[1]|| = {np.max(unital):.3e}")
-    return Superoperator(matrix=gen if stack else gen[0])
+    return Superoperator(matrix=gen)
 
 
 @dataclass(frozen=True)
@@ -138,8 +136,8 @@ class GeneratorExtraction:
     span of the identity and the observables. mode_generator is the
     restriction in the ladder basis (a1, a2, b1, b2, and conjugates); its
     upper-left block, annihilation_block, is the drift matrix of the
-    mesoscopic propagation, transposed. For a stack of generators or of
-    parameter sets, identity_coeffs, mode_generator and annihilation_block
+    mesoscopic propagation, transposed. For a stack of generators or an
+    array-valued ModelParams, identity_coeffs, mode_generator and annihilation_block
     are stacks over the broadcast leading axes, and residual is the largest
     over all of them.
     """
@@ -156,18 +154,16 @@ def _observable_basis() -> np.ndarray:
     return frozen(np.column_stack([vec(x) for x in (np.eye(_DIM),) + observables().ops]))
 
 
-def extract_mode_generator(
-    sup: Superoperator, params: ModelParams | Sequence[ModelParams]
-) -> GeneratorExtraction:
+def extract_mode_generator(sup: Superoperator, params: ModelParams) -> GeneratorExtraction:
     """Restrict sup to the observables and express it in the modes of params.
 
     The projection reads only sup; params fixes the mode basis. sup may hold
-    a stack of generators of shape G + (16, 16) and params be a sequence
-    whose mode maps have shape M + (8, 8): all generators are projected in
-    one product and then conjugated by the mode maps, G broadcast against M.
-    One generator with a sequence of sets, such as its temperatures, is
-    thus projected once and expressed in each set's modes. Every matrix is
-    bit for bit what the call on its own generator and set returns.
+    a stack of generators of shape G + (16, 16) and params have shape M: all
+    generators are projected in one product and then conjugated by the mode
+    maps of shape M + (8, 8), G broadcast against M. One generator with
+    params over temperatures is thus projected once and expressed in each
+    temperature's modes. Every matrix is bit for bit what the call on its own
+    generator and parameter set returns.
     """
     # Pauli words are orthogonal under tr(x^dag y) = 4 delta, so basis^H / 4 projects.
     basis = _observable_basis()

@@ -5,14 +5,15 @@ interact and every site couples to the environment the same way, the whole
 model is generated by one four-dimensional site algebra: the tensor product of
 one spin from chain one with one spin from chain two. Basis ordering is
 |s1 s2> with spin-up first, so sigma3 x 1 = diag(1, 1, -1, -1). Units are
-k_B = hbar = 1 throughout.
+k_B = hbar = 1 throughout. ModelParams holds one parameter set or, from
+arrays that broadcast to a shape S, one per entry of S; every builder that
+reads it broadcasts over S.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -41,9 +42,19 @@ def frozen(x: np.ndarray) -> np.ndarray:
     return x
 
 
+_INPUTS = ("epsilon", "temperature", "gamma")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Model parameters with derived thermal quantities.
+
+    epsilon, temperature and gamma are scalars or arrays that broadcast to one
+    shape S; every field then has shape S and entry i is what the parameter
+    set of entry i gives on its own. Scalars give Python floats, arrays
+    read-only float arrays. All entries are validated in one pass, and a
+    failure raises the message that the first failing entry, in flat order,
+    raises on its own.
 
     eta = tanh(epsilon*beta/2) is the single-site magnetization scale; it must
     lie strictly inside (0, 1). Parameters cold enough that eta rounds to 1.0
@@ -53,55 +64,74 @@ class ModelParams:
     forming it from eta would lose half the digits for eta near 1.
     """
 
-    epsilon: float = 1.0
-    temperature: float = 1.0
-    gamma: float = 0.5
-    beta: float = field(init=False)
-    eta: float = field(init=False)
-    eta_perp: float = field(init=False)
+    epsilon: float | np.ndarray = 1.0
+    temperature: float | np.ndarray = 1.0
+    gamma: float | np.ndarray = 0.5
+    beta: float | np.ndarray = field(init=False)
+    eta: float | np.ndarray = field(init=False)
+    eta_perp: float | np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("epsilon", "temperature", "gamma"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ContractViolation(f"{name} must be finite, got {value!r}")
-        if self.epsilon <= 0:
-            raise ContractViolation(f"epsilon must be positive, got {self.epsilon}")
-        if self.temperature <= 0:
+        values = [getattr(self, name) for name in _INPUTS]
+        try:
+            shape = np.broadcast(*values).shape
+        except ValueError:
             raise ContractViolation(
-                f"temperature must be positive, got {self.temperature}; at zero "
-                "temperature the thermal fluctuation structure contracts "
-                "(eta -> 1) and the model is undefined"
-            )
-        if not 0.0 <= self.gamma <= GAMMA_MAX:
-            raise ContractViolation(
-                f"gamma must lie in [0, {GAMMA_MAX}] for complete positivity, "
-                f"got {self.gamma}"
-            )
-        beta = 1.0 / self.temperature
-        u = 0.5 * self.epsilon * beta
-        eta = float(np.tanh(u))
-        if not 0.0 < eta < 1.0:
-            raise ContractViolation(
-                f"tanh(epsilon*beta/2) = {eta} must lie strictly in (0, 1); "
-                "the temperature is too low for finite-precision thermal structure"
-            )
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "eta_perp", float(1.0 / np.cosh(u)))
+                f"parameters of shapes {[np.shape(v) for v in values]} do not broadcast"
+            ) from None
+        # Arrays are filled into new ones, so that no caller's array can change
+        # them; one set stays in floats, whose numpy scalar arithmetic is cheap.
+        epsilon, temperature, gamma = (
+            [np.full(shape, v, dtype=float) for v in values] if shape else map(float, values)
+        )
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            beta = np.divide(1.0, temperature)
+            u = 0.5 * epsilon * beta
+            eta = np.tanh(u)
+            eta_perp = 1.0 / np.cosh(u)
+        # For positive epsilon and temperature, eta lies in (0, 1) only if both
+        # are finite, and a NaN gamma fails both of its bounds: this mask fails
+        # exactly the entries that _refusal refuses.
+        valid = (
+            (epsilon > 0.0) & (temperature > 0.0) & (gamma >= 0.0) & (gamma <= GAMMA_MAX)
+            & (eta > 0.0) & (eta < 1.0)
+        )
+        if not valid.all():
+            k = int(np.argmin(valid))
+            entry = (float(np.ravel(x)[k]) for x in (epsilon, temperature, gamma, eta))
+            raise ContractViolation(_refusal(*entry))
+        fields = (epsilon, temperature, gamma, beta, eta, eta_perp)
+        for name, value in zip((*_INPUTS, "beta", "eta", "eta_perp"), fields):
+            object.__setattr__(self, name, frozen(value) if shape else float(value))
 
 
-def parameter_sets(
-    params: ModelParams | Sequence[ModelParams],
-) -> tuple[tuple[ModelParams, ...], bool]:
-    """params as a tuple of sets, and whether it was a sequence (a stack) or one set."""
-    stack = not isinstance(params, ModelParams)
-    return (tuple(params) if stack else (params,)), stack
+def _refusal(epsilon: float, temperature: float, gamma: float, eta: float) -> str:
+    """Why ModelParams refuses one parameter set: its first failing check."""
+    for name, value in zip(_INPUTS, (epsilon, temperature, gamma)):
+        if not np.isfinite(value):
+            return f"{name} must be finite, got {value!r}"
+    if epsilon <= 0:
+        return f"epsilon must be positive, got {epsilon}"
+    if temperature <= 0:
+        return (
+            f"temperature must be positive, got {temperature}; at zero "
+            "temperature the thermal fluctuation structure contracts "
+            "(eta -> 1) and the model is undefined"
+        )
+    if not 0.0 <= gamma <= GAMMA_MAX:
+        return (
+            f"gamma must lie in [0, {GAMMA_MAX}] for complete positivity, "
+            f"got {gamma}"
+        )
+    return (
+        f"tanh(epsilon*beta/2) = {eta} must lie strictly in (0, 1); "
+        "the temperature is too low for finite-precision thermal structure"
+    )
 
 
 def site_hamiltonian(params: ModelParams) -> np.ndarray:
-    """One-site Hamiltonian (epsilon/2)(sigma3 x 1 + 1 x sigma3)."""
-    return 0.5 * params.epsilon * (kron2(3, 0) + kron2(0, 3))
+    """One-site Hamiltonian (epsilon/2)(sigma3 x 1 + 1 x sigma3), shape S + (4, 4)."""
+    return 0.5 * np.asarray(params.epsilon)[..., None, None] * (kron2(3, 0) + kron2(0, 3))
 
 
 @dataclass(frozen=True)
@@ -129,15 +159,16 @@ class ThermalSiteState:
 
 
 def thermal_state(params: ModelParams) -> ThermalSiteState:
-    """Thermal state exp(-beta H)/Z of one site pair.
+    """Thermal state exp(-beta H)/Z of one site pair; rho has shape S + (4, 4).
 
     Weights are exponentiated after shifting by the ground energy, so large
     beta*epsilon cannot overflow before normalization.
     """
-    energies = 0.5 * params.epsilon * np.array([2.0, 0.0, 0.0, -2.0])
-    shifted = np.exp(-params.beta * (energies - energies.min()))
-    rho = np.diag(shifted / shifted.sum()).astype(complex)
-    return ThermalSiteState(rho=rho)
+    energies = 0.5 * np.asarray(params.epsilon)[..., None] * np.array([2.0, 0.0, 0.0, -2.0])
+    lowest = energies.min(axis=-1, keepdims=True)
+    shifted = np.exp(-np.asarray(params.beta)[..., None] * (energies - lowest))
+    weights = shifted / shifted.sum(axis=-1, keepdims=True)
+    return ThermalSiteState(rho=weights[..., None] * np.eye(4, dtype=complex))
 
 
 def fluctuation_inner(

@@ -13,7 +13,6 @@ import mesospin.modes as modes
 import mesospin.oracle as oracle
 from mesospin.experiments import run_curve
 from mesospin.modes import (
-    GaussianState,
     drift_matrix,
     initial_state,
     mode_operators,
@@ -97,8 +96,9 @@ def test_generator_match_fails_for_a_mis_scaled_coupling_piece(monkeypatch):
     results = {r.name: r for r in checks.run_checks("full")}
     assert not results["generator-match"].passed
     # gamma K gains 1e-6 gamma K; the largest |K| entry is max(eta, eta_perp)
-    grid = [ModelParams(e, t, g) for e, t in checks.FULL_EPS_TEMPS for g in checks.DEFAULT_GAMMAS]
-    worst = max(1e-6 * p.gamma * max(p.eta, p.eta_perp) for p in grid)
+    eps, temps = np.array(checks.FULL_EPS_TEMPS).T
+    grid = ModelParams(eps[:, None], temps[:, None], np.array(checks.DEFAULT_GAMMAS))
+    worst = np.max(1e-6 * grid.gamma * np.maximum(grid.eta, grid.eta_perp))
     assert abs(results["generator-match"].residual - worst) < 1e-12
     # L_1 alone maps the observables into their span and keeps the thermal state
     assert [name for name, r in results.items() if not r.passed] == ["generator-match"]
@@ -184,18 +184,11 @@ def test_the_first_mode_block_of_the_full_covariance_gives_the_negativity():
     # curve-engine reads nu_min from rows and columns (x, p) of a1 and b1 of
     # the full covariance; negativity() builds it from the moment block.
     rng = np.random.default_rng(29)
-    sets = [
-        ModelParams(eps, temp, gamma)
-        for eps, temp, gamma in zip(
-            rng.uniform(0.2, 3.0, 6), rng.uniform(0.05, 5.0, 6), rng.uniform(0.0, 0.5, 6)
-        )
-    ]
-    starts = [initial_state(p, r) for p, r in zip(sets, rng.uniform(-3.0, 3.0, 6))]
-    start = GaussianState(
-        moment_matrix=np.array([s.moment_matrix for s in starts]),
-        eta=np.array([s.eta for s in starts]),
+    params = ModelParams(
+        rng.uniform(0.2, 3.0, 6), rng.uniform(0.05, 5.0, 6), rng.uniform(0.0, 0.5, 6)
     )
-    states = propagate(start, drift_matrix(sets), np.sort(rng.uniform(0.0, 6.0, 40)))
+    start = initial_state(params, rng.uniform(-3.0, 3.0, 6))
+    states = propagate(start, drift_matrix(params), np.sort(rng.uniform(0.0, 6.0, 40)))
     block = quadrature_covariance(states.moment_matrix)[..., [[0], [1], [4], [5]], [0, 1, 4, 5]]
     expected = negativity(states).nu_min
     assert expected.shape == (6, 40)

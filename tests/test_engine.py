@@ -126,12 +126,12 @@ def test_broken_uncertainty_bound_names_the_first_bad_time(monkeypatch):
 def test_a_sweep_raises_what_its_first_failing_value_raises(monkeypatch, tampers, check):
     honest = normal_mode_variances
 
-    def tampered(sets, squeeze_r, times):
-        x, p = honest(sets, squeeze_r, times)
-        for k, params in enumerate(sets):
-            if params.gamma in tampers:
-                factor, from_index = tampers[params.gamma]
-                p[k, 1, from_index:] *= factor
+    def tampered(params, squeeze_r, times):
+        x, p = honest(params, squeeze_r, times)
+        # params.gamma is a float for one curve and an array over a gamma sweep
+        gamma = np.asarray(params.gamma)
+        for value, (factor, from_index) in tampers.items():
+            p[..., 1, from_index:] *= np.where(gamma == value, factor, 1.0)[..., None]
         return x, p
 
     monkeypatch.setattr(experiments, "normal_mode_variances", tampered)

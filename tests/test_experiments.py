@@ -56,6 +56,12 @@ def test_defaults():
         ({"gamma_list": (0.1, 0.1000000000001)}, "gamma_list"),
         ({"gamma_list": (0.2, 0.3, 0.2)}, "gamma_list"),
         ({"temperature_list": (0.5, 0.50000000000004)}, "temperature_list"),
+        # a list reports its first bad value, not the last or the first one
+        pytest.param(
+            {"gamma_list": (0.1, 0.6, 0.7)},
+            "gamma_list: gamma must lie in [0, 0.5] for complete positivity, got 0.6",
+            id="kwargs18-gamma_list-first-bad-value",
+        ),
     ],
 )
 def test_invalid_config_names_the_field(kwargs, field):
@@ -208,10 +214,27 @@ def test_sweep_curves_equal_their_own_runs(sweep, parameter, squeeze_r, t_steps)
         assert list(curve.meta) == list(alone.meta)
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+def test_curves_depend_on_epsilon_and_temperature_only_through_their_ratio(gamma):
+    # The closed form reads (epsilon, T) only as beta*epsilon = 10 here, so
+    # scaling both by the same factor leaves every nu_min unchanged, bit for bit.
+    curves = [
+        run_curve(
+            ExperimentConfig(
+                epsilon=eps, temperature=temp, gamma=gamma, squeeze_r=1.0, t_max=10.0, t_steps=200
+            )
+        ).nu_min
+        for eps, temp in ((1.0, 0.1), (2.0, 0.2), (0.5, 0.05), (3.0, 0.3), (0.25, 0.025))
+    ]
+    for nu in curves[1:]:
+        assert np.array_equal(nu, curves[0])
+
+
 @pytest.mark.parametrize("sweep,values", [(sweep_gamma, 4), (sweep_temperature, 3)])
 def test_a_sweep_validates_its_config_once(monkeypatch, sweep, values):
     cfg = ExperimentConfig(t_steps=20, gamma_list=(0.1, 0.2, 0.3, 0.5))
     built = Counter()
+    shapes = []
 
     def counting(cls):
         check = cls.__post_init__
@@ -219,11 +242,15 @@ def test_a_sweep_validates_its_config_once(monkeypatch, sweep, values):
         def post_init(self):
             built[cls.__name__] += 1
             check(self)
+            if cls is ModelParams:
+                shapes.append(np.shape(self.eta))
 
         monkeypatch.setattr(cls, "__post_init__", post_init)
 
     counting(ExperimentConfig)
     counting(ModelParams)
     sweep(cfg)
+    # no config per value, and one parameter set per value in one ModelParams
     assert built["ExperimentConfig"] == 0
-    assert built["ModelParams"] == values
+    assert built["ModelParams"] == 1
+    assert shapes == [(values,)]

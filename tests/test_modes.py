@@ -23,6 +23,11 @@ EPS_TEMP_GRID = [
 ]
 
 
+def _stacked(sets) -> ModelParams:
+    """The scalar parameter sets as one array-valued ModelParams of shape (len(sets),)."""
+    return ModelParams(*np.array([(p.epsilon, p.temperature, p.gamma) for p in sets]).T)
+
+
 def _reference(eta: float) -> np.ndarray:
     return np.eye(8, dtype=complex) / (2.0 * eta)
 
@@ -158,10 +163,11 @@ def test_gaussian_state_rejects_nan_moments():
         GaussianState(moment_matrix=stack, eta=0.5)
 
 
-def test_mode_builders_over_a_sequence_are_each_single_call():
+def test_mode_builders_over_array_params_are_each_single_call():
     sets = [ModelParams(eps, temp, gamma) for eps, temp in EPS_TEMP_GRID for gamma in (0.0, 0.3)]
     sets += [ModelParams(0.3, 20.0, 0.37), ModelParams(5.0, 0.2, 0.5)]
-    maps, ops, drift = mode_map(sets), mode_operators(sets), drift_matrix(sets)
+    params = _stacked(sets)
+    maps, ops, drift = mode_map(params), mode_operators(params), drift_matrix(params)
     assert maps.matrix.shape == maps.inverse.shape == (len(sets), 8, 8)
     assert ops.shape == (len(sets), 4, 4, 4)
     assert drift.matrix.shape == drift.coupling.shape == (len(sets), 4, 4)
@@ -175,6 +181,12 @@ def test_mode_builders_over_a_sequence_are_each_single_call():
         assert np.array_equal(drift.coupling[i], gen.coupling)
         assert drift.epsilon[i] == gen.epsilon and drift.gamma[i] == gen.gamma
         assert drift.eta[i] == gen.eta
+    # a two-axis ModelParams gives two leading axes
+    grid = ModelParams(params.epsilon, params.temperature, np.array([[0.0], [0.45]]))
+    assert mode_operators(grid).shape == (2, len(sets), 4, 4, 4)
+    assert np.array_equal(mode_map(grid).matrix[1], maps.matrix)
+    last = drift_matrix(ModelParams(5.0, 0.2, 0.45)).matrix
+    assert np.array_equal(drift_matrix(grid).matrix[1, -1], last)
     # the stacked generator through the flow: every generator at every time
     times = np.array([0.0, 0.4, 1.7, 5.0])
     flows = flow(drift, times)
@@ -186,11 +198,25 @@ def test_mode_builders_over_a_sequence_are_each_single_call():
 
 def _start_stack(sets, squeezes):
     """One squeezed start per parameter set, as one state stack."""
-    starts = [initial_state(p, r) for p, r in zip(sets, squeezes)]
-    return GaussianState(
-        moment_matrix=np.array([s.moment_matrix for s in starts]),
-        eta=np.array([s.eta for s in starts]),
-    )
+    return initial_state(_stacked(sets), np.array(squeezes))
+
+
+def test_initial_state_over_array_params_and_squeezes_is_each_single_call():
+    sets = [ModelParams(eps, temp, 0.2) for eps, temp in EPS_TEMP_GRID]
+    squeezes = np.linspace(-3.0, 3.0, 5)
+    # parameter sets down, squeezes across
+    stack = initial_state(_stacked(sets), squeezes[:, None])
+    assert stack.moment_matrix.shape == (5, len(sets), 8, 8)
+    assert stack.eta.shape == (5, len(sets))
+    for k, r in enumerate(squeezes):
+        for i, p in enumerate(sets):
+            single = initial_state(p, r)
+            assert np.array_equal(stack.moment_matrix[k, i], single.moment_matrix)
+            assert stack.eta[k, i] == single.eta
+    # one parameter set and one squeeze keep the scalar eta
+    assert type(initial_state(sets[0], 1.0).eta) is float
+    with pytest.raises(ContractViolation, match="must be finite"):
+        initial_state(sets[0], np.array([1.0, np.inf]))
 
 
 def test_propagate_over_a_generator_stack_is_each_single_call():
@@ -200,14 +226,14 @@ def test_propagate_over_a_generator_stack_is_each_single_call():
     squeezes = np.linspace(-2.0, 3.0, len(sets))
     start = _start_stack(sets, squeezes)
     times = np.array([[0.0, 0.3], [2.5, 5.0], [0.7, 0.0]])
-    stack = propagate(start, drift_matrix(sets), times)
+    stack = propagate(start, drift_matrix(_stacked(sets)), times)
     assert stack.moment_matrix.shape == (len(sets), 3, 2, 8, 8)
     assert np.array_equal(stack.eta, start.eta)
     for i, (p, r) in enumerate(zip(sets, squeezes)):
         single = propagate(initial_state(p, r), drift_matrix(p), times).moment_matrix
         assert np.array_equal(stack.moment_matrix[i], single)
     # a scalar time gives one state per generator
-    at = propagate(start, drift_matrix(sets), 1.1).moment_matrix
+    at = propagate(start, drift_matrix(_stacked(sets)), 1.1).moment_matrix
     assert at.shape == (len(sets), 8, 8)
     for i, (p, r) in enumerate(zip(sets, squeezes)):
         single = propagate(initial_state(p, r), drift_matrix(p), 1.1).moment_matrix
@@ -216,7 +242,7 @@ def test_propagate_over_a_generator_stack_is_each_single_call():
 
 def test_propagate_refuses_a_state_stack_that_does_not_match_the_generators():
     sets = [ModelParams(1.0, 0.1, 0.5), ModelParams(2.0, 0.5, 0.3), ModelParams(0.5, 5.0, 0.1)]
-    gens = drift_matrix(sets)
+    gens = drift_matrix(_stacked(sets))
     start = _start_stack(sets, (1.0, 0.0, -1.0))
     # one entry from another temperature
     swapped = _start_stack([sets[0], ModelParams(2.0, 0.6, 0.3), sets[2]], (1.0, 0.0, -1.0))
@@ -228,7 +254,7 @@ def test_propagate_refuses_a_state_stack_that_does_not_match_the_generators():
         propagate(reordered, gens, np.array([0.0, 1.0]))
     # one state for a stack of generators, and a stack of states for one generator
     with pytest.raises(ContractViolation, match="different thermal parameters"):
-        propagate(initial_state(sets[0], 1.0), drift_matrix(sets[:1]), 1.0)
+        propagate(initial_state(sets[0], 1.0), drift_matrix(_stacked(sets[:1])), 1.0)
     with pytest.raises(ContractViolation, match="different thermal parameters"):
         propagate(_start_stack(sets[:1], (1.0,)), drift_matrix(sets[0]), 1.0)
     # a stack of states per generator

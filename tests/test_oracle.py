@@ -114,13 +114,13 @@ def test_a_nan_coupling_piece_is_not_unital(monkeypatch):
 
 
 def test_extraction_over_temperatures_is_each_single_extraction():
+    temps = (0.1, 0.5, 1.0, 5.0)
     for eps, gamma in ((0.5, 0.0), (1.0, 0.3), (2.0, 0.5)):
-        grid = [ModelParams(eps, temp, gamma) for temp in (0.1, 0.5, 1.0, 5.0)]
-        sup = liouvillian(grid[0])
-        stacked = extract_mode_generator(sup, grid)
+        sup = liouvillian(ModelParams(eps, temps[0], gamma))
+        stacked = extract_mode_generator(sup, ModelParams(eps, np.array(temps), gamma))
         assert stacked.mode_generator.shape == (4, 8, 8)
-        for i, p in enumerate(grid):
-            single = extract_mode_generator(sup, p)
+        for i, temp in enumerate(temps):
+            single = extract_mode_generator(sup, ModelParams(eps, temp, gamma))
             assert np.array_equal(stacked.mode_generator[i], single.mode_generator)
             assert np.array_equal(stacked.annihilation_block[i], single.annihilation_block)
             assert stacked.residual == single.residual
@@ -128,7 +128,8 @@ def test_extraction_over_temperatures_is_each_single_extraction():
 
 def test_a_generator_stack_is_each_single_generator():
     sets = GRID + OFF_GRID
-    stack = liouvillian(sets).matrix
+    params = ModelParams(*np.array([(p.epsilon, p.temperature, p.gamma) for p in sets]).T)
+    stack = liouvillian(params).matrix
     assert stack.shape == (len(sets), 16, 16)
     for matrix, p in zip(stack, sets):
         assert np.array_equal(matrix, liouvillian(p).matrix)
@@ -139,22 +140,22 @@ def test_a_nan_coupling_piece_fails_the_whole_stack(monkeypatch):
     monkeypatch.setattr(oracle, "generator_pieces", lambda: (l_h, l_0, np.nan * l_1))
     # 0 * nan is nan, so no generator of the stack is unital
     with pytest.raises(ClosureError, match="= nan"):
-        liouvillian([ModelParams(1.0, 1.0, 0.0), ModelParams(1.0, 1.0, 0.3)])
+        liouvillian(ModelParams(1.0, 1.0, np.array([0.0, 0.3])))
 
 
 def test_extraction_of_a_generator_stack_is_each_single_extraction():
-    gammas = (0.0, 0.3, 0.5)
-    temps = [ModelParams(eps, temp, 0.0) for eps, temp in ((0.5, 0.1), (1.0, 1.0), (2.0, 5.0))]
+    gammas = np.array([[0.0], [0.3], [0.5]])
+    temps = ModelParams(np.array([0.5, 1.0, 2.0]), np.array([0.1, 1.0, 5.0]), 0.0)
     # (gamma, (eps, T)) generators against the (eps, T) mode maps
-    grid = [[ModelParams(p.epsilon, p.temperature, gamma) for p in temps] for gamma in gammas]
-    sup = liouvillian([p for row in grid for p in row])
-    sup = dataclasses.replace(sup, matrix=sup.matrix.reshape(3, 3, 16, 16))
+    sup = liouvillian(ModelParams(temps.epsilon, temps.temperature, gammas))
+    assert sup.matrix.shape == (3, 3, 16, 16)
     stacked = extract_mode_generator(sup, temps)
     assert stacked.mode_generator.shape == (3, 3, 8, 8)
     assert stacked.identity_coeffs.shape == (3, 3, 8)
     residuals = []
-    for g, row in enumerate(grid):
-        for t, p in enumerate(row):
+    for g, gamma in enumerate(gammas[:, 0]):
+        for t, (eps, temp) in enumerate(zip(temps.epsilon, temps.temperature)):
+            p = ModelParams(eps, temp, gamma)
             single = extract_mode_generator(liouvillian(p), p)
             assert np.array_equal(stacked.mode_generator[g, t], single.mode_generator)
             assert np.array_equal(stacked.annihilation_block[g, t], single.annihilation_block)

@@ -49,10 +49,81 @@ def test_params_rejects_invalid_values(kwargs):
         ModelParams(**base)
 
 
+def _refusal_edge() -> float:
+    """The smallest temperature that ModelParams accepts at epsilon = 1, by bisection."""
+    refused, accepted = 0.01, 0.1
+    while np.nextafter(refused, accepted) < accepted:
+        middle = 0.5 * (refused + accepted)
+        try:
+            ModelParams(1.0, middle, 0.0)
+        except ContractViolation:
+            refused = middle
+        else:
+            accepted = middle
+    return accepted
+
+
+def test_array_params_are_each_scalar_params_bit_for_bit():
+    rng = np.random.default_rng(16)
+    n = 10_000
+    eps = rng.uniform(0.05, 5.0, n)
+    # eps/T up to 33, so tanh(eps*beta/2) stays below 1 everywhere
+    temps = eps / rng.uniform(0.01, 33.0, n)
+    gammas = rng.choice([0.0, 0.5, 0.25, 0.1], n)
+    gammas[::7] = rng.uniform(0.0, 0.5, len(gammas[::7]))
+    # temperatures within 1e-3 of the refusal edge at eps = 1, at both ends of gamma
+    edge = _refusal_edge() + np.linspace(0.0, 1e-3, 200)
+    eps = np.concatenate([eps, np.ones(2 * len(edge))])
+    temps = np.concatenate([temps, edge, edge])
+    gammas = np.concatenate([gammas, np.zeros(len(edge)), np.full(len(edge), 0.5)])
+    params = ModelParams(eps, temps, gammas)
+    assert params.eta.shape == (n + 2 * len(edge),)
+    singles = [ModelParams(*entry) for entry in zip(eps.tolist(), temps.tolist(), gammas.tolist())]
+    for name in ("epsilon", "temperature", "gamma", "beta", "eta", "eta_perp"):
+        field = getattr(params, name)
+        assert not field.flags.writeable
+        assert np.array_equal(field, [getattr(p, name) for p in singles]), name
+    assert params.eta.max() < 1.0 and params.eta.max() > 1.0 - 1e-15
+    # broadcasting: a column of epsilons against a row of temperatures
+    grid = ModelParams(np.array([[0.5], [2.0]]), np.array([0.1, 1.0, 5.0]), 0.3)
+    assert grid.gamma.shape == grid.eta.shape == (2, 3)
+    assert grid.eta[1, 0] == ModelParams(2.0, 0.1, 0.3).eta
+    # scalars keep Python floats
+    assert all(type(getattr(singles[0], name)) is float for name in ("epsilon", "beta", "eta"))
+
+
+@pytest.mark.parametrize(
+    "eps,temps,gammas,first",
+    [
+        # later entries fail other checks; the first failing entry decides
+        ([1.0, 1.0, -1.0, 1.0], [0.5, 0.5, 0.5, -1.0], [0.6, 0.2, 0.2, 0.2], 0),
+        ([1.0, 1.0, 1.0, 1.0], [0.5, 1e-3, -1.0, 0.5], [0.2, 0.2, 0.7, np.nan], 1),
+        ([1.0, 1.0, 1.0, 1.0], [0.5, 0.5, np.inf, 0.02], [0.2, 0.2, 0.2, 0.2], 2),
+        ([1.0, 1.0, 1.0, np.nan], [0.5, 0.5, 0.5, 0.5], [0.2, 0.2, 0.2, 0.2], 3),
+        # flat order of a two-axis array: row 0 ends before row 1 begins
+        ([[1.0, 1.0], [0.0, 1.0]], [[0.5, 0.5], [0.5, 0.5]], [[0.2, 0.51], [0.2, 0.2]], 1),
+    ],
+)
+def test_array_params_raise_what_the_first_failing_entry_raises(eps, temps, gammas, first):
+    eps, temps, gammas = np.array(eps), np.array(temps), np.array(gammas)
+    with pytest.raises(ContractViolation) as alone:
+        ModelParams(eps.flat[first], temps.flat[first], gammas.flat[first])
+    with pytest.raises(ContractViolation) as stacked:
+        ModelParams(eps, temps, gammas)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_array_params_must_broadcast():
+    with pytest.raises(ContractViolation, match="do not broadcast"):
+        ModelParams(np.ones(2), np.ones(3), 0.2)
+
+
 def test_hamiltonian_is_diagonal_with_split_epsilon():
     p = ModelParams(epsilon=2.5, temperature=1.0, gamma=0.0)
     h = site_hamiltonian(p)
     assert np.array_equal(h, np.diag([2.5, 0.0, 0.0, -2.5]).astype(complex))
+    stack = site_hamiltonian(ModelParams(np.array([1.0, 2.5]), 1.0, 0.0))
+    assert stack.shape == (2, 4, 4) and np.array_equal(stack[1], h)
 
 
 def test_hamiltonian_commutes_with_every_coupling_operator():
