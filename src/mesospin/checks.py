@@ -7,9 +7,15 @@ collective modes, central-limit convergence, the thermal moment matrix
 against the microscopic thermal state, physicality of propagated states,
 agreement of the closed-form curve engine with the 8x8 reference path at
 every grid point) and reports the worst residual against its tolerance.
-The checks are pure functions of their parameter grids, so a harness can
-inject out-of-window couplings or a tampered drift builder and watch the
-corresponding check fail; nothing here is ever skipped or clamped.
+
+run_checks is the one entry point. It runs the table _CHECKS of (name,
+tolerance, body) in report order: each body takes the inputs that several
+checks read, built at most once per call, and returns its residuals and its
+detail. A harness injects a fault by replacing a builder that this module
+reads (thermal_state, mode_operators, drift_matrix, thermal_moments, ...)
+and reads the check by name from run_checks; nothing here is ever skipped or
+clamped. check_dissipation_spectrum(gammas) is the body of the first check,
+so a caller can probe the complete-positivity window with any couplings.
 
 Each oracle check evaluates its whole (eps, T, gamma) grid as one
 array-valued ModelParams of shape (gammas, eps and T pairs), and every
@@ -26,7 +32,7 @@ built once per process.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -65,9 +71,6 @@ FULL_EPS_TEMPS = tuple(
 )
 FAST_EPS_TEMPS = ((1.0, 1.0), (1.0, 0.1), (2.0, 0.5))
 CLT_SITES = (100, 1000, 10000)
-CLT_TOL = 1e-2
-PHYSICALITY_TOL = 1e-9
-ENGINE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -79,23 +82,7 @@ class CheckResult:
     detail: str = ""
 
 
-def _result(name: str, residuals, tolerance: float, detail: str = "") -> CheckResult:
-    """The check's result; its residual is the largest of residuals, or 0.
-
-    numpy's max keeps a NaN, where the builtin max(0.0, nan) would drop it,
-    and a NaN residual fails.
-    """
-    residual = float(np.max(residuals, initial=0.0))
-    return CheckResult(
-        name=name,
-        residual=residual,
-        tolerance=float(tolerance),
-        passed=bool(residual <= tolerance),
-        detail=detail,
-    )
-
-
-def check_dissipation_spectrum(gammas: tuple[float, ...] = DEFAULT_GAMMAS) -> CheckResult:
+def check_dissipation_spectrum(gammas: tuple[float, ...] = DEFAULT_GAMMAS) -> tuple[list, str]:
     """Spectrum {1-2g, 1, 1, 1+2g} and positive semidefiniteness of D."""
     residuals = []
     detail = ""
@@ -109,99 +96,10 @@ def check_dissipation_spectrum(gammas: tuple[float, ...] = DEFAULT_GAMMAS) -> Ch
                 f"gamma = {gamma:g} is not completely positive: "
                 f"min eigenvalue {d.min_eigenvalue:.6g}"
             )
-    return _result("dissipation-spectrum", residuals, STRUCTURAL_TOL, detail)
+    return residuals, detail
 
 
-def _eps_temps(level: str) -> tuple[tuple[float, float], ...]:
-    return FULL_EPS_TEMPS if level == "full" else FAST_EPS_TEMPS
-
-
-@cache
-def _parameter_grid(level: str) -> ModelParams:
-    """The level's parameter sets, one row per gamma and one column per (eps, T)."""
-    eps, temps = np.array(_eps_temps(level)).T
-    return ModelParams(eps, temps, np.array(DEFAULT_GAMMAS)[:, None])
-
-
-def _first_row(grid: ModelParams) -> ModelParams:
-    """Row 0 of grid, one set per (eps, T): thermal states and modes do not read gamma."""
-    return ModelParams(grid.epsilon[0], grid.temperature[0], grid.gamma[0])
-
-
-@lru_cache(maxsize=1)
-def _pauli_words() -> np.ndarray:
-    """Read-only 16x16 columns vec(sigma_i x sigma_j), every two-site Pauli word."""
-    return frozen(np.column_stack([vec(kron2(i, j)) for i in range(4) for j in range(4)]))
-
-
-def check_thermal_invariance(level: str = "fast") -> CheckResult:
-    """The thermal state is stationary: w(L[P]) = 0 for all 16 Pauli words."""
-    grid = _parameter_grid(level)
-    return _thermal_invariance(thermal_state(_first_row(grid)).rho, liouvillian(grid).matrix)
-
-
-def _thermal_invariance(rho: np.ndarray, generators: np.ndarray) -> CheckResult:
-    # w(Y) = tr(rho Y) = vec(rho^T) . vec(Y), and vec(rho^T) is rho read by rows
-    weights = rho.reshape(rho.shape[:-2] + (1, -1))
-    values = weights @ (generators @ _pauli_words())
-    return _result("thermal-invariance", np.abs(values), STRUCTURAL_TOL)
-
-
-def check_generator_match(level: str = "fast") -> CheckResult:
-    """Microscopic restriction equals the mesoscopic drift, block by block."""
-    grid = _parameter_grid(level)
-    return _generator_match(grid, liouvillian(grid).matrix)
-
-
-def _generator_match(grid: ModelParams, generators: np.ndarray) -> CheckResult:
-    # every generator projected at once, then conjugated by its own mode map
-    ext = extract_mode_generator(Superoperator(generators), grid)
-    g = ext.mode_generator
-    m_t = drift_matrix(grid).matrix.swapaxes(-1, -2)
-    residuals = [
-        ext.residual,
-        np.abs(ext.identity_coeffs).max(),
-        np.abs(g[..., :4, :4] - m_t).max(),
-        np.abs(g[..., 4:, 4:] - m_t.conj()).max(),
-        np.abs(g[..., :4, 4:]).max(),
-        np.abs(g[..., 4:, :4]).max(),
-    ]
-    return _result("generator-match", residuals, CLOSURE_TOL)
-
-
-def _thermal_mode_tables(params: ModelParams, rho: np.ndarray) -> tuple[np.ndarray, ...]:
-    """eta and the tables <a, a>, <a^dag, a^dag>, <a^dag, a> of every set of params.
-
-    rho holds the thermal state of each set. For params of shape S, eta has
-    shape S and each table S + (4, 4): every state and every mode pair from
-    one fluctuation_inner.
-    """
-    a = mode_operators(params)
-    ad = a.conj().swapaxes(-1, -2)
-    x, y = np.stack([a, ad, ad], axis=-4), np.stack([a, ad, a], axis=-4)
-    # states S + (1, 1, 1, 4, 4) against operator pairs S + (3, 4, 4, 4, 4)
-    state = ThermalSiteState(rho=rho[..., None, None, None, :, :])
-    tables = fluctuation_inner(x[..., :, None, :, :], y[..., None, :, :, :], state)
-    return params.eta, tables[..., 0, :, :], tables[..., 1, :, :], tables[..., 2, :, :]
-
-
-def check_mode_ccr(level: str = "fast") -> CheckResult:
-    """Canonical commutators of all four modes through the fluctuation form."""
-    columns = _first_row(_parameter_grid(level))
-    return _mode_ccr(_thermal_mode_tables(columns, thermal_state(columns).rho))
-
-
-def _mode_ccr(tables: tuple[np.ndarray, ...]) -> CheckResult:
-    _, a_a, ad_ad, ad_a = tables
-    # [a_i, a_j^dag] = delta_ij and [a_i, a_j] = 0, entry (i, j) of each table
-    residuals = [
-        np.abs(ad_ad - a_a.swapaxes(-1, -2) - np.eye(4)).max(),
-        np.abs(ad_a - ad_a.swapaxes(-1, -2)).max(),
-    ]
-    return _result("mode-ccr", residuals, STRUCTURAL_TOL)
-
-
-def check_clt_convergence(level: str = "fast") -> CheckResult:
+def check_clt_convergence() -> tuple[list, str]:
     """Weyl expectations approach their Gaussian limits monotonically."""
     state = thermal_state(ModelParams(1.0, 1.0, 0.0))
     residuals = []
@@ -211,27 +109,20 @@ def check_clt_convergence(level: str = "fast") -> CheckResult:
             detail = f"observable {index + 1}: errors not monotone: {errors}"
             residuals.append(float("inf"))
         residuals.append(errors[-1])
-    return _result("clt-convergence", residuals, CLT_TOL, detail)
+    return residuals, detail
 
 
-def check_thermal_covariance(level: str = "fast") -> CheckResult:
-    """thermal_moments(eta) is the moment matrix of the microscopic thermal state.
-
-    Upper-left block: the symmetric table (1/2)w(a_i^dag a_j + a_j a_i^dag);
-    lower-left block: minus the anomalous table (1/2)w(a_i a_j + a_j a_i).
-    """
-    columns = _first_row(_parameter_grid(level))
-    return _thermal_covariance(_thermal_mode_tables(columns, thermal_state(columns).rho))
+@cache
+def _parameter_grid(level: str) -> ModelParams:
+    """The level's parameter sets, one row per gamma and one column per (eps, T)."""
+    eps, temps = np.array(FULL_EPS_TEMPS if level == "full" else FAST_EPS_TEMPS).T
+    return ModelParams(eps, temps, np.array(DEFAULT_GAMMAS)[:, None])
 
 
-def _thermal_covariance(tables: tuple[np.ndarray, ...]) -> CheckResult:
-    eta, a_a, ad_ad, ad_a = tables
-    sym = 0.5 * (a_a + ad_ad.swapaxes(-1, -2))
-    pair = 0.5 * (ad_a + ad_a.swapaxes(-1, -2))
-    moments = np.block([[sym, -pair.conj()], [-pair, sym.swapaxes(-1, -2)]])
-    return _result(
-        "thermal-covariance", np.abs(moments - thermal_moments(eta)), STRUCTURAL_TOL
-    )
+@lru_cache(maxsize=1)
+def _pauli_words() -> np.ndarray:
+    """Read-only 16x16 columns vec(sigma_i x sigma_j), every two-site Pauli word."""
+    return frozen(np.column_stack([vec(kron2(i, j)) for i in range(4) for j in range(4)]))
 
 
 @cache
@@ -249,83 +140,158 @@ def _curve_configs(level: str) -> tuple[ExperimentConfig, ...]:
 # Rows and columns (x, p) of a1 and of b1 in the 8x8 quadrature covariance.
 _FIRST_MODES = frozen(np.array([0, 1, 4, 5]))
 
-# A level's curve configs and their reference covariance, (configs, times, 8, 8).
-_Reference = tuple[tuple[ExperimentConfig, ...], np.ndarray]
 
+class _Inputs:
+    """The inputs that several checks of one run_checks(level) call read.
 
-def _reference_stacks(level: str) -> _Reference:
-    """The level's curve configs and the 8x8 reference covariance of each over the time grid.
-
-    Every config starts from its squeezed state and is propagated by its own
-    generator in one propagate call over the shared time grid; the
-    covariance has shape (configs, times, 8, 8).
+    Each is built on first read and lives only for the call; a build that
+    raises is tried again, and fails, for each check that reads it.
     """
-    configs = _curve_configs(level)
-    fields = np.array([(c.epsilon, c.temperature, c.gamma, c.squeeze_r) for c in configs]).T
-    params = ModelParams(*fields[:3])
-    times = np.linspace(0.0, configs[0].t_max, configs[0].t_steps)
-    states = propagate(initial_state(params, fields[3]), drift_matrix(params), times)
-    return configs, quadrature_covariance(states.moment_matrix)
+
+    def __init__(self, level: str):
+        self.level = level
+        self.grid = grid = _parameter_grid(level)
+        # row 0, one set per (eps, T): thermal states and modes do not read gamma
+        self.columns = ModelParams(grid.epsilon[0], grid.temperature[0], grid.gamma[0])
+
+    @cached_property
+    def generators(self) -> np.ndarray:
+        return liouvillian(self.grid).matrix
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        return thermal_state(self.columns).rho
+
+    @cached_property
+    def tables(self) -> tuple[np.ndarray, ...]:
+        """eta and the tables <a, a>, <a^dag, a^dag>, <a^dag, a> of every (eps, T).
+
+        eta has the shape S of the columns and each table S + (4, 4): every
+        state and every mode pair from one fluctuation_inner.
+        """
+        a = mode_operators(self.columns)
+        ad = a.conj().swapaxes(-1, -2)
+        x, y = np.stack([a, ad, ad], axis=-4), np.stack([a, ad, a], axis=-4)
+        # states S + (1, 1, 1, 4, 4) against operator pairs S + (3, 4, 4, 4, 4)
+        state = ThermalSiteState(rho=self.states[..., None, None, None, :, :])
+        tables = fluctuation_inner(x[..., :, None, :, :], y[..., None, :, :, :], state)
+        return self.columns.eta, tables[..., 0, :, :], tables[..., 1, :, :], tables[..., 2, :, :]
+
+    @cached_property
+    def reference(self) -> tuple[tuple[ExperimentConfig, ...], np.ndarray]:
+        """The level's curve configs and the 8x8 reference covariance of each over the time grid.
+
+        Every config starts from its squeezed state and is propagated by its
+        own generator in one propagate call over the shared time grid; the
+        covariance has shape (configs, times, 8, 8).
+        """
+        configs = _curve_configs(self.level)
+        fields = np.array([(c.epsilon, c.temperature, c.gamma, c.squeeze_r) for c in configs]).T
+        params = ModelParams(*fields[:3])
+        times = np.linspace(0.0, configs[0].t_max, configs[0].t_steps)
+        states = propagate(initial_state(params, fields[3]), drift_matrix(params), times)
+        return configs, quadrature_covariance(states.moment_matrix)
 
 
-def check_physicality(level: str = "fast") -> CheckResult:
+def _thermal_invariance(inputs: _Inputs) -> tuple[np.ndarray, str]:
+    """The thermal state is stationary: w(L[P]) = 0 for all 16 Pauli words."""
+    # w(Y) = tr(rho Y) = vec(rho^T) . vec(Y), and vec(rho^T) is rho read by rows
+    rho = inputs.states
+    weights = rho.reshape(rho.shape[:-2] + (1, -1))
+    return np.abs(weights @ (inputs.generators @ _pauli_words())), ""
+
+
+def _generator_match(inputs: _Inputs) -> tuple[list, str]:
+    """Microscopic restriction equals the mesoscopic drift, block by block."""
+    # every generator projected at once, then conjugated by its own mode map
+    ext = extract_mode_generator(Superoperator(inputs.generators), inputs.grid)
+    g = ext.mode_generator
+    m_t = drift_matrix(inputs.grid).matrix.swapaxes(-1, -2)
+    residuals = [
+        ext.residual,
+        np.abs(ext.identity_coeffs).max(),
+        np.abs(g[..., :4, :4] - m_t).max(),
+        np.abs(g[..., 4:, 4:] - m_t.conj()).max(),
+        np.abs(g[..., :4, 4:]).max(),
+        np.abs(g[..., 4:, :4]).max(),
+    ]
+    return residuals, ""
+
+
+def _mode_ccr(inputs: _Inputs) -> tuple[list, str]:
+    """Canonical commutators of all four modes through the fluctuation form."""
+    _, a_a, ad_ad, ad_a = inputs.tables
+    # [a_i, a_j^dag] = delta_ij and [a_i, a_j] = 0, entry (i, j) of each table
+    residuals = [
+        np.abs(ad_ad - a_a.swapaxes(-1, -2) - np.eye(4)).max(),
+        np.abs(ad_a - ad_a.swapaxes(-1, -2)).max(),
+    ]
+    return residuals, ""
+
+
+def _thermal_covariance(inputs: _Inputs) -> tuple[np.ndarray, str]:
+    """thermal_moments(eta) is the moment matrix of the microscopic thermal state.
+
+    Upper-left block: the symmetric table (1/2)w(a_i^dag a_j + a_j a_i^dag);
+    lower-left block: minus the anomalous table (1/2)w(a_i a_j + a_j a_i).
+    """
+    eta, a_a, ad_ad, ad_a = inputs.tables
+    sym = 0.5 * (a_a + ad_ad.swapaxes(-1, -2))
+    pair = 0.5 * (ad_a + ad_a.swapaxes(-1, -2))
+    moments = np.block([[sym, -pair.conj()], [-pair, sym.swapaxes(-1, -2)]])
+    return np.abs(moments - thermal_moments(eta)), ""
+
+
+def _physicality(inputs: _Inputs) -> tuple[np.ndarray, str]:
     """Propagated covariances stay physical: symplectic spectrum >= 1."""
-    return _physicality(_reference_stacks(level))
+    smallest = symplectic_eigenvalues(inputs.reference[1])[..., 0]
+    return np.maximum(0.0, 1.0 - smallest), ""
 
 
-def _physicality(stacks: _Reference) -> CheckResult:
-    _, cov = stacks
-    smallest = symplectic_eigenvalues(cov)[..., 0]
-    return _result("state-physicality", np.maximum(0.0, 1.0 - smallest), PHYSICALITY_TOL)
-
-
-def check_curve_engine(level: str = "fast") -> CheckResult:
+def _curve_engine(inputs: _Inputs) -> tuple[np.ndarray, str]:
     """Closed-form curves match the 8x8 reference path at every grid point."""
-    return _curve_engine(_reference_stacks(level))
-
-
-def _curve_engine(stacks: _Reference) -> CheckResult:
     # The covariance is assembled entry by entry, so the (a1, b1) block of the
     # full one is the covariance that negativity() builds from the moment block.
-    configs, cov = stacks
+    configs, cov = inputs.reference
     reference = min_symplectic_pt(cov[..., _FIRST_MODES[:, None], _FIRST_MODES])
     curves = np.array([run_curve(config).nu_min for config in configs])
-    return _result("curve-engine", np.abs(curves - reference) / reference, ENGINE_TOL)
+    return np.abs(curves - reference) / reference, ""
+
+
+# Every check as (name, tolerance, body), in report order. The two public
+# bodies are looked up by name at each call, so replacing one in this module
+# takes effect.
+_CHECKS = (
+    ("dissipation-spectrum", STRUCTURAL_TOL, lambda inputs: check_dissipation_spectrum()),
+    ("thermal-invariance", STRUCTURAL_TOL, _thermal_invariance),
+    ("generator-match", CLOSURE_TOL, _generator_match),
+    ("mode-ccr", STRUCTURAL_TOL, _mode_ccr),
+    ("clt-convergence", 1e-2, lambda inputs: check_clt_convergence()),
+    ("thermal-covariance", STRUCTURAL_TOL, _thermal_covariance),
+    ("state-physicality", 1e-9, _physicality),
+    ("curve-engine", 1e-12, _curve_engine),
+)
 
 
 def run_checks(level: str = "fast") -> list[CheckResult]:
     """Run every check in turn; a NumericError or ContractViolation fails only its check.
 
-    The failed check reports residual inf and the error's message. The
-    generator stack, the thermal states, the mode tables and the reference
-    stacks are each read by two checks, so each is built on first read and
-    handed to the second. All live only for this call, and a build that
-    raises is tried again, and fails, for each check that reads it.
+    A check's residual is the largest of its residuals, or 0; the failed
+    check reports residual inf and the error's message.
     """
     if level not in ("fast", "full"):
         raise ValueError(f"verification level must be 'fast' or 'full', got {level!r}")
-    grid = _parameter_grid(level)
-    gens = cache(lambda: liouvillian(grid).matrix)
-    columns = _first_row(grid)
-    states = cache(lambda: thermal_state(columns).rho)
-    tables = cache(lambda: _thermal_mode_tables(columns, states()))
-    stacks = cache(partial(_reference_stacks, level))
-    suite = (
-        ("dissipation-spectrum", STRUCTURAL_TOL, lambda: check_dissipation_spectrum()),
-        ("thermal-invariance", STRUCTURAL_TOL, lambda: _thermal_invariance(states(), gens())),
-        ("generator-match", CLOSURE_TOL, lambda: _generator_match(grid, gens())),
-        ("mode-ccr", STRUCTURAL_TOL, lambda: _mode_ccr(tables())),
-        ("clt-convergence", CLT_TOL, lambda: check_clt_convergence(level)),
-        ("thermal-covariance", STRUCTURAL_TOL, lambda: _thermal_covariance(tables())),
-        ("state-physicality", PHYSICALITY_TOL, lambda: _physicality(stacks())),
-        ("curve-engine", ENGINE_TOL, lambda: _curve_engine(stacks())),
-    )
+    inputs = _Inputs(level)
     results = []
-    for name, tolerance, check in suite:
+    for name, tolerance, body in _CHECKS:
         try:
-            results.append(check())
+            residuals, detail = body(inputs)
         except (NumericError, ContractViolation) as exc:
-            results.append(_result(name, float("inf"), tolerance, str(exc)))
+            residuals, detail = float("inf"), str(exc)
+        # numpy's max keeps a NaN, where the builtin max(0.0, nan) would drop
+        # it, and a NaN residual fails
+        residual = float(np.max(residuals, initial=0.0))
+        results.append(CheckResult(name, residual, tolerance, residual <= tolerance, detail))
     return results
 
 

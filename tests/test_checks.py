@@ -44,17 +44,10 @@ from mesospin.sites import (
 
 negativity_module = importlib.import_module("mesospin.negativity")
 
-# Each public check as a function of the level, in run_checks order.
-ALONE = (
-    lambda level: checks.check_dissipation_spectrum(),
-    checks.check_thermal_invariance,
-    checks.check_generator_match,
-    checks.check_mode_ccr,
-    checks.check_clt_convergence,
-    checks.check_thermal_covariance,
-    checks.check_physicality,
-    checks.check_curve_engine,
-)
+
+def _check(name, level="fast"):
+    """The result of the named check in run_checks(level)."""
+    return next(r for r in checks.run_checks(level) if r.name == name)
 
 
 def _a2_scaled(params):
@@ -64,7 +57,7 @@ def _a2_scaled(params):
 
 def test_mode_ccr_fails_when_a_mode_is_mis_normalised(monkeypatch):
     monkeypatch.setattr(checks, "mode_operators", _a2_scaled)
-    result = checks.check_mode_ccr("fast")
+    result = _check("mode-ccr")
     assert not result.passed
     # [a2, a2^dag] = 1.001^2
     assert abs(result.residual - 2.001e-3) < 1e-12
@@ -74,7 +67,7 @@ def test_thermal_invariance_fails_for_a_non_stationary_state(monkeypatch):
     # Not population-reversed: the flip-flop dynamics leave that state invariant.
     rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
     monkeypatch.setattr(checks, "thermal_state", lambda params: ThermalSiteState(rho=rho))
-    result = checks.check_thermal_invariance("fast")
+    result = _check("thermal-invariance")
     assert not result.passed
     assert abs(result.residual - 0.2) < 1e-12
 
@@ -83,7 +76,7 @@ def test_thermal_covariance_fails_for_a_mis_scaled_fixed_point(monkeypatch):
     monkeypatch.setattr(
         checks, "thermal_moments", lambda eta: (1.0 + 1e-6) * thermal_moments(eta)
     )
-    result = checks.check_thermal_covariance("fast")
+    result = _check("thermal-covariance")
     assert not result.passed
     # the largest diagonal entry 1/(2 eta) sits at the hottest (eps, T)
     worst = max(1e-6 / (2.0 * ModelParams(e, t, 0.0).eta) for e, t in checks.FAST_EPS_TEMPS)
@@ -106,7 +99,7 @@ def test_generator_match_fails_for_a_mis_scaled_coupling_piece(monkeypatch):
 
 def test_thermal_covariance_fails_with_a_nan_residual_for_a_nan_fixed_point(monkeypatch):
     monkeypatch.setattr(checks, "thermal_moments", lambda eta: np.full((8, 8), np.nan))
-    result = checks.check_thermal_covariance("fast")
+    result = _check("thermal-covariance")
     assert not result.passed
     assert np.isnan(result.residual)
 
@@ -114,8 +107,9 @@ def test_thermal_covariance_fails_with_a_nan_residual_for_a_nan_fixed_point(monk
 def test_a_nan_thermal_state_fails_with_a_nan_residual(monkeypatch):
     rho = np.full((4, 4), np.nan, dtype=complex)
     monkeypatch.setattr(checks, "thermal_state", lambda params: ThermalSiteState(rho=rho))
-    for check in (checks.check_thermal_invariance, checks.check_mode_ccr):
-        result = check("fast")
+    results = {r.name: r for r in checks.run_checks("fast")}
+    for name in ("thermal-invariance", "mode-ccr"):
+        result = results[name]
         assert not result.passed
         assert np.isnan(result.residual)
 
@@ -128,11 +122,6 @@ def test_a_nan_coupling_piece_fails_both_generator_checks(monkeypatch):
     for r in failed:
         assert r.residual == float("inf")
         assert r.detail == "generator is not unital: ||L[1]|| = nan"
-
-
-@pytest.mark.parametrize("level", ["fast", "full"])
-def test_each_check_alone_matches_its_result_in_run_checks(level):
-    assert [check(level) for check in ALONE] == checks.run_checks(level)
 
 
 def test_run_checks_keeps_nothing_from_a_tampered_call(monkeypatch):

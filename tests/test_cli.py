@@ -75,6 +75,21 @@ def test_nonpositive_temperature_refusal(capsys):
     assert "zero temperature" in err
 
 
+# The default temperature_list holds T = 0.1, where tanh(eps / (2 T)) rounds to 1
+# once eps >~ 3.8. Neither command reads that list, yet both refuse it (exit 2).
+@pytest.mark.xfail(strict=True, reason="a sweep list the command never reads refuses the run")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["curve", "--epsilon", "3.8", "--temperature", "1.0", "--output"],
+        ["sweep-gamma", "--epsilon", "4", "--temperature", "1.0", "--output-dir"],
+    ],
+)
+def test_a_command_runs_whatever_a_sweep_list_it_does_not_read_holds(args, tmp_path):
+    target = tmp_path / "curve.csv" if args[0] == "curve" else tmp_path
+    assert main(args + [str(target), "--t-steps", "20"]) == 0
+
+
 def test_sweep_gamma_outputs(tmp_path, capsys):
     code = main(
         [
@@ -162,6 +177,22 @@ def test_verify_full_passes(capsys):
     assert "all checks passed" in out
 
 
+def test_verify_reports_each_check_once_in_order_with_its_tolerance(capsys):
+    assert main(["verify", "--level", "fast"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines if " residual " in line]
+    assert [(row[0], row[4]) for row in rows] == [
+        ("dissipation-spectrum", "1e-12"),
+        ("thermal-invariance", "1e-12"),
+        ("generator-match", "1e-10"),
+        ("mode-ccr", "1e-12"),
+        ("clt-convergence", "1e-02"),
+        ("thermal-covariance", "1e-12"),
+        ("state-physicality", "1e-09"),
+        ("curve-engine", "1e-12"),
+    ]
+
+
 def test_verify_reports_a_numeric_error_as_a_failure(monkeypatch, capsys):
     def tampered(params):
         gen = drift_matrix(params)
@@ -182,10 +213,11 @@ def test_verify_reports_a_numeric_error_as_a_failure(monkeypatch, capsys):
 
 
 def test_dissipation_check_reports_injected_cp_violation():
-    result = checks.check_dissipation_spectrum(gammas=(0.25, 0.6))
-    assert not result.passed
-    assert abs(result.residual - 0.2) < 1e-12
-    assert "-0.2" in result.detail
+    # the body of the dissipation-spectrum check, probed outside the CP window
+    residuals, detail = checks.check_dissipation_spectrum(gammas=(0.25, 0.6))
+    assert max(residuals) > 1e-12
+    assert abs(max(residuals) - 0.2) < 1e-12
+    assert "-0.2" in detail
 
 
 def test_clt_table(capsys):
