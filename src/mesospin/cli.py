@@ -86,10 +86,9 @@ def _plot_script_text(csv_names: list[str], labels: list[str]) -> str:
         "set ylabel 'E(t)'",
         "set key top right",
     ]
-    plots = [
-        f"'{name}' using 1:3 with lines title '{label}'"
-        for name, label in zip(csv_names, labels)
-    ]
+    # gnuplot reads '' as one ' inside a single-quoted string
+    quoted = ([text.replace("'", "''") for text in pair] for pair in zip(csv_names, labels))
+    plots = [f"'{name}' using 1:3 with lines title '{label}'" for name, label in quoted]
     lines.append("plot " + ", \\\n     ".join(plots))
     return "\n".join(lines) + "\n"
 

@@ -9,10 +9,9 @@ state fails. The 8x8 moment-matrix path (modes.propagate plus
 negativity.negativity) is the independent reference that the tests and
 `mesospin verify` compare curves against. The engine is certified to
 SPECTRAL_TOL against a 50-digit reference for |squeeze_r| <= SQUEEZE_R_MAX;
-larger squeezes are refused. A sweep is validated once, as its config, and
-evaluates all of its curves in the same batched pass, from one ModelParams
-whose swept field is the array of swept values; run_curve is the one-value
-case of that pass.
+larger squeezes are refused. A sweep evaluates all of its curves in the same
+batched pass, from one ModelParams whose swept field is the array of swept
+values; run_curve is the one-value case of that pass.
 CSV files are written with fixed 12-significant-digit formatting and '\\n'
 line endings, so repeated runs are byte-identical.
 """
@@ -51,8 +50,13 @@ class ExperimentConfig:
     """Parameters of a negativity run and of the two standard sweeps.
 
     The defaults reproduce the strongest entangling case: coldest default
-    temperature, maximal CP-allowed coupling, unit squeeze. gamma_list and
-    temperature_list only drive the corresponding sweep commands.
+    temperature, maximal CP-allowed coupling, unit squeeze. Construction
+    checks every field's type and finiteness, and the base point (epsilon,
+    temperature, gamma), which every command reads, against ModelParams; it
+    keeps that ModelParams as the attribute params, not a field. gamma_list
+    and temperature_list drive only their sweeps, and only the sweep that
+    reads a list checks its values' domain and curve file names; run_curve
+    ignores both lists.
     """
 
     epsilon: float = 1.0
@@ -94,32 +98,13 @@ class ExperimentConfig:
             for v in values:
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
                     raise ConfigError(f"{name}: expected a number, got {v!r}")
-            values = tuple(float(v) for v in values)
-            # A sweep names each curve file by the value's CSV format.
-            if len(set(map(format_float, values))) < len(values):
-                printed = [format_float(v) for v in values]
-                k = next(k for k, text in enumerate(printed) if text in printed[:k])
-                first = values[printed.index(printed[k])]
-                raise ConfigError(
-                    f"{name}: {first!r} and {values[k]!r} both print as {printed[k]} "
-                    "and would write the same curve file"
-                )
-            object.__setattr__(self, name, values)
-        # ModelParams owns the physical domain. Build it for every parameter
-        # set a run can use, one row at a time, so a bad value surfaces now,
-        # with the config field that carried it named, rather than later inside
-        # the numerics. ModelParams's own messages name the scalar field at
-        # fault and the first failing value of a list.
-        rows = (
-            ("", self.temperature, self.gamma),
-            ("gamma_list: ", self.temperature, self.gamma_list),
-            ("temperature_list: ", self.temperature_list, self.gamma),
-        )
-        for prefix, temperature, gamma in rows:
-            try:
-                ModelParams(self.epsilon, temperature, gamma)
-            except ContractViolation as exc:
-                raise ConfigError(f"{prefix}{exc}") from exc
+            object.__setattr__(self, name, tuple(float(v) for v in values))
+        # ModelParams owns the physical domain; its message names the field at fault.
+        try:
+            params = ModelParams(self.epsilon, self.temperature, self.gamma)
+        except ContractViolation as exc:
+            raise ConfigError(str(exc)) from exc
+        object.__setattr__(self, "params", params)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -161,7 +146,12 @@ class NegativityCurve:
         return float(self.log_negativity.max())
 
     def lifetime(self) -> float:
-        """Largest sampled time with E above LIFETIME_THRESHOLD; 0.0 if none."""
+        """Largest sampled time with E above LIFETIME_THRESHOLD; 0.0 if none.
+
+        It and max_log_negativity are read off the sampled grid, so a curve
+        still entangled at t_max reports t_max: the default curve reports 5.0,
+        against a closed-form death time of 8.468292.
+        """
         alive = np.nonzero(self.log_negativity > LIFETIME_THRESHOLD)[0]
         if len(alive) == 0:
             return 0.0
@@ -208,8 +198,7 @@ def _curves(
 
 def run_curve(config: ExperimentConfig) -> NegativityCurve:
     """The negativity curve of one configuration: a sweep of one value."""
-    params = ModelParams(config.epsilon, config.temperature, config.gamma)
-    return _curves(config, params, (config.meta(),))[0]
+    return _curves(config, config.params, (config.meta(),))[0]
 
 
 @dataclass(frozen=True)
@@ -223,39 +212,48 @@ class SweepResult:
     meta: dict
 
 
-def _sweep(config: ExperimentConfig, parameter: str, values: Sequence[float]) -> SweepResult:
-    # The config validated every value already: build the curves' parameters
-    # directly, the swept field an array of the values, rather than a new
-    # config per value.
+def _sweep(config: ExperimentConfig, parameter: str) -> SweepResult:
+    """One curve per value of the parameter's list, the one place that list is validated."""
+    name = f"{parameter}_list"
+    values = getattr(config, name)
+    # A sweep names each curve file by the value's CSV format.
+    first = {}
+    for v in values:
+        text = format_float(v)
+        if text in first:
+            raise ConfigError(
+                f"{name}: {first[text]!r} and {v!r} both print as {text} "
+                "and would write the same curve file"
+            )
+        first[text] = v
     base = config.meta()
-    fixed = {name: base[name] for name in ("epsilon", "temperature", "gamma")}
-    params = ModelParams(**{**fixed, parameter: np.array(values, dtype=float)})
-    metas = tuple({**base, parameter: float(v)} for v in values)
+    fixed = {key: base[key] for key in ("epsilon", "temperature", "gamma")}
+    # ModelParams's message names the first failing value of the list.
+    try:
+        params = ModelParams(**{**fixed, parameter: np.array(values, dtype=float)})
+    except ContractViolation as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+    metas = tuple({**base, parameter: v} for v in values)
     curves = _curves(config, params, metas)
     summary = tuple(
-        (float(v), c.max_log_negativity, c.lifetime())
-        for v, c in zip(values, curves)
+        (v, c.max_log_negativity, c.lifetime()) for v, c in zip(values, curves)
     )
     meta = dict(base)
     meta.pop(parameter, None)
     meta["swept"] = parameter
     return SweepResult(
-        parameter=parameter,
-        values=tuple(float(v) for v in values),
-        curves=curves,
-        summary=summary,
-        meta=meta,
+        parameter=parameter, values=values, curves=curves, summary=summary, meta=meta
     )
 
 
 def sweep_gamma(config: ExperimentConfig) -> SweepResult:
     """One curve per coupling in gamma_list, at the configured temperature."""
-    return _sweep(config, "gamma", config.gamma_list)
+    return _sweep(config, "gamma")
 
 
 def sweep_temperature(config: ExperimentConfig) -> SweepResult:
     """One curve per temperature in temperature_list, at the configured gamma."""
-    return _sweep(config, "temperature", config.temperature_list)
+    return _sweep(config, "temperature")
 
 
 def _header_lines(title: str, meta: dict) -> list[str]:

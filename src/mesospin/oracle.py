@@ -197,7 +197,8 @@ def _require_hermitian(x: np.ndarray, name: str) -> np.ndarray:
 
 def require_sites(n: float) -> int:
     """A site count as an int; raises ContractViolation unless a positive integer."""
-    if not np.isfinite(n) or int(n) != n or n < 1:
+    # an int of any size compares exactly; the range test keeps NaN and inf from int()
+    if not 1 <= n < np.inf or int(n) != n:
         raise ContractViolation(f"site count must be a positive integer, got {n!r}")
     return int(n)
 
@@ -214,7 +215,7 @@ def _site_weyl_unitary(
     centered = x - np.asarray(state.expectation(x))[..., None, None] * np.eye(_DIM)
     # one unit axis per axis of n, so that each observable meets every count
     centered = centered.reshape(centered.shape[:-2] + (1,) * np.ndim(n) + (_DIM, _DIM))
-    return expm(centered, 1.0j / np.sqrt(n))
+    return expm(centered, 1.0j / np.sqrt(np.asarray(n, dtype=float)))
 
 
 def weyl_expectation_finite(x: np.ndarray, n: int, state: ThermalSiteState) -> complex:

@@ -16,6 +16,7 @@ import mesospin
 import mesospin.checks as checks
 from mesospin.cli import main
 from mesospin.modes import drift_matrix
+from mesospin.sites import ModelParams
 
 
 def _read(path) -> str:
@@ -76,8 +77,7 @@ def test_nonpositive_temperature_refusal(capsys):
 
 
 # The default temperature_list holds T = 0.1, where tanh(eps / (2 T)) rounds to 1
-# once eps >~ 3.8. Neither command reads that list, yet both refuse it (exit 2).
-@pytest.mark.xfail(strict=True, reason="a sweep list the command never reads refuses the run")
+# once eps >~ 3.8. Neither command reads that list, so neither refuses it.
 @pytest.mark.parametrize(
     "args",
     [
@@ -88,6 +88,38 @@ def test_nonpositive_temperature_refusal(capsys):
 def test_a_command_runs_whatever_a_sweep_list_it_does_not_read_holds(args, tmp_path):
     target = tmp_path / "curve.csv" if args[0] == "curve" else tmp_path
     assert main(args + [str(target), "--t-steps", "20"]) == 0
+
+
+def test_sweep_temp_refuses_its_default_list_where_eta_rounds_to_one(tmp_path, capsys):
+    argv = ["sweep-temp", "--epsilon", "4", "--temperature", "1.0", "--output-dir"]
+    assert main(argv + [str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: temperature_list: tanh(epsilon*beta/2) = 1.0 must lie "
+        "strictly in (0, 1); the temperature is too low for finite-precision thermal "
+        "structure\n"
+    )
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "command,built", [("curve", 1), ("sweep-gamma", 2), ("sweep-temp", 2)]
+)
+def test_each_command_validates_each_parameter_set_once(
+    command, built, tmp_path, monkeypatch
+):
+    # the base point once, in the config; a sweep's list once more, in the sweep
+    sets = []
+    check = ModelParams.__post_init__
+
+    def counted(self):
+        sets.append(self)
+        check(self)
+
+    monkeypatch.setattr(ModelParams, "__post_init__", counted)
+    out = ["--output", "c.csv"] if command == "curve" else ["--output-dir", "."]
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--t-steps", "20", *out]) == 0
+    assert len(sets) == built
 
 
 def test_sweep_gamma_outputs(tmp_path, capsys):
@@ -237,6 +269,13 @@ def test_clt_refuses_a_non_integral_site_count(sites, capsys):
     assert captured.out == ""
 
 
+def test_clt_takes_a_site_count_beyond_64_bits(capsys):
+    assert main(["clt", "--sites", "100,1e20"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.count(f"{10**20:>8}") == 8
+
+
 def _fresh_interpreter(*argv: str) -> str:
     """Stdout of `python *argv` in a new process that imports this package.
 
@@ -336,6 +375,12 @@ def test_curve_plot_script(tmp_path):
     assert code == 0
     text = _read(script)
     assert "plot 'c.csv' using 1:3" in text
+
+
+def test_plot_script_doubles_the_quotes_in_a_file_name(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["curve", "--t-steps", "20", "--output", "it's.csv", "--plot-script", "p.gp"]) == 0
+    assert "plot 'it''s.csv' using 1:3 with lines title 'gamma = 0.5'\n" in _read("p.gp")
 
 
 def test_missing_subcommand_exits_with_usage_error():

@@ -45,29 +45,83 @@ def test_defaults():
         ({"t_max": 0.0}, "t_max"),
         ({"t_steps": 1}, "t_steps"),
         ({"t_steps": 2.5}, "t_steps"),
-        ({"gamma_list": (0.1, 0.6)}, "gamma_list"),
-        ({"gamma_list": ()}, "gamma_list"),
-        ({"temperature_list": (0.5, -1.0)}, "temperature_list"),
-        ({"squeeze_r": float("inf")}, "squeeze_r"),
-        ({"squeeze_r": 400.0}, "squeeze_r"),
-        ({"gamma_list": (0.1, -0.1)}, "gamma_list"),
-        ({"temperature_list": (0.001,)}, "temperature_list"),
-        ({"temperature_list": (float("inf"),)}, "temperature_list"),
-        ({"gamma_list": (0.1, 0.1000000000001)}, "gamma_list"),
-        ({"gamma_list": (0.2, 0.3, 0.2)}, "gamma_list"),
-        ({"temperature_list": (0.5, 0.50000000000004)}, "temperature_list"),
-        # a list reports its first bad value, not the last or the first one
-        pytest.param(
-            {"gamma_list": (0.1, 0.6, 0.7)},
-            "gamma_list: gamma must lie in [0, 0.5] for complete positivity, got 0.6",
-            id="kwargs18-gamma_list-first-bad-value",
-        ),
+        # explicit ids keep each case's test name stable
+        pytest.param({"gamma_list": ()}, "gamma_list", id="kwargs8-gamma_list"),
+        pytest.param({"squeeze_r": float("inf")}, "squeeze_r", id="kwargs10-squeeze_r"),
+        pytest.param({"squeeze_r": 400.0}, "squeeze_r", id="kwargs11-squeeze_r"),
     ],
 )
 def test_invalid_config_names_the_field(kwargs, field):
     with pytest.raises(ConfigError) as excinfo:
         ExperimentConfig.from_dict(kwargs)
     assert field in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        pytest.param(
+            {"gamma_list": (0.1, 0.6)},
+            "gamma must lie in [0, 0.5] for complete positivity, got 0.6",
+            id="gamma-above-window",
+        ),
+        pytest.param(
+            {"temperature_list": (0.5, -1.0)},
+            "temperature must be positive, got -1.0; at zero temperature the thermal "
+            "fluctuation structure contracts (eta -> 1) and the model is undefined",
+            id="negative-temperature",
+        ),
+        pytest.param(
+            {"gamma_list": (0.1, -0.1)},
+            "gamma must lie in [0, 0.5] for complete positivity, got -0.1",
+            id="gamma-below-window",
+        ),
+        pytest.param(
+            {"temperature_list": (0.001,)},
+            "tanh(epsilon*beta/2) = 1.0 must lie strictly in (0, 1); "
+            "the temperature is too low for finite-precision thermal structure",
+            id="eta-rounds-to-one",
+        ),
+        pytest.param(
+            {"temperature_list": (float("inf"),)},
+            "temperature must be finite, got inf",
+            id="infinite-temperature",
+        ),
+        pytest.param(
+            {"gamma_list": (0.1, 0.1000000000001)},
+            "0.1 and 0.1000000000001 both print as 0.1 and would write the same curve file",
+            id="gamma-values-print-alike",
+        ),
+        pytest.param(
+            {"gamma_list": (0.2, 0.3, 0.2)},
+            "0.2 and 0.2 both print as 0.2 and would write the same curve file",
+            id="gamma-repeated",
+        ),
+        pytest.param(
+            {"temperature_list": (0.5, 0.50000000000004)},
+            "0.5 and 0.50000000000004 both print as 0.5 and would write the same curve file",
+            id="temperatures-print-alike",
+        ),
+        # a list reports its first bad value, not the last or the first one
+        pytest.param(
+            {"gamma_list": (0.1, 0.6, 0.7)},
+            "gamma must lie in [0, 0.5] for complete positivity, got 0.6",
+            id="gamma-first-bad-value",
+        ),
+    ],
+)
+def test_only_the_sweep_that_reads_a_list_refuses_its_values(kwargs, message):
+    cfg = ExperimentConfig.from_dict({**kwargs, "t_steps": 20})
+    (name,) = kwargs
+    reads, ignores = sweep_gamma, sweep_temperature
+    if name == "temperature_list":
+        reads, ignores = ignores, reads
+    with pytest.raises(ConfigError) as excinfo:
+        reads(cfg)
+    assert str(excinfo.value) == f"{name}: {message}"
+    # the curve and the other sweep never read the list
+    assert len(run_curve(cfg).times) == 20
+    assert ignores(cfg).curves
 
 
 def test_unknown_field_is_rejected():
