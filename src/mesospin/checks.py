@@ -46,7 +46,12 @@ from .modes import (
     propagate,
     thermal_moments,
 )
-from .negativity import min_symplectic_pt, quadrature_covariance, symplectic_eigenvalues
+from .negativity import (
+    _FIRST_MODES,
+    min_symplectic_pt,
+    quadrature_covariance,
+    symplectic_eigenvalues,
+)
 from .oracle import (
     CLOSURE_TOL,
     Superoperator,
@@ -137,10 +142,6 @@ def _curve_configs(level: str) -> tuple[ExperimentConfig, ...]:
     return configs
 
 
-# Rows and columns (x, p) of a1 and of b1 in the 8x8 quadrature covariance.
-_FIRST_MODES = frozen(np.array([0, 1, 4, 5]))
-
-
 class _Inputs:
     """The inputs that several checks of one run_checks(level) call read.
 
@@ -190,7 +191,7 @@ class _Inputs:
         params = ModelParams(*fields[:3])
         times = np.linspace(0.0, configs[0].t_max, configs[0].t_steps)
         states = propagate(initial_state(params, fields[3]), drift_matrix(params), times)
-        return configs, quadrature_covariance(states.moment_matrix)
+        return configs, quadrature_covariance(states)
 
 
 def _thermal_invariance(inputs: _Inputs) -> tuple[np.ndarray, str]:
@@ -250,8 +251,7 @@ def _physicality(inputs: _Inputs) -> tuple[np.ndarray, str]:
 
 def _curve_engine(inputs: _Inputs) -> tuple[np.ndarray, str]:
     """Closed-form curves match the 8x8 reference path at every grid point."""
-    # The covariance is assembled entry by entry, so the (a1, b1) block of the
-    # full one is the covariance that negativity() builds from the moment block.
+    # the (a1, b1) rows and columns that negativity() reads
     configs, cov = inputs.reference
     reference = min_symplectic_pt(cov[..., _FIRST_MODES[:, None], _FIRST_MODES])
     curves = np.array([run_curve(config).nu_min for config in configs])

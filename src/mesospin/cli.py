@@ -4,12 +4,14 @@ Subcommands: curve (one negativity curve), sweep-gamma and sweep-temp (one
 curve per swept value plus a summary), verify (self-check suite), clt
 (central-limit convergence table). Options may come from a flat JSON config
 file, from flags, or both; flags win. Exit codes: 0 success, 1 verification
-failure, 2 configuration error or an output that cannot be written.
+failure, 2 configuration error or an output that cannot be written (a closed
+stdout included, which ends the command without a message).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import errno
 import functools
@@ -241,16 +243,28 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code; safe to call repeatedly."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
+        return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except ContractViolation as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader of stdout has gone, as in `mesospin clt | head -3`: stop
+        # quietly, with stdout on devnull so that the flush at exit cannot fail.
+        with contextlib.suppress(AttributeError, OSError, ValueError):  # no descriptor
+            fileno = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fileno)
+            os.close(devnull)
+        return 2
     except OSError as exc:
         # Config files are read inside ConfigError; what is left is output.
-        print(f"cannot write '{exc.filename}': {exc.strerror or exc}", file=sys.stderr)
+        where = "" if exc.filename is None else f" '{exc.filename}'"
+        print(f"cannot write{where}: {exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

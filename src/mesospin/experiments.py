@@ -286,5 +286,10 @@ def summary_csv_text(sweep: SweepResult) -> str:
 
 
 def write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="ascii", newline="") as handle:
-        handle.write(text)
+    """Write one output file; an OSError names the path, even one from write or close."""
+    try:
+        with open(path, "w", encoding="ascii", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        exc.filename = exc.filename or path
+        raise

@@ -166,7 +166,8 @@ class GaussianState:
     index. eta is a float shared by every state, or an array over the first
     leading axes: eta[i] belongs to every state of moment_matrix[i]. Construction
     enforces Hermiticity and the swap symmetry of every matrix, which a NaN
-    entry fails, then stores the exactly symmetrized stack.
+    entry fails, then stores the exactly symmetrized stack. It is the one
+    place a moment matrix is checked: quadrature_covariance relies on it.
     """
 
     moment_matrix: np.ndarray
@@ -272,11 +273,10 @@ def propagate(state: GaussianState, gen: MesoGenerator, t) -> GaussianState:
     transfer = np.zeros(u.shape[:-2] + (8, 8), dtype=complex)
     transfer[..., :4, :4] = u
     transfer[..., 4:, 4:] = u.conj()
-    reference = thermal_moments(state.eta)
-    deviation = state.moment_matrix - reference
-    if lead:  # each generator's state and fixed point meet every time
-        at = (..., *(None,) * np.ndim(t), slice(None), slice(None))
-        deviation, reference = deviation[at], reference[at]
+    # each generator's state and fixed point meet every time
+    at = (..., *(None,) * np.ndim(t), slice(None), slice(None))
+    reference = thermal_moments(state.eta)[at]
+    deviation = state.moment_matrix[at] - reference
     g = transfer.conj().swapaxes(-1, -2) @ deviation @ transfer
     g += reference
     return GaussianState(moment_matrix=g, eta=state.eta)

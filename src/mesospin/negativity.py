@@ -1,10 +1,10 @@
 """Logarithmic negativity between the first collective modes of the chains.
 
-The pipeline is: select the (a1, b1) block of an eight-dimensional moment
-matrix, rewrite it as a real quadrature covariance normalized so the vacuum is
-the identity, partially transpose the second mode, and read off the smallest
-symplectic eigenvalue. Entanglement is E = max(0, -ln nu_min): positive
-exactly when the partial transpose fails to be a physical state.
+The pipeline is: rewrite the eight-dimensional moment matrix of a state as a
+real quadrature covariance normalized so the vacuum is the identity, read its
+(a1, b1) rows and columns, partially transpose the second mode, and read off
+the smallest symplectic eigenvalue. Entanglement is E = max(0, -ln nu_min):
+positive exactly when the partial transpose fails to be a physical state.
 
 The smallest eigenvalue is computed twice, by independent routes: the closed
 two-mode determinant formula, and the spectrum of i*Omega*sigma. The spectral
@@ -32,53 +32,32 @@ import numpy as np
 from .errors import ContractViolation, NumericError
 from .linalg import SPECTRAL_TOL
 from .modes import GaussianState
+from .sites import frozen
 
 _BLOCK_TOL = 1e-10
 
-
-def first_mode_block(state: GaussianState) -> np.ndarray:
-    """Moment block of (a1, b1) and conjugates: rows/columns 0, 2, 4, 6."""
-    idx = np.array([0, 2, 4, 6])
-    return state.moment_matrix[..., idx[:, None], idx]
+# Rows and columns (x, p) of a1 and of b1 in the 8x8 quadrature covariance.
+_FIRST_MODES = frozen(np.array([0, 1, 4, 5]))
 
 
-def quadrature_covariance(block: np.ndarray) -> np.ndarray:
-    """Real covariance over (x_1, p_1, ..., x_n, p_n), vacuum = identity.
+def quadrature_covariance(state: GaussianState) -> np.ndarray:
+    """Real covariance over (x_1, p_1, ..., x_4, p_4) of a state, vacuum = identity.
 
-    Accepts a 2n x 2n complex moment block ordered (modes; conjugate modes),
-    or a stack (..., 2n, 2n). Every block must be Hermitian and
-    conjugation-symmetric within 1e-10; every assembled real matrix must be
-    symmetric to the same tolerance. A NaN entry fails these tests
-    (ContractViolation).
+    Quadrature pair k belongs to mode k of (a1, a2, b1, b2). A state stack
+    (..., 8, 8) gives (..., 8, 8). GaussianState stores each moment matrix
+    exactly Hermitian and swap-symmetric, so the entries are assembled as
+    they are: every matrix comes out exactly symmetric.
     """
-    block = np.asarray(block, dtype=complex)
-    if block.ndim < 2 or block.shape[-1] != block.shape[-2] or block.shape[-1] % 2:
-        raise ContractViolation(f"moment block must be (..., 2n, 2n), got {block.shape}")
-    n = block.shape[-1] // 2
-    limit = _BLOCK_TOL * np.maximum(1.0, _max_abs(block))
-    # Each tolerance test is not (x <= limit), which a NaN fails.
-    if not np.all(_max_abs(block - block.conj().swapaxes(-1, -2)) <= limit):
-        raise ContractViolation("moment block must be Hermitian")
-    # Swap conj(block) Swap, Swap exchanging modes and conjugate modes, is a roll.
-    if not np.all(_max_abs(block - np.roll(block.conj(), n, axis=(-2, -1))) <= limit):
-        raise ContractViolation("moment block breaks mode-conjugate symmetry")
-
-    sym = block[..., :n, :n].conj()
-    pair = -block[..., n:, :n]
-    cov = np.empty(block.shape, dtype=float)
+    g = state.moment_matrix
+    sym = g[..., :4, :4].conj()
+    pair = -g[..., 4:, :4]
+    cov = np.empty(g.shape, dtype=float)
     cov[..., 0::2, 0::2] = (sym + pair).real
     cov[..., 0::2, 1::2] = pair.imag - sym.imag
     cov[..., 1::2, 0::2] = pair.imag + sym.imag
     cov[..., 1::2, 1::2] = (sym - pair).real
     cov *= 2.0
-    cov_t = cov.swapaxes(-1, -2)
-    if not np.all(_max_abs(cov - cov_t) <= _BLOCK_TOL * np.maximum(1.0, _max_abs(cov))):
-        raise ContractViolation("assembled quadrature covariance is not symmetric")
-    return 0.5 * (cov + cov_t)
-
-
-def _max_abs(a: np.ndarray) -> np.ndarray:
-    return np.abs(a).max(axis=(-2, -1))
+    return cov
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
@@ -209,7 +188,10 @@ class NegativityResult:
 
 
 def negativity(state: GaussianState) -> NegativityResult:
-    """Logarithmic negativity between a1 and b1 in the given state or state stack."""
-    cov = quadrature_covariance(first_mode_block(state))
-    nu_min = min_symplectic_pt(cov)
+    """Logarithmic negativity between a1 and b1 in the given state or state stack.
+
+    nu_min is read from the (a1, b1) rows and columns of quadrature_covariance.
+    """
+    cov = quadrature_covariance(state)
+    nu_min = min_symplectic_pt(cov[..., _FIRST_MODES[:, None], _FIRST_MODES])
     return NegativityResult(nu_min=nu_min, log_negativity=log_negativity(nu_min))

@@ -17,12 +17,7 @@ import numpy as np
 from mesospin.errors import ContractViolation
 from mesospin.experiments import ExperimentConfig, run_curve, sweep_gamma, sweep_temperature
 from mesospin.modes import drift_matrix, initial_state, mode_operators, propagate
-from mesospin.negativity import (
-    first_mode_block,
-    log_negativity,
-    min_symplectic_pt,
-    quadrature_covariance,
-)
+from mesospin.negativity import log_negativity, min_symplectic_pt, negativity
 from mesospin.oracle import (
     extract_mode_generator,
     liouvillian,
@@ -161,8 +156,7 @@ def test_criterion_06_initial_state_carries_no_negativity():
     for temperature in (0.1, 1.0, 5.0):
         for r in (0.0, 1.0, 3.0):
             params = ModelParams(1.0, temperature, 0.5)
-            cov = quadrature_covariance(first_mode_block(initial_state(params, r)))
-            nu = min_symplectic_pt(cov)
+            nu = negativity(initial_state(params, r)).nu_min
             # the squeezed variance exp(-2r)/eta is a cosh - sinh difference,
             # so its relative accuracy degrades like exp(4r) * eps
             tol = (1e-12 + 4e-16 * float(np.exp(4.0 * r))) / params.eta
@@ -213,7 +207,7 @@ def test_criterion_08_entanglement_decays_with_temperature():
 
 
 def _nu_of(state) -> float:
-    return min_symplectic_pt(quadrature_covariance(first_mode_block(state)))
+    return negativity(state).nu_min
 
 
 def test_criterion_09_relaxation_envelope_rate():

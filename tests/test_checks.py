@@ -19,12 +19,7 @@ from mesospin.modes import (
     propagate,
     thermal_moments,
 )
-from mesospin.negativity import (
-    min_symplectic_pt,
-    negativity,
-    quadrature_covariance,
-    symplectic_eigenvalues,
-)
+from mesospin.negativity import negativity, quadrature_covariance, symplectic_eigenvalues
 from mesospin.oracle import (
     extract_mode_generator,
     liouvillian,
@@ -169,21 +164,6 @@ def test_a_full_run_builds_each_generator_and_reference_stack_once(monkeypatch):
     }
 
 
-def test_the_first_mode_block_of_the_full_covariance_gives_the_negativity():
-    # curve-engine reads nu_min from rows and columns (x, p) of a1 and b1 of
-    # the full covariance; negativity() builds it from the moment block.
-    rng = np.random.default_rng(29)
-    params = ModelParams(
-        rng.uniform(0.2, 3.0, 6), rng.uniform(0.05, 5.0, 6), rng.uniform(0.0, 0.5, 6)
-    )
-    start = initial_state(params, rng.uniform(-3.0, 3.0, 6))
-    states = propagate(start, drift_matrix(params), np.sort(rng.uniform(0.0, 6.0, 40)))
-    block = quadrature_covariance(states.moment_matrix)[..., [[0], [1], [4], [5]], [0, 1, 4, 5]]
-    expected = negativity(states).nu_min
-    assert expected.shape == (6, 40)
-    assert np.array_equal(min_symplectic_pt(block), expected)
-
-
 def test_a_nan_thermal_state_fails_checks_without_aborting_the_run(monkeypatch):
     rho = np.full((4, 4), np.nan, dtype=complex)
     monkeypatch.setattr(checks, "thermal_state", lambda params: ThermalSiteState(rho=rho))
@@ -246,7 +226,7 @@ def _looped_residuals(level):
         times = np.linspace(0.0, config.t_max, config.t_steps)
         for t, nu in zip(times, curve):
             moments = propagate(start, gen, t)
-            smallest = symplectic_eigenvalues(quadrature_covariance(moments.moment_matrix))[0]
+            smallest = symplectic_eigenvalues(quadrature_covariance(moments))[0]
             physicality.append(max(0.0, 1.0 - smallest))
             reference = negativity(moments).nu_min
             engine.append(abs(nu - reference) / reference)

@@ -90,6 +90,20 @@ def test_a_command_runs_whatever_a_sweep_list_it_does_not_read_holds(args, tmp_p
     assert main(args + [str(target), "--t-steps", "20"]) == 0
 
 
+# Known fault: the config validates the whole base point, although a sweep never
+# reads the base value of the field it sweeps.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the base point is validated whole")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep-gamma", "--gamma", "0.7", "--gamma-list", "0.1,0.2"],
+        ["sweep-temp", "--temperature", "0.001", "--temperature-list", "0.1,0.2"],
+    ],
+)
+def test_a_sweep_runs_whatever_base_value_of_its_swept_field_it_is_given(args, tmp_path):
+    assert main(args + ["--t-steps", "20", "--output-dir", str(tmp_path)]) == 0
+
+
 def test_sweep_temp_refuses_its_default_list_where_eta_rounds_to_one(tmp_path, capsys):
     argv = ["sweep-temp", "--epsilon", "4", "--temperature", "1.0", "--output-dir"]
     assert main(argv + [str(tmp_path)]) == 2
@@ -320,6 +334,14 @@ def test_curve_to_a_missing_directory_is_refused(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_a_failed_write_to_an_output_file_names_the_file(capsys):
+    # /dev/full opens, then refuses the write: the error carries no file name
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this machine")
+    assert main(["curve", "--t-steps", "20", "--output", "/dev/full"]) == 2
+    assert capsys.readouterr().err == "cannot write '/dev/full': No space left on device\n"
+
+
 def test_sweep_into_an_existing_file_is_refused(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("keep\n")
@@ -329,6 +351,53 @@ def test_sweep_into_an_existing_file_is_refused(tmp_path, capsys):
     assert captured.err.startswith(f"cannot write '{taken}': ")
     assert captured.out == ""
     assert taken.read_text() == "keep\n"
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv", [["clt", "--sites", "100,1000"], ["verify"]])
+def test_a_closed_stdout_ends_the_command_without_a_message(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ""
+
+
+def test_a_failed_write_to_stdout_names_no_path(monkeypatch, capsys):
+    class Full(_ClosedPipe):
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    assert main(["clt", "--sites", "100,1000"]) == 2
+    assert capsys.readouterr().err == "cannot write: No space left on device\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_closed_stdout_pipe_exits_quietly_in_a_fresh_interpreter(unbuffered):
+    # as in `mesospin clt | head -3`: the pipe has no reader before anything is
+    # written; buffered, the write fails only when stdout is flushed
+    src = str(Path(mesospin.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "mesospin", "clt", "--sites", "100,1000"],
+        env={**env, "PYTHONPATH": path, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {})},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait() == 2
+    assert err == b""
 
 
 def test_curve_with_a_plot_script_in_a_missing_directory_writes_nothing(

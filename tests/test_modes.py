@@ -145,12 +145,17 @@ def test_gaussian_state_validation():
     good = initial_state(p, 1.0).moment_matrix
     broken = good.copy()
     broken[0, 1] += 0.1
-    with pytest.raises(ContractViolation):
-        GaussianState(moment_matrix=broken, eta=p.eta)
     asymmetric = good.copy()
     asymmetric[1, 1] += 0.5  # Hermitian but breaks the mode-conjugate swap
-    with pytest.raises(ContractViolation):
-        GaussianState(moment_matrix=asymmetric, eta=p.eta)
+    lopsided = good.copy()
+    lopsided[0, 2] += 0.25j  # off the diagonal, Hermitian, and swap-asymmetric
+    lopsided[2, 0] -= 0.25j
+    for g, what in ((broken, "Hermitian"), (asymmetric, "swap"), (lopsided, "swap")):
+        with pytest.raises(ContractViolation, match=what):
+            GaussianState(moment_matrix=g, eta=p.eta)
+        # one bad matrix anywhere in a stack is refused
+        with pytest.raises(ContractViolation, match=what):
+            GaussianState(moment_matrix=np.array([good, good, g]), eta=p.eta)
 
 
 def test_gaussian_state_rejects_nan_moments():
@@ -159,6 +164,11 @@ def test_gaussian_state_rejects_nan_moments():
             GaussianState(moment_matrix=g, eta=0.5)
     stack = np.array([_reference(0.5)] * 3)
     stack[1, 2, 5] = stack[1, 5, 2] = np.nan
+    with pytest.raises(ContractViolation):
+        GaussianState(moment_matrix=stack, eta=0.5)
+    # a NaN in the imaginary part alone, in the last matrix of the stack
+    stack = np.array([_reference(0.5)] * 3)
+    stack[2, 1, 3] = stack[2, 3, 1] = complex(0.0, np.nan)
     with pytest.raises(ContractViolation):
         GaussianState(moment_matrix=stack, eta=0.5)
 

@@ -257,6 +257,21 @@ def test_clt_table_is_each_single_weyl_expectation():
             assert finite == [weyl_expectation_finite(x, n, state) for n in sites]
 
 
+# Known fault: a float one-site factor raised to the n-th power carries a
+# relative error of about n * eps, 1.2e-8 at n = 1e8.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the n-th power loses n * eps")
+def test_clt_table_error_at_1e8_sites_is_the_exact_one():
+    # Each x_a squares to 1 and is centred in the thermal state, so its exact
+    # n-site value is cos(1/sqrt(n))^n.
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 40
+    n = 10**8
+    exact = mp.cos(1 / mp.sqrt(n)) ** n
+    for limit, _, errors, _ in clt_table(thermal_state(ModelParams(1.0, 1.0, 0.0)), (100, n)):
+        want = float(abs(exact - mp.mpf(limit)))  # 5.05e-10
+        assert abs(errors[1] - want) <= 1e-2 * want
+
+
 def test_weyl_rejects_non_hermitian_and_bad_site_count():
     p = ModelParams(1.0, 1.0, 0.5)
     state = thermal_state(p)
