@@ -4,7 +4,11 @@ from __future__ import annotations
 
 
 class ContractViolation(ValueError):
-    """An input violates a documented precondition (shape, symmetry, domain)."""
+    """An input violates a documented precondition; field names the input at fault, if known."""
+
+    def __init__(self, message: str = "", field: str | None = None) -> None:
+        super().__init__(message)
+        self.field = field
 
 
 class ConfigError(ValueError):

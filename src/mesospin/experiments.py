@@ -1,13 +1,20 @@
 """Negativity curves, parameter sweeps, and their deterministic CSV output.
 
 A run is fully specified by an ExperimentConfig; all defaults live on the
-dataclass so the CLI, the config file, and library callers agree. A curve is
-one batched, closed-form evaluation over a uniform time grid: the normal-mode
-variances of the first modes (modes.normal_mode_variances) and nu_min from
-them (negativity.min_symplectic_pt_grid), every point held to checks a wrong
-state fails. The 8x8 moment-matrix path (modes.propagate plus
-negativity.negativity) is the independent reference that the tests and
-`mesospin verify` compare curves against. The engine is certified to
+dataclass so the CLI, the config file, and library callers agree.
+
+This module is the curve engine, and the only code that computes the first
+modes in closed form. A curve is one batched evaluation over a uniform time
+grid: the (x, p) variances of the normal modes (a1 +/- b1)/sqrt(2), and from
+them nu_min = sqrt(min(x_+ p_-, x_- p_+)), the smallest symplectic eigenvalue
+of the partially transposed (a1, b1) state (Simon, PRL 84, 2726 (2000)).
+One check pass then holds every point to three checks, in this order: nu_min
+is finite and positive (ContractViolation); each normal mode keeps the
+uncertainty bound x p >= 1 (NumericError); the variances start at the exact
+squeezed state and stay in its relaxation envelope (NumericError). The 8x8
+moment-matrix path (modes.propagate plus negativity.negativity) is the
+independent reference that the tests and `mesospin verify` compare curves
+against; it shares no code with the engine. The engine is certified to
 SPECTRAL_TOL against a 50-digit reference for |squeeze_r| <= SQUEEZE_R_MAX;
 larger squeezes are refused. A sweep evaluates all of its curves in the same
 batched pass, from one ModelParams whose swept field is the array of swept
@@ -24,8 +31,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, NumericError
-from .modes import normal_mode_variances
-from .negativity import log_negativity, min_symplectic_pt_grid
+from .linalg import SPECTRAL_TOL
+from .negativity import log_negativity
 from .sites import ModelParams
 
 LIFETIME_THRESHOLD = 1e-12
@@ -51,12 +58,11 @@ class ExperimentConfig:
 
     The defaults reproduce the strongest entangling case: coldest default
     temperature, maximal CP-allowed coupling, unit squeeze. Construction
-    checks every field's type and finiteness, and the base point (epsilon,
-    temperature, gamma), which every command reads, against ModelParams; it
-    keeps that ModelParams as the attribute params, not a field. gamma_list
-    and temperature_list drive only their sweeps, and only the sweep that
-    reads a list checks its values' domain and curve file names; run_curve
-    ignores both lists.
+    checks every field's type and finiteness. The physical domain is checked
+    by ModelParams in the command that reads a value: run_curve checks the
+    base point (epsilon, temperature, gamma), a sweep the base fields it
+    reads and its own list, whose curve file names it checks too. So a sweep
+    ignores the base value of its swept field, and run_curve both lists.
     """
 
     epsilon: float = 1.0
@@ -99,12 +105,6 @@ class ExperimentConfig:
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
                     raise ConfigError(f"{name}: expected a number, got {v!r}")
             object.__setattr__(self, name, tuple(float(v) for v in values))
-        # ModelParams owns the physical domain; its message names the field at fault.
-        try:
-            params = ModelParams(self.epsilon, self.temperature, self.gamma)
-        except ContractViolation as exc:
-            raise ConfigError(str(exc)) from exc
-        object.__setattr__(self, "params", params)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -158,47 +158,113 @@ class NegativityCurve:
         return float(self.times[alive[-1]])
 
 
+def _normal_mode_variances(
+    params: ModelParams, squeeze_r: float, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature variances of the modes (a1 +/- b1)/sqrt(2) over a time grid.
+
+    K^2 = I puts exp(tM) in closed form, and only its (a1, b1) block
+    e^{-(1+i*eps)t} [[c, -eta*s], [-eta*s, c]] (c = cosh gamma*t,
+    s = sinh gamma*t) reaches the first modes. The phase e^{-i*eps*t} turns
+    both modes alike, a local passive rotation that no entanglement measure
+    sees, so it is dropped. The real remainder is diagonal on a1 +/- b1 with
+    damping q_+/- = e^{-t}(c -/+ eta*s), and each quadrature of each normal
+    mode relaxes toward the thermal variance: V(t) = q^2 V(0) + (1 - q^2)/eta.
+    1 - q is summed from expm1 terms of one sign and 1 - eta comes from
+    exp(2u), so no difference cancels at any r, t or temperature.
+
+    Returns (x, p), each of shape S + (2, len(times)) with rows sigma = +, -:
+    x starts anti-squeezed at e^{2|r|}/eta, p squeezed at e^{-2|r|}/eta.
+    Every parameter set gets one curve on the shared grid; the arithmetic is
+    elementwise, so each curve is bit for bit what its own call returns. The
+    state depends on r only through |r|.
+    """
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or not np.all(np.isfinite(t)) or np.any(t < 0.0):
+        raise ContractViolation("propagation times must be finite and nonnegative")
+    r = abs(float(squeeze_r))
+    eta = np.asarray(params.eta)[..., None, None]
+    gamma = np.asarray(params.gamma)[..., None]
+    low = 1.0 / (np.exp(np.asarray(params.epsilon * params.beta)) + 1.0)[..., None]  # (1 - eta)/2
+    high = 0.5 * (1.0 + np.asarray(params.eta))[..., None]
+    slow = -(1.0 - gamma) * t
+    fast = -(1.0 + gamma) * t
+    # Row sigma = + weighs the slow rate 1 - gamma by (1 - eta)/2, row - by (1 + eta)/2.
+    def rows(at_slow: np.ndarray, at_fast: np.ndarray) -> np.ndarray:
+        return np.stack([low * at_slow + high * at_fast, high * at_slow + low * at_fast], axis=-2)
+
+    q = rows(np.exp(slow), np.exp(fast))
+    one_minus_q = -rows(np.expm1(slow), np.expm1(fast))
+    w = q * q
+    one_minus_w = one_minus_q * (1.0 + q)
+    x = (1.0 + np.expm1(2.0 * r) * w) / eta
+    p = (one_minus_w + np.exp(-2.0 * r) * w) / eta
+    return x, p
+
+
 def _curves(
     config: ExperimentConfig, params: ModelParams, metas: Sequence[dict]
 ) -> tuple[NegativityCurve, ...]:
     """Negativity of the squeezed thermal state, one curve per set of params, in flat order.
 
     Every curve is evaluated on the config's time grid in one batched pass.
-    The variances must start at t = 0 in the exact squeezed state (np.exp, not
-    expm1) and stay between it and 1/eta; else NumericError names the first t.
-    A failure raises what the first failing set raises on its own: the nu_min
-    and uncertainty checks of min_symplectic_pt_grid come before this one.
+    Flipping p of b1 swaps p_+ and p_-, so the partial transpose pairs x_+
+    with p_- and x_- with p_+. One pass holds every point to the three checks
+    of the module, in order: the uncertainty bound also asks x > 0 and p > 0
+    and allows SPECTRAL_TOL, and the start is the exact squeezed state
+    (np.exp, not expm1). A failure raises, for the first failing curve, its
+    first failing check at that check's first bad time: what that curve
+    raises on its own.
     """
     times = np.linspace(0.0, config.t_max, config.t_steps)
-    x, p = normal_mode_variances(params, config.squeeze_r, times)
+    x, p = _normal_mode_variances(params, config.squeeze_r, times)
     x, p = x.reshape(-1, 2, len(times)), p.reshape(-1, 2, len(times))
+    nu = np.sqrt(np.minimum(x[:, 0] * p[:, 1], x[:, 1] * p[:, 0]))
     thermal = 1.0 / np.reshape(params.eta, (-1, 1, 1))
     r = abs(config.squeeze_r)
     x0, p0 = thermal * np.exp(2.0 * r), thermal * np.exp(-2.0 * r)
     lo, hi = 1.0 - _ENVELOPE_RTOL, 1.0 + _ENVELOPE_RTOL
     inside = (x >= lo * thermal) & (x <= hi * x0) & (p >= lo * p0) & (p <= hi * thermal)
     inside[..., 0] &= (x[..., 0] >= lo * x0[..., 0]) & (p[..., 0] <= hi * p0[..., 0])
-    if not inside.all():
-        # Raise what the first failing set raises on its own: its own nu_min
-        # and uncertainty checks, and those of every set before it, come first.
-        escaped = ~inside.all(axis=-2)
-        v = int(np.argmax(escaped.any(axis=-1)))
-        min_symplectic_pt_grid(x[: v + 1], p[: v + 1], times)
-        k = int(np.argmax(escaped[v]))
+    physical = (x > 0.0) & (p > 0.0) & (x * p >= 1.0 - SPECTRAL_TOL)
+    # check, curve, time
+    bad = np.stack((~(np.isfinite(nu) & (nu > 0.0)), ~physical.all(axis=1), ~inside.all(axis=1)))
+    if bad.any():
+        v = int(np.argmax(bad.any(axis=(0, 2))))
+        check = int(np.argmax(bad[:, v].any(axis=-1)))
+        k = int(np.argmax(bad[check, v]))
+        at = f"at t = {float(times[k])!r}: "
+        point = f"x = {x[v][:, k].tolist()}, p = {p[v][:, k].tolist()}"
+        state = f"nu_min = {float(nu[v, k])!r}, {point}"
+        if check == 0:
+            raise ContractViolation(f"nu_min must be positive {at}{state}")
+        if check == 1:
+            raise NumericError(f"normal modes break the uncertainty bound x p >= 1 {at}{state}")
         raise NumericError(
             f"normal-mode variances leave the relaxation from x = {x0[v, 0, 0].item()!r}, "
-            f"p = {p0[v, 0, 0].item()!r} toward {thermal[v, 0, 0].item()!r} "
-            f"at t = {float(times[k])!r}: "
-            f"x = {x[v][:, k].tolist()}, p = {p[v][:, k].tolist()}"
+            f"p = {p0[v, 0, 0].item()!r} toward {thermal[v, 0, 0].item()!r} {at}{point}"
         )
-    nu = min_symplectic_pt_grid(x, p, times)
     energy = log_negativity(nu)
     return tuple(NegativityCurve(times, nu[v], energy[v], meta) for v, meta in enumerate(metas))
 
 
+def _model_params(config: ExperimentConfig, **swept: np.ndarray) -> ModelParams:
+    """The base point's ModelParams, with a swept field's values for its base value.
+
+    ModelParams owns the physical domain, and its message names the value at
+    fault; a refusal of a swept field is prefixed by its list's name.
+    """
+    base = {"epsilon": config.epsilon, "temperature": config.temperature, "gamma": config.gamma}
+    try:
+        return ModelParams(**{**base, **swept})
+    except ContractViolation as exc:
+        prefix = f"{exc.field}_list: " if exc.field in swept else ""
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
 def run_curve(config: ExperimentConfig) -> NegativityCurve:
     """The negativity curve of one configuration: a sweep of one value."""
-    return _curves(config, config.params, (config.meta(),))[0]
+    return _curves(config, _model_params(config), (config.meta(),))[0]
 
 
 @dataclass(frozen=True)
@@ -226,13 +292,8 @@ def _sweep(config: ExperimentConfig, parameter: str) -> SweepResult:
                 "and would write the same curve file"
             )
         first[text] = v
+    params = _model_params(config, **{parameter: np.array(values, dtype=float)})
     base = config.meta()
-    fixed = {key: base[key] for key in ("epsilon", "temperature", "gamma")}
-    # ModelParams's message names the first failing value of the list.
-    try:
-        params = ModelParams(**{**fixed, parameter: np.array(values, dtype=float)})
-    except ContractViolation as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
     metas = tuple({**base, parameter: v} for v in values)
     curves = _curves(config, params, metas)
     summary = tuple(

@@ -17,9 +17,6 @@ so does not rely on K^2 = I; it is the general reference. Given an array of
 times, or a stacked generator and a matching state stack, flow() and
 propagate() return stacks over the generators and the times, entry for entry
 what single calls return. The fixed point is thermal_moments().
-normal_mode_variances() evaluates only the first modes, in closed form and over
-a whole time grid at once, for every parameter set of a ModelParams; it is
-what curves are computed from.
 """
 
 from __future__ import annotations
@@ -280,49 +277,3 @@ def propagate(state: GaussianState, gen: MesoGenerator, t) -> GaussianState:
     g = transfer.conj().swapaxes(-1, -2) @ deviation @ transfer
     g += reference
     return GaussianState(moment_matrix=g, eta=state.eta)
-
-
-def normal_mode_variances(
-    params: ModelParams, squeeze_r: float, times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature variances of the modes (a1 +/- b1)/sqrt(2) over a time grid.
-
-    K^2 = I puts exp(tM) in closed form, and only its (a1, b1) block
-    e^{-(1+i*eps)t} [[c, -eta*s], [-eta*s, c]] (c = cosh gamma*t,
-    s = sinh gamma*t) reaches the first modes. The phase e^{-i*eps*t} turns
-    both modes alike, a local passive rotation that no entanglement measure
-    sees, so it is dropped. The real remainder is diagonal on a1 +/- b1 with
-    damping q_+/- = e^{-t}(c -/+ eta*s), and each quadrature of each normal
-    mode relaxes toward the thermal variance: V(t) = q^2 V(0) + (1 - q^2)/eta.
-    1 - q is summed from expm1 terms of one sign and 1 - eta comes from
-    exp(2u), so no difference cancels at any r, t or temperature.
-
-    Returns (x, p), each of shape S + (2, len(times)) with rows sigma = +, -:
-    x starts anti-squeezed at e^{2|r|}/eta, p squeezed at e^{-2|r|}/eta.
-    Every parameter set gets one curve on the shared grid; the arithmetic is
-    elementwise, so each curve is bit for bit what its own call returns. The
-    state depends on r only through |r|.
-    """
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or not np.all(np.isfinite(t)) or np.any(t < 0.0):
-        raise ContractViolation("propagation times must be finite and nonnegative")
-    r = abs(float(squeeze_r))
-    if not np.isfinite(r):
-        raise ContractViolation(f"squeeze parameter must be finite, got {squeeze_r!r}")
-    eta = np.asarray(params.eta)[..., None, None]
-    gamma = np.asarray(params.gamma)[..., None]
-    low = 1.0 / (np.exp(np.asarray(params.epsilon * params.beta)) + 1.0)[..., None]  # (1 - eta)/2
-    high = 0.5 * (1.0 + np.asarray(params.eta))[..., None]
-    slow = -(1.0 - gamma) * t
-    fast = -(1.0 + gamma) * t
-    # Row sigma = + weighs the slow rate 1 - gamma by (1 - eta)/2, row - by (1 + eta)/2.
-    def rows(at_slow: np.ndarray, at_fast: np.ndarray) -> np.ndarray:
-        return np.stack([low * at_slow + high * at_fast, high * at_slow + low * at_fast], axis=-2)
-
-    q = rows(np.exp(slow), np.exp(fast))
-    one_minus_q = -rows(np.expm1(slow), np.expm1(fast))
-    w = q * q
-    one_minus_w = one_minus_q * (1.0 + q)
-    x = (1.0 + np.expm1(2.0 * r) * w) / eta
-    p = (one_minus_w + np.exp(-2.0 * r) * w) / eta
-    return x, p

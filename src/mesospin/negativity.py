@@ -16,11 +16,6 @@ papered over.
 
 Every step broadcasts over leading axes: a state stack gives nu_min and E as
 arrays, a single state gives floats.
-
-Curves take a shorter road: min_symplectic_pt_grid reads nu_min of a whole
-time grid, or a stack of such curves, from the normal-mode variances and holds
-every point to the uncertainty bound x p >= 1 of each normal mode (Simon,
-PRL 84, 2726 (2000)).
 """
 
 from __future__ import annotations
@@ -124,47 +119,6 @@ def min_symplectic_pt(cov: np.ndarray) -> float | np.ndarray:
             f"formula {nu_formula[k]:.12e} vs spectrum {nu_spectral[k]:.12e}"
         )
     return float(nu_formula) if nu_formula.ndim == 0 else nu_formula
-
-
-def min_symplectic_pt_grid(x: np.ndarray, p: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Smallest PT symplectic eigenvalue over a time grid, from normal modes.
-
-    x and p have shape (..., 2, len(times)): the quadrature variances of the
-    uncorrelated modes (a1 +/- b1)/sqrt(2) (see modes.normal_mode_variances),
-    one curve per leading index. Flipping p2 swaps p_+ and p_-, so the
-    transposed state pairs x_+ with p_- and x_- with p_+:
-    nu_min = sqrt(min(x_+ p_-, x_- p_+)), of shape (..., len(times)).
-
-    Every point is checked. nu_min must be finite and positive
-    (ContractViolation). Each normal mode must be a physical state: x > 0,
-    p > 0 and x p >= 1 - SPECTRAL_TOL (NumericError). The error is the one
-    the first failing curve raises on its own: its first failing check, at
-    its first bad time.
-    """
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    times = np.asarray(times, dtype=float)
-    if x.shape != p.shape or x.shape[-2:] != (2, len(times)):
-        raise ContractViolation(
-            f"variances must have shape (..., 2, {len(times)}), got {x.shape} and {p.shape}"
-        )
-    nu = np.sqrt(np.minimum(x[..., 0, :] * p[..., 1, :], x[..., 1, :] * p[..., 0, :]))
-    unphysical = ~((x > 0.0) & (p > 0.0) & (x * p >= 1.0 - SPECTRAL_TOL)).all(axis=-2)
-    nonpositive = ~(np.isfinite(nu) & (nu > 0.0))
-    if nonpositive.any() or unphysical.any():
-        failed = nonpositive.any(axis=-1) | unphysical.any(axis=-1)
-        c = np.unravel_index(np.argmax(failed), failed.shape)
-        for error, bad, what in (
-            (ContractViolation, nonpositive[c], "nu_min must be positive"),
-            (NumericError, unphysical[c], "normal modes break the uncertainty bound x p >= 1"),
-        ):
-            if bad.any():
-                k = int(np.argmax(bad))
-                raise error(
-                    f"{what} at t = {float(times[k])!r}: nu_min = {float(nu[c][k])!r}, "
-                    f"x = {x[c][:, k].tolist()}, p = {p[c][:, k].tolist()}"
-                )
-    return nu
 
 
 def log_negativity(nu_min: float | np.ndarray) -> float | np.ndarray:

@@ -53,8 +53,8 @@ class ModelParams:
     shape S; every field then has shape S and entry i is what the parameter
     set of entry i gives on its own. Scalars give Python floats, arrays
     read-only float arrays. All entries are validated in one pass, and a
-    failure raises the message that the first failing entry, in flat order,
-    raises on its own.
+    failure raises the ContractViolation, message and field, that the first
+    failing entry, in flat order, raises on its own.
 
     eta = tanh(epsilon*beta/2) is the single-site magnetization scale; it must
     lie strictly inside (0, 1). Parameters cold enough that eta rounds to 1.0
@@ -99,34 +99,34 @@ class ModelParams:
         if not valid.all():
             k = int(np.argmin(valid))
             entry = (float(np.ravel(x)[k]) for x in (epsilon, temperature, gamma, eta))
-            raise ContractViolation(_refusal(*entry))
+            raise ContractViolation(*_refusal(*entry))
         fields = (epsilon, temperature, gamma, beta, eta, eta_perp)
         for name, value in zip((*_INPUTS, "beta", "eta", "eta_perp"), fields):
             object.__setattr__(self, name, frozen(value) if shape else float(value))
 
 
-def _refusal(epsilon: float, temperature: float, gamma: float, eta: float) -> str:
-    """Why ModelParams refuses one parameter set: its first failing check."""
+def _refusal(epsilon: float, temperature: float, gamma: float, eta: float) -> tuple[str, str]:
+    """Why ModelParams refuses one set, and the input at fault: eta's counts as temperature's."""
     for name, value in zip(_INPUTS, (epsilon, temperature, gamma)):
         if not np.isfinite(value):
-            return f"{name} must be finite, got {value!r}"
+            return f"{name} must be finite, got {value!r}", name
     if epsilon <= 0:
-        return f"epsilon must be positive, got {epsilon}"
+        return f"epsilon must be positive, got {epsilon}", "epsilon"
     if temperature <= 0:
         return (
             f"temperature must be positive, got {temperature}; at zero "
             "temperature the thermal fluctuation structure contracts "
             "(eta -> 1) and the model is undefined"
-        )
+        ), "temperature"
     if not 0.0 <= gamma <= GAMMA_MAX:
         return (
             f"gamma must lie in [0, {GAMMA_MAX}] for complete positivity, "
             f"got {gamma}"
-        )
+        ), "gamma"
     return (
         f"tanh(epsilon*beta/2) = {eta} must lie strictly in (0, 1); "
         "the temperature is too low for finite-precision thermal structure"
-    )
+    ), "temperature"
 
 
 def site_hamiltonian(params: ModelParams) -> np.ndarray:

@@ -90,9 +90,7 @@ def test_a_command_runs_whatever_a_sweep_list_it_does_not_read_holds(args, tmp_p
     assert main(args + [str(target), "--t-steps", "20"]) == 0
 
 
-# Known fault: the config validates the whole base point, although a sweep never
-# reads the base value of the field it sweeps.
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the base point is validated whole")
+# A sweep never reads the base value of the field it sweeps.
 @pytest.mark.parametrize(
     "args",
     [
@@ -116,12 +114,12 @@ def test_sweep_temp_refuses_its_default_list_where_eta_rounds_to_one(tmp_path, c
 
 
 @pytest.mark.parametrize(
-    "command,built", [("curve", 1), ("sweep-gamma", 2), ("sweep-temp", 2)]
+    "command,built", [("curve", 1), ("sweep-gamma", 1), ("sweep-temp", 1)]
 )
 def test_each_command_validates_each_parameter_set_once(
     command, built, tmp_path, monkeypatch
 ):
-    # the base point once, in the config; a sweep's list once more, in the sweep
+    # a curve's base point, or a sweep's list with the base fields it reads, once
     sets = []
     check = ModelParams.__post_init__
 

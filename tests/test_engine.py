@@ -12,14 +12,16 @@ import pytest
 
 import mesospin.experiments as experiments
 from mesospin.errors import ConfigError, ContractViolation, NumericError
-from mesospin.experiments import SQUEEZE_R_MAX, ExperimentConfig, run_curve, sweep_gamma
-from mesospin.linalg import SPECTRAL_TOL
-from mesospin.modes import drift_matrix, initial_state, normal_mode_variances, propagate
-from mesospin.negativity import (
-    min_symplectic_pt_grid,
-    negativity,
-    symplectic_eigenvalues,
+from mesospin.experiments import (
+    SQUEEZE_R_MAX,
+    ExperimentConfig,
+    run_curve,
+    sweep_gamma,
+    sweep_temperature,
 )
+from mesospin.linalg import SPECTRAL_TOL
+from mesospin.modes import drift_matrix, initial_state, propagate
+from mesospin.negativity import negativity, symplectic_eigenvalues
 from mesospin.sites import ModelParams
 
 pytest.importorskip("hypothesis")
@@ -85,14 +87,14 @@ def test_strong_squeeze_curve_is_returned_and_accurate():
 
 def _tamper_p_minus(monkeypatch, factor, from_index):
     """Scale P- (row sigma = -) by factor from grid index from_index on."""
-    honest = normal_mode_variances
+    honest = experiments._normal_mode_variances
 
     def tampered(params, squeeze_r, times):
         x, p = honest(params, squeeze_r, times)
         p[..., 1, from_index:] *= factor
         return x, p
 
-    monkeypatch.setattr(experiments, "normal_mode_variances", tampered)
+    monkeypatch.setattr(experiments, "_normal_mode_variances", tampered)
 
 
 def test_mis_scaled_squeezed_variance_is_refused(monkeypatch):
@@ -106,7 +108,7 @@ def test_mis_scaled_squeezed_variance_is_refused(monkeypatch):
 def test_broken_uncertainty_bound_names_the_first_bad_time(monkeypatch):
     config = ExperimentConfig(t_steps=20)
     times = np.linspace(0.0, config.t_max, config.t_steps)
-    x, p = normal_mode_variances(ModelParams(1.0, 0.1, 0.5), 1.0, times)
+    x, p = experiments._normal_mode_variances(ModelParams(1.0, 0.1, 0.5), 1.0, times)
     first_bad = 1 + int(np.argmax(0.9 * x[1, 1:] * p[1, 1:] < 1.0 - SPECTRAL_TOL))
     assert first_bad > 1  # the bound breaks later than the tamper begins
     _tamper_p_minus(monkeypatch, 0.9, 1)
@@ -124,7 +126,7 @@ def test_broken_uncertainty_bound_names_the_first_bad_time(monkeypatch):
     ],
 )
 def test_a_sweep_raises_what_its_first_failing_value_raises(monkeypatch, tampers, check):
-    honest = normal_mode_variances
+    honest = experiments._normal_mode_variances
 
     def tampered(params, squeeze_r, times):
         x, p = honest(params, squeeze_r, times)
@@ -134,7 +136,7 @@ def test_a_sweep_raises_what_its_first_failing_value_raises(monkeypatch, tampers
             p[..., 1, from_index:] *= np.where(gamma == value, factor, 1.0)[..., None]
         return x, p
 
-    monkeypatch.setattr(experiments, "normal_mode_variances", tampered)
+    monkeypatch.setattr(experiments, "_normal_mode_variances", tampered)
     config = ExperimentConfig(t_steps=20, gamma_list=(0.1, 0.2, 0.3, 0.4, 0.5))
     with pytest.raises(NumericError) as alone:
         run_curve(replace(config, gamma=min(tampers)))
@@ -145,27 +147,34 @@ def test_a_sweep_raises_what_its_first_failing_value_raises(monkeypatch, tampers
 
 
 def test_curves_need_no_spectral_route(monkeypatch):
-    def refuse(cov):
-        raise AssertionError("run_curve must not recompute nu_min spectrally")
+    # The engine shares no code with the 8x8 reference path.
+    def refuse(*args):
+        raise AssertionError("curves must not take the moment-matrix route")
 
-    negativity_module = importlib.import_module("mesospin.negativity")
-    monkeypatch.setattr(negativity_module, "symplectic_eigenvalues", refuse)
-    curve = run_curve(ExperimentConfig(t_steps=2000))
-    assert len(curve.nu_min) == 2000
+    for module in ("mesospin.modes", "mesospin.negativity", "mesospin.experiments"):
+        for name in (
+            "propagate", "quadrature_covariance", "min_symplectic_pt", "symplectic_eigenvalues"
+        ):
+            monkeypatch.setattr(importlib.import_module(module), name, refuse, raising=False)
+    config = ExperimentConfig(t_steps=2000)
+    assert len(run_curve(config).nu_min) == 2000
+    for sweep in (sweep_gamma, sweep_temperature):
+        assert all(len(curve.nu_min) == 2000 for curve in sweep(config).curves)
 
 
-def test_grid_checks_positivity_and_definiteness():
-    times = np.array([0.0, 1.0])
+def test_grid_checks_positivity_and_definiteness(monkeypatch):
+    config = ExperimentConfig(t_max=1.0, t_steps=2)
     ones = np.ones((2, 2))
-    with pytest.raises(ContractViolation, match="t = 1.0"):
-        min_symplectic_pt_grid(ones, np.array([[1.0, 0.0], [1.0, 0.0]]), times)
-    with pytest.raises(ContractViolation):
-        min_symplectic_pt_grid(ones, np.full((2, 2), np.nan), times)
-    # nu_min comes out positive, but the variances are negative.
-    with pytest.raises(NumericError, match="uncertainty bound x p >= 1 at t = 0.0"):
-        min_symplectic_pt_grid(-ones, -ones, times)
-    with pytest.raises(ContractViolation):
-        min_symplectic_pt_grid(ones, np.ones((2, 3)), times)
+    for x, p, error, match in (
+        (ones, np.array([[1.0, 0.0], [1.0, 0.0]]), ContractViolation, "t = 1.0"),
+        # NaN fails the first check, not the envelope.
+        (ones, np.full((2, 2), np.nan), ContractViolation, "nu_min must be positive"),
+        # nu_min comes out positive, but the variances are negative.
+        (-ones, -ones, NumericError, "uncertainty bound x p >= 1 at t = 0.0"),
+    ):
+        monkeypatch.setattr(experiments, "_normal_mode_variances", lambda *_, x=x, p=p: (x, p))
+        with pytest.raises(error, match=match):
+            run_curve(config)
 
 
 def test_symplectic_eigenvalues_of_a_stack_match_one_by_one():
@@ -184,14 +193,14 @@ def test_symplectic_eigenvalues_of_a_stack_match_one_by_one():
 def test_normal_mode_variances_anchors():
     params = ModelParams(1.0, 0.2, 0.4)
     times = np.array([0.0, 1e3])
-    x, p = normal_mode_variances(params, -1.5, times)
+    x, p = experiments._normal_mode_variances(params, -1.5, times)
     # t = 0 is the squeezed start, late times the thermal fixed point 1/eta.
     assert np.allclose(x[:, 0], np.exp(3.0) / params.eta, rtol=1e-15, atol=0.0)
     assert np.allclose(p[:, 0], np.exp(-3.0) / params.eta, rtol=1e-15, atol=0.0)
     assert np.allclose(x[:, 1], 1.0 / params.eta, rtol=1e-15, atol=0.0)
     assert np.allclose(p[:, 1], 1.0 / params.eta, rtol=1e-15, atol=0.0)
     with pytest.raises(ContractViolation):
-        normal_mode_variances(params, 1.0, np.array([-1.0]))
+        experiments._normal_mode_variances(params, 1.0, np.array([-1.0]))
 
 
 def test_accepted_squeeze_range():

@@ -35,6 +35,9 @@ def test_defaults():
     assert cfg.temperature_list == (0.1, 0.5, 1.0)
 
 
+_SWEPT = {sweep_gamma: "gamma", sweep_temperature: "temperature"}
+
+
 @pytest.mark.parametrize(
     "kwargs,field",
     [
@@ -52,8 +55,21 @@ def test_defaults():
     ],
 )
 def test_invalid_config_names_the_field(kwargs, field):
-    with pytest.raises(ConfigError) as excinfo:
-        ExperimentConfig.from_dict(kwargs)
+    if field in ("epsilon", "temperature", "gamma") and np.isfinite(kwargs[field]):
+        # A finite base value is checked, alike, by each command that reads it.
+        cfg = ExperimentConfig.from_dict({**kwargs, "t_steps": 20})
+        with pytest.raises(ConfigError) as excinfo:
+            run_curve(cfg)
+        for sweep, swept in _SWEPT.items():
+            if field == swept:
+                assert sweep(cfg).curves
+            else:
+                with pytest.raises(ConfigError) as refused:
+                    sweep(cfg)
+                assert str(refused.value) == str(excinfo.value)
+    else:
+        with pytest.raises(ConfigError) as excinfo:
+            ExperimentConfig.from_dict(kwargs)
     assert field in str(excinfo.value)
 
 
