@@ -3,16 +3,16 @@
 Each check recomputes one identity from scratch (complete positivity window,
 thermal invariance, closure of the observable algebra, generator agreement
 between the microscopic and mesoscopic routes, canonical commutation of the
-collective modes, central-limit convergence, the thermal moment matrix
-against the microscopic thermal state, physicality of propagated states,
-agreement of the closed-form curve engine with the 8x8 reference path at
-every grid point) and reports the worst residual against its tolerance.
+collective modes, central-limit convergence, the thermal quadrature
+covariance against the microscopic thermal state, physicality of propagated
+states, agreement of the closed-form curve engine with the 8x8 reference path
+at every grid point) and reports the worst residual against its tolerance.
 
 run_checks is the one entry point. It runs the table _CHECKS of (name,
 tolerance, body) in report order: each body takes the inputs that several
 checks read, built at most once per call, and returns its residuals and its
 detail. A harness injects a fault by replacing a builder that this module
-reads (thermal_state, mode_operators, drift_matrix, thermal_moments, ...)
+reads (thermal_state, mode_operators, drift_matrix, thermal_covariance, ...)
 and reads the check by name from run_checks; nothing here is ever skipped or
 clamped. check_dissipation_spectrum(gammas) is the body of the first check,
 so a caller can probe the complete-positivity window with any couplings.
@@ -22,11 +22,11 @@ array-valued ModelParams of shape (gammas, eps and T pairs), and every
 builder broadcasts over it: one stack of generators, one stack of mode maps,
 drift matrices and mode operators, one fluctuation_inner for the thermal
 mode tables and one eigh for the Weyl observables. The 8x8 reference of the
-last two checks propagates every curve config of the level as one stack over
-their shared time grid and reads one quadrature covariance of it. Every
-residual is the one a loop over the grid points gives, to the last bit. The
-parameter grid and the curve configs hold only read-only values, so each is
-built once per process.
+last two checks propagates every curve config of the level as one stack of
+quadrature covariances over their shared time grid. Every residual is the
+one a loop over the grid points gives, to the last bit. The parameter grid
+and the curve configs hold only read-only values, so each is built once per
+process.
 """
 
 from __future__ import annotations
@@ -44,14 +44,9 @@ from .modes import (
     initial_state,
     mode_operators,
     propagate,
-    thermal_moments,
+    thermal_covariance,
 )
-from .negativity import (
-    _FIRST_MODES,
-    min_symplectic_pt,
-    quadrature_covariance,
-    symplectic_eigenvalues,
-)
+from .negativity import _FIRST_MODES, min_symplectic_pt, symplectic_eigenvalues
 from .oracle import (
     CLOSURE_TOL,
     Superoperator,
@@ -191,7 +186,7 @@ class _Inputs:
         params = ModelParams(*fields[:3])
         times = np.linspace(0.0, configs[0].t_max, configs[0].t_steps)
         states = propagate(initial_state(params, fields[3]), drift_matrix(params), times)
-        return configs, quadrature_covariance(states)
+        return configs, states.covariance
 
 
 def _thermal_invariance(inputs: _Inputs) -> tuple[np.ndarray, str]:
@@ -231,16 +226,22 @@ def _mode_ccr(inputs: _Inputs) -> tuple[list, str]:
 
 
 def _thermal_covariance(inputs: _Inputs) -> tuple[np.ndarray, str]:
-    """thermal_moments(eta) is the moment matrix of the microscopic thermal state.
+    """thermal_covariance(eta) is the quadrature covariance of the microscopic thermal state.
 
-    Upper-left block: the symmetric table (1/2)w(a_i^dag a_j + a_j a_i^dag);
-    lower-left block: minus the anomalous table (1/2)w(a_i a_j + a_j a_i).
+    It is assembled per mode pair from the symmetric table
+    sym = (1/2)w(a_j^dag a_i + a_i a_j^dag) and the anomalous table
+    pair = (1/2)w(a_i a_j + a_j a_i): twice [[Re(sym + pair), Im(pair - sym)],
+    [Im(pair + sym), Re(sym - pair)]] over (x_i, p_i) and (x_j, p_j).
     """
     eta, a_a, ad_ad, ad_a = inputs.tables
-    sym = 0.5 * (a_a + ad_ad.swapaxes(-1, -2))
+    sym = 0.5 * (a_a + ad_ad.swapaxes(-1, -2)).conj()
     pair = 0.5 * (ad_a + ad_a.swapaxes(-1, -2))
-    moments = np.block([[sym, -pair.conj()], [-pair, sym.swapaxes(-1, -2)]])
-    return np.abs(moments - thermal_moments(eta)), ""
+    cov = np.empty(eta.shape + (8, 8))
+    cov[..., 0::2, 0::2] = (sym + pair).real
+    cov[..., 0::2, 1::2] = pair.imag - sym.imag
+    cov[..., 1::2, 0::2] = pair.imag + sym.imag
+    cov[..., 1::2, 1::2] = (sym - pair).real
+    return np.abs(2.0 * cov - thermal_covariance(eta)), ""
 
 
 def _physicality(inputs: _Inputs) -> tuple[np.ndarray, str]:

@@ -4,19 +4,21 @@ The eight site observables carry, in the large-size limit, a Gaussian
 fluctuation field with two ladder modes per chain: a1, a2 for chain one and
 b1, b2 for chain two. This module owns the change of basis between site
 observables and modes, the quadratic drift generator of the dissipative
-evolution, and the closed-form propagation of Gaussian moment matrices.
-Every builder broadcasts over the parameters: a ModelParams of shape S gives
-arrays of shape S + (n, n), computed by array arithmetic, each entry bit for
-bit what the call on its own parameter set returns. No time stepping is
-involved: the drift is linear, so the flow is an exact matrix exponential
-conjugation toward the thermal fixed point.
+evolution, and the closed-form propagation of Gaussian states, each held as
+one real quadrature covariance over (x_1, p_1, ..., x_4, p_4) with the
+vacuum normalised to the identity. Every builder broadcasts over the
+parameters: a ModelParams of shape S gives arrays of shape S + (n, n),
+computed by array arithmetic, each entry bit for bit what the call on its
+own parameter set returns. No time stepping is involved: the drift is
+linear, so the flow is an exact matrix exponential conjugation toward the
+thermal fixed point.
 
-Two propagators share that flow. propagate() conjugates the full 8x8 moment
-matrix by exp(tM) from flow(), which diagonalises the coupling K numerically and
-so does not rely on K^2 = I; it is the general reference. Given an array of
-times, or a stacked generator and a matching state stack, flow() and
-propagate() return stacks over the generators and the times, entry for entry
-what single calls return. The fixed point is thermal_moments().
+propagate() conjugates the full 8x8 covariance by the real form of exp(tM)
+from flow(), which diagonalises the coupling K numerically and so does not
+rely on K^2 = I; it is the general reference. Given an array of times, or a
+stacked generator and a matching state stack, flow() and propagate() return
+stacks over the generators and the times, entry for entry what single calls
+return. The fixed point is thermal_covariance().
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ class MesoGenerator:
     The bath-mediated coupling K is real symmetric with K^2 = I, so the
     spectrum is -(1+i*eps) +/- gamma, each twice: dissipation always wins for
     gamma < 1 and the slow envelope contracts at rate 1 - gamma per quadrature
-    pair (2(1-gamma) for the moment matrix).
+    pair (2(1-gamma) for the covariance).
     """
 
     matrix: np.ndarray
@@ -154,75 +156,67 @@ def drift_matrix(params: ModelParams) -> MesoGenerator:
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Quasi-free fluctuation state, held as the 8x8 moment matrix Gamma.
+    """Quasi-free fluctuation state, held as its real quadrature covariance.
 
-    Gamma is ordered (modes; conjugate modes): the upper-left block holds the
-    symmetrized second moments, the lower-left block the anomalous pair
-    moments (negated), and conjugation symmetry Gamma = Swap conj(Gamma) Swap
-    ties the halves together. A stack (..., 8, 8) holds one state per leading
-    index. eta is a float shared by every state, or an array over the first
-    leading axes: eta[i] belongs to every state of moment_matrix[i]. Construction
-    enforces Hermiticity and the swap symmetry of every matrix, which a NaN
-    entry fails, then stores the exactly symmetrized stack. It is the one
-    place a moment matrix is checked: quadrature_covariance relies on it.
+    The covariance is ordered (x_1, p_1, ..., x_4, p_4), quadrature pair k
+    belonging to mode k of (a1, a2, b1, b2), and normalised so that the vacuum
+    is the identity. A stack (..., 8, 8) holds one state per leading index.
+    eta is a float shared by every state, or an array over the first leading
+    axes: eta[i] belongs to every state of covariance[i]. Construction
+    enforces the symmetry of every matrix, which a NaN entry fails, then
+    stores the exactly symmetrised stack.
     """
 
-    moment_matrix: np.ndarray
+    covariance: np.ndarray
     eta: float | np.ndarray
 
     def __post_init__(self) -> None:
-        g = np.asarray(self.moment_matrix, dtype=complex)
-        if g.shape[-2:] != (8, 8):
-            raise ContractViolation(f"moment matrix must be (..., 8, 8), got {g.shape}")
+        c = np.asarray(self.covariance, dtype=float)
+        if c.shape[-2:] != (8, 8):
+            raise ContractViolation(f"covariance must be (..., 8, 8), got {c.shape}")
         lead = np.shape(self.eta)
-        if len(lead) > g.ndim - 2 or g.shape[: len(lead)] != lead:
+        if len(lead) > c.ndim - 2 or c.shape[: len(lead)] != lead:
             raise ContractViolation(
-                f"eta of shape {lead} does not lead the moment matrices {g.shape}"
+                f"eta of shape {lead} does not lead the covariances {c.shape}"
             )
-        limit = STRUCTURAL_TOL * np.maximum(1.0, np.abs(g).max(axis=(-2, -1)))
+        limit = STRUCTURAL_TOL * np.maximum(1.0, np.abs(c).max(axis=(-2, -1)))
         # Written as not (x <= limit), so that a NaN fails.
-        if not np.all(np.abs(g - g.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= limit):
-            raise ContractViolation("moment matrix must be Hermitian")
-        # Swap conj(g) Swap is a roll by four rows and four columns.
-        if not np.all(np.abs(g - np.roll(g.conj(), 4, axis=(-2, -1))).max(axis=(-2, -1)) <= limit):
-            raise ContractViolation(
-                "moment matrix must equal its conjugate under mode-conjugate swap"
-            )
-        g = 0.5 * (g + g.conj().swapaxes(-1, -2))
-        g = 0.5 * (g + np.roll(g.conj(), 4, axis=(-2, -1)))
-        object.__setattr__(self, "moment_matrix", g)
+        if not np.all(np.abs(c - c.swapaxes(-1, -2)).max(axis=(-2, -1)) <= limit):
+            raise ContractViolation("covariance must be symmetric")
+        object.__setattr__(self, "covariance", 0.5 * (c + c.swapaxes(-1, -2)))
 
 
-def thermal_moments(eta) -> np.ndarray:
-    """The thermal fixed point Gamma_th = I/(2*eta), the one place it is written.
+def thermal_covariance(eta) -> np.ndarray:
+    """The thermal fixed point I/eta, the one place it is written.
 
     An array eta of shape S gives the stack S + (8, 8).
     """
-    return np.eye(8, dtype=complex) / (2.0 * np.asarray(eta)[..., None, None])
+    return np.eye(8) / np.asarray(eta)[..., None, None]
 
 
 def initial_state(params: ModelParams, squeeze_r=0.0) -> GaussianState:
     """Thermal fluctuation state with both first modes squeezed by r.
 
     The squeeze acts independently on a1 and b1 with the same real parameter
-    (alpha -> cosh(r) alpha - sinh(r) alpha*), so the state is a product over
-    the two chains and carries no cross correlations: entanglement between
-    the chains can only be generated by the common bath afterwards.
-    r = 0 returns the exact fixed point thermal_moments(eta). params of
-    shape S and r, a scalar or an array, broadcast to one shape B; the state
-    stack has shape B + (8, 8) and its eta shape B.
+    (alpha -> cosh(r) alpha - sinh(r) alpha*): x of each takes the variance
+    e^{-2r}/eta and p the variance e^{2r}/eta, both written directly. The
+    state is a product over the two chains and carries no cross
+    correlations: entanglement between the chains can only be generated by
+    the common bath afterwards. r = 0 returns the exact fixed point
+    thermal_covariance(eta). params of shape S and r, a scalar or an array,
+    broadcast to one shape B; the state stack has shape B + (8, 8) and its
+    eta shape B.
     """
     r = np.asarray(squeeze_r, dtype=float)
     if not np.all(np.isfinite(r)):
         raise ContractViolation(f"squeeze parameter must be finite, got {squeeze_r!r}")
     shape = np.broadcast_shapes(np.shape(params.eta), r.shape)
     eta = np.broadcast_to(params.eta, shape) if shape else params.eta
-    g = thermal_moments(eta)
-    for i in (0, 2):  # a1 and b1, and their conjugates at i + 4
-        thermal = g[..., i, i].copy()
-        g[..., i, i] = g[..., i + 4, i + 4] = np.cosh(2.0 * r) * thermal
-        g[..., i + 4, i] = g[..., i, i + 4] = np.sinh(2.0 * r) * thermal
-    return GaussianState(moment_matrix=g, eta=eta)
+    c = thermal_covariance(eta)
+    # (x, p) of a1 are rows 0 and 1, those of b1 rows 4 and 5
+    c[..., 0, 0] = c[..., 4, 4] = np.exp(-2.0 * r) / eta
+    c[..., 1, 1] = c[..., 5, 5] = np.exp(2.0 * r) / eta
+    return GaussianState(covariance=c, eta=eta)
 
 
 def flow(gen: MesoGenerator, t) -> np.ndarray:
@@ -246,15 +240,16 @@ def flow(gen: MesoGenerator, t) -> np.ndarray:
 
 
 def propagate(state: GaussianState, gen: MesoGenerator, t) -> GaussianState:
-    """Evolve the moment matrix for time t >= 0 in closed form.
+    """Evolve the covariance for time t >= 0 in closed form.
 
-    Gamma(t) = T(t)^dag (Gamma(0) - Gamma_th) T(t) + Gamma_th with
-    T = exp(tM) (+) conj(exp(tM)) and Gamma_th = thermal_moments(eta); the
-    deviation from the fixed point is conjugated by a strict contraction
-    whenever gamma < 1. An array t of shape S gives a stack S + (8, 8). A
-    generator stack of shape G takes one state per generator, a G + (8, 8)
-    stack whose eta matches each generator's, and gives G + S + (8, 8) with
-    eta of shape G, each entry bit for bit the single call.
+    V(t) = R (V(0) - V_th) R^T + V_th with V_th = thermal_covariance(eta) and
+    R the real form of the flow u = exp(tM): the block of mode pair (j, k) is
+    [[Re u_jk, -Im u_jk], [Im u_jk, Re u_jk]]. The deviation from the fixed
+    point is conjugated by a strict contraction whenever gamma < 1. An array
+    t of shape S gives a stack S + (8, 8). A generator stack of shape G
+    takes one state per generator, a G + (8, 8) stack whose eta matches each
+    generator's, and gives G + S + (8, 8) with eta of shape G, each entry
+    bit for bit the single call.
     """
     u = flow(gen, t)
     lead = np.shape(gen.eta)
@@ -263,17 +258,18 @@ def propagate(state: GaussianState, gen: MesoGenerator, t) -> GaussianState:
         raise ContractViolation(
             "state and generator were built from different thermal parameters"
         )
-    if lead and state.moment_matrix.shape[:-2] != lead:
+    if lead and state.covariance.shape[:-2] != lead:
         raise ContractViolation(
-            f"generators of shape {lead} take one state each, got {state.moment_matrix.shape}"
+            f"generators of shape {lead} take one state each, got {state.covariance.shape}"
         )
-    transfer = np.zeros(u.shape[:-2] + (8, 8), dtype=complex)
-    transfer[..., :4, :4] = u
-    transfer[..., 4:, 4:] = u.conj()
+    transfer = np.empty(u.shape[:-2] + (8, 8))
+    transfer[..., 0::2, 0::2] = transfer[..., 1::2, 1::2] = u.real
+    transfer[..., 0::2, 1::2] = -u.imag
+    transfer[..., 1::2, 0::2] = u.imag
     # each generator's state and fixed point meet every time
     at = (..., *(None,) * np.ndim(t), slice(None), slice(None))
-    reference = thermal_moments(state.eta)[at]
-    deviation = state.moment_matrix[at] - reference
-    g = transfer.conj().swapaxes(-1, -2) @ deviation @ transfer
-    g += reference
-    return GaussianState(moment_matrix=g, eta=state.eta)
+    reference = thermal_covariance(state.eta)[at]
+    deviation = state.covariance[at] - reference
+    c = transfer @ deviation @ transfer.swapaxes(-1, -2)
+    c += reference
+    return GaussianState(covariance=c, eta=state.eta)

@@ -1,18 +1,18 @@
 """Logarithmic negativity between the first collective modes of the chains.
 
-The pipeline is: rewrite the eight-dimensional moment matrix of a state as a
-real quadrature covariance normalized so the vacuum is the identity, read its
-(a1, b1) rows and columns, partially transpose the second mode, and read off
-the smallest symplectic eigenvalue. Entanglement is E = max(0, -ln nu_min):
-positive exactly when the partial transpose fails to be a physical state.
+The pipeline is: read the (a1, b1) rows and columns of a state's real
+quadrature covariance (vacuum = identity), partially transpose the second
+mode, and read off the smallest symplectic eigenvalue. Entanglement is
+E = max(0, -ln nu_min): positive exactly when the partial transpose fails to
+be a physical state.
 
-The smallest eigenvalue is computed twice, by independent routes: the closed
-two-mode determinant formula, and the spectrum of i*Omega*sigma. The spectral
-route goes through a Cholesky similarity (i*Omega*sigma is similar to the
-Hermitian matrix i L^T Omega L), which stays fully accurate at degenerate
-symplectic spectra where a general eigensolver loses half its digits. The two
-routes must agree; disagreement is reported as a numeric failure, never
-papered over.
+The smallest eigenvalue is computed twice, by two Hermitian routes that share
+no factorisation. Both rest on the similarity of i*Omega*sigma to a Hermitian
+matrix, which stays fully accurate at degenerate symplectic spectra where a
+general eigensolver loses half its digits: i L^T Omega L with L the Cholesky
+factor of sigma, and i S Omega S with S the symmetric square root of sigma
+from its own eigendecomposition. The two routes must agree; disagreement is
+reported as a numeric failure, never papered over.
 
 Every step broadcasts over leading axes: a state stack gives nu_min and E as
 arrays, a single state gives floats.
@@ -33,26 +33,6 @@ _BLOCK_TOL = 1e-10
 
 # Rows and columns (x, p) of a1 and of b1 in the 8x8 quadrature covariance.
 _FIRST_MODES = frozen(np.array([0, 1, 4, 5]))
-
-
-def quadrature_covariance(state: GaussianState) -> np.ndarray:
-    """Real covariance over (x_1, p_1, ..., x_4, p_4) of a state, vacuum = identity.
-
-    Quadrature pair k belongs to mode k of (a1, a2, b1, b2). A state stack
-    (..., 8, 8) gives (..., 8, 8). GaussianState stores each moment matrix
-    exactly Hermitian and swap-symmetric, so the entries are assembled as
-    they are: every matrix comes out exactly symmetric.
-    """
-    g = state.moment_matrix
-    sym = g[..., :4, :4].conj()
-    pair = -g[..., 4:, :4]
-    cov = np.empty(g.shape, dtype=float)
-    cov[..., 0::2, 0::2] = (sym + pair).real
-    cov[..., 0::2, 1::2] = pair.imag - sym.imag
-    cov[..., 1::2, 0::2] = pair.imag + sym.imag
-    cov[..., 1::2, 1::2] = (sym - pair).real
-    cov *= 2.0
-    return cov
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
@@ -87,38 +67,32 @@ def min_symplectic_pt(cov: np.ndarray) -> float | np.ndarray:
 
     cov is the 4x4 quadrature covariance of two modes, vacuum-normalized (a
     float is returned), or a stack (..., 4, 4) (an array (...) is returned).
-    Computed both from the closed determinant formula and from the symplectic
-    spectrum of the transposed matrix; the routes must agree within 1e-9.
+    Computed from symplectic_eigenvalues of the transposed matrix and again
+    from the spectrum of i S Omega S, S its symmetric square root; the routes
+    must agree within 1e-9, and the first is returned.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.shape[-2:] != (4, 4):
         raise ContractViolation(f"two-mode covariance must be (..., 4, 4), got {cov.shape}")
     flip = np.diag([1.0, 1.0, 1.0, -1.0])
     transposed = flip @ cov @ flip
+    nu = symplectic_eigenvalues(transposed)[..., 0]
 
-    a_blk, b_blk, c_blk = cov[..., :2, :2], cov[..., 2:, 2:], cov[..., :2, 2:]
-    a, b, c = np.linalg.det(a_blk), np.linalg.det(b_blk), np.linalg.det(c_blk)
-    delta = a + b - 2.0 * c
-    # delta^2 - 4 det(cov) cancels catastrophically near degenerate spectra
-    # (product states would lose half the digits). The expanded form below is
-    # algebraically identical and evaluates to exactly zero at C = 0, A = B.
-    # adj(C) = [[c11, -c01], [-c10, c00]]: C rotated by a half turn, transposed, signed
-    c_adj = c_blk[..., ::-1, ::-1].swapaxes(-1, -2) * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    product = a_blk @ c_adj.swapaxes(-1, -2) @ b_blk @ c_adj
-    tau = np.trace(product, axis1=-2, axis2=-1)
-    disc = np.maximum((a - b) ** 2 + 4.0 * (tau - c * (a + b)), 0.0)
-    nu_formula = np.sqrt(np.maximum(0.5 * (delta - np.sqrt(disc)), 0.0))
-
-    nu_spectral = symplectic_eigenvalues(transposed)[..., 0]
-    bad = np.abs(nu_formula - nu_spectral) > SPECTRAL_TOL * np.maximum(1.0, nu_spectral)
+    w, v = np.linalg.eigh(transposed)
+    root = (v * np.sqrt(w)[..., None, :]) @ v.swapaxes(-1, -2)
+    omega = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+    spectrum = np.linalg.eigvalsh(1.0j * (root @ omega @ root))
+    nu_root = np.abs(spectrum).min(axis=-1)
+    # Written as not (x <= limit), so that a NaN fails.
+    bad = ~(np.abs(nu_root - nu) <= SPECTRAL_TOL * np.maximum(1.0, nu))
     if bad.any():
         k = np.unravel_index(np.argmax(bad), bad.shape)
         entry = f" at stack index {', '.join(str(int(i)) for i in k)}" if k else ""
         raise NumericError(
             f"symplectic eigenvalue routes disagree{entry}: "
-            f"formula {nu_formula[k]:.12e} vs spectrum {nu_spectral[k]:.12e}"
+            f"Cholesky {nu[k]:.12e} vs square root {nu_root[k]:.12e}"
         )
-    return float(nu_formula) if nu_formula.ndim == 0 else nu_formula
+    return float(nu) if nu.ndim == 0 else nu
 
 
 def log_negativity(nu_min: float | np.ndarray) -> float | np.ndarray:
@@ -144,8 +118,7 @@ class NegativityResult:
 def negativity(state: GaussianState) -> NegativityResult:
     """Logarithmic negativity between a1 and b1 in the given state or state stack.
 
-    nu_min is read from the (a1, b1) rows and columns of quadrature_covariance.
+    nu_min is read from the (a1, b1) rows and columns of state.covariance.
     """
-    cov = quadrature_covariance(state)
-    nu_min = min_symplectic_pt(cov[..., _FIRST_MODES[:, None], _FIRST_MODES])
+    nu_min = min_symplectic_pt(state.covariance[..., _FIRST_MODES[:, None], _FIRST_MODES])
     return NegativityResult(nu_min=nu_min, log_negativity=log_negativity(nu_min))

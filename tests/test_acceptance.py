@@ -99,9 +99,9 @@ def test_criterion_03_thermal_state_is_invariant_on_both_levels():
     params = ModelParams(1.0, 0.1, 0.5)
     gen = drift_matrix(params)
     state = initial_state(params, 0.0)
-    reference = np.eye(8) / (2.0 * params.eta)
+    reference = np.eye(8) / params.eta
     worst_meso = max(
-        float(np.abs(propagate(state, gen, t).moment_matrix - reference).max())
+        float(np.abs(propagate(state, gen, t).covariance - reference).max())
         for t in np.linspace(0.0, 5.0, 101)
     )
     assert worst_meso <= 1e-10
@@ -215,10 +215,10 @@ def test_criterion_09_relaxation_envelope_rate():
         params = ModelParams(1.0, 0.1, gamma)
         gen = drift_matrix(params)
         state = initial_state(params, 1.0)
-        reference = np.eye(8) / (2.0 * params.eta)
+        reference = np.eye(8) / params.eta
         times = np.linspace(2.0, 5.0, 16)
         norms = [
-            np.linalg.norm(propagate(state, gen, t).moment_matrix - reference, 2)
+            np.linalg.norm(propagate(state, gen, t).covariance - reference, 2)
             for t in times
         ]
         slope = np.polyfit(times, np.log(norms), 1)[0]

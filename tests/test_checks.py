@@ -17,9 +17,9 @@ from mesospin.modes import (
     initial_state,
     mode_operators,
     propagate,
-    thermal_moments,
+    thermal_covariance,
 )
-from mesospin.negativity import negativity, quadrature_covariance, symplectic_eigenvalues
+from mesospin.negativity import negativity, symplectic_eigenvalues
 from mesospin.oracle import (
     extract_mode_generator,
     liouvillian,
@@ -69,12 +69,12 @@ def test_thermal_invariance_fails_for_a_non_stationary_state(monkeypatch):
 
 def test_thermal_covariance_fails_for_a_mis_scaled_fixed_point(monkeypatch):
     monkeypatch.setattr(
-        checks, "thermal_moments", lambda eta: (1.0 + 1e-6) * thermal_moments(eta)
+        checks, "thermal_covariance", lambda eta: (1.0 + 1e-6) * thermal_covariance(eta)
     )
     result = _check("thermal-covariance")
     assert not result.passed
-    # the largest diagonal entry 1/(2 eta) sits at the hottest (eps, T)
-    worst = max(1e-6 / (2.0 * ModelParams(e, t, 0.0).eta) for e, t in checks.FAST_EPS_TEMPS)
+    # the largest diagonal entry 1/eta sits at the hottest (eps, T)
+    worst = max(1e-6 / ModelParams(e, t, 0.0).eta for e, t in checks.FAST_EPS_TEMPS)
     assert abs(result.residual - worst) < 1e-12
 
 
@@ -93,7 +93,7 @@ def test_generator_match_fails_for_a_mis_scaled_coupling_piece(monkeypatch):
 
 
 def test_thermal_covariance_fails_with_a_nan_residual_for_a_nan_fixed_point(monkeypatch):
-    monkeypatch.setattr(checks, "thermal_moments", lambda eta: np.full((8, 8), np.nan))
+    monkeypatch.setattr(checks, "thermal_covariance", lambda eta: np.full((8, 8), np.nan))
     result = _check("thermal-covariance")
     assert not result.passed
     assert np.isnan(result.residual)
@@ -143,21 +143,18 @@ def test_a_full_run_builds_each_generator_and_reference_stack_once(monkeypatch):
 
     counted(checks, "liouvillian")
     counted(checks, "propagate")
-    # the reference covariances and spectra, from checks or inside negativity
-    pairs = (("quadrature_covariance", "covariances"), ("symplectic_eigenvalues", "spectra"))
-    for name, key in pairs:
-        counted(checks, name, key)
-        counted(negativity_module, name, key)
+    # the reference spectra, from checks or inside negativity
+    counted(checks, "symplectic_eigenvalues", "spectra")
+    counted(negativity_module, "symplectic_eigenvalues", "spectra")
     counted(oracle, "expm")
     counted(modes, "expm")
     assert all(r.passed for r in checks.run_checks("full"))
-    # one generator stack shared by two checks, one reference stack and one
-    # covariance for all curve configs, one eigendecomposition for all Weyl
-    # observables and one for all couplings
+    # one generator stack shared by two checks, one reference covariance stack
+    # for all curve configs, one eigendecomposition for all Weyl observables
+    # and one for all couplings
     assert calls == {
         "mesospin.checks.liouvillian": 1,
         "mesospin.checks.propagate": 1,
-        "covariances": 1,
         "spectra": 2,
         "mesospin.oracle.expm": 1,
         "mesospin.modes.expm": 1,
@@ -207,9 +204,13 @@ def _looped_residuals(level):
             for xs, ys in ((a, a), (ad, ad), (ad, a))
         )
         ccr += [np.abs(ad_ad - a_a.T - np.eye(4)).max(), np.abs(ad_a - ad_a.T).max()]
-        sym, pair = 0.5 * (a_a + ad_ad.T), 0.5 * (ad_a + ad_a.T)
-        moments = np.block([[sym, -pair.conj()], [-pair, sym.T]])
-        covariance.append(np.abs(moments - thermal_moments(thermal.eta)).max())
+        sym, pair = 0.5 * (a_a + ad_ad.T).conj(), 0.5 * (ad_a + ad_a.T)
+        cov = np.empty((8, 8))
+        cov[0::2, 0::2] = (sym + pair).real
+        cov[0::2, 1::2] = pair.imag - sym.imag
+        cov[1::2, 0::2] = pair.imag + sym.imag
+        cov[1::2, 1::2] = (sym - pair).real
+        covariance.append(np.abs(2.0 * cov - thermal_covariance(thermal.eta)).max())
     clt = []
     state = thermal_state(ModelParams(1.0, 1.0, 0.0))
     for x in observables().ops:
@@ -225,10 +226,10 @@ def _looped_residuals(level):
         curve = run_curve(config).nu_min
         times = np.linspace(0.0, config.t_max, config.t_steps)
         for t, nu in zip(times, curve):
-            moments = propagate(start, gen, t)
-            smallest = symplectic_eigenvalues(quadrature_covariance(moments))[0]
+            state = propagate(start, gen, t)
+            smallest = symplectic_eigenvalues(state.covariance)[0]
             physicality.append(max(0.0, 1.0 - smallest))
-            reference = negativity(moments).nu_min
+            reference = negativity(state).nu_min
             engine.append(abs(nu - reference) / reference)
     return [
         max(r)

@@ -58,6 +58,18 @@ def test_engine_matches_the_50_digit_reference(temperature, gamma, squeeze_r, t_
         assert abs(nu - want) <= 1e-9 * want, (t, nu, want)
 
 
+@pytest.mark.parametrize("temperature,gamma", [(0.1, 0.5), (0.5, 0.3)])
+def test_reference_path_is_accurate_at_strong_squeezing(temperature, gamma):
+    # The 8x8 reference against the 50-digit one at r = 6, where the
+    # variances span e^{24}.
+    params = ModelParams(1.0, temperature, gamma)
+    times = np.linspace(0.0, 12.0, 25)
+    got = negativity(propagate(initial_state(params, 6.0), drift_matrix(params), times))
+    for t, nu in zip(times, got.nu_min):
+        want = float(nu_min_reference(1.0, temperature, gamma, 6.0, t))
+        assert abs(nu - want) <= 1e-10 * want, (t, nu, want)
+
+
 @pytest.mark.parametrize(
     "temperature,gamma,squeeze_r",
     [(0.1, 0.5, 1.0), (0.05, 0.37, 2.0), (0.5, 0.2, -0.7), (2.0, 0.5, 1.6), (0.3, 0.0, 2.0)],
@@ -77,8 +89,9 @@ def test_engine_matches_the_moment_matrix_path(temperature, gamma, squeeze_r):
 
 
 def test_strong_squeeze_curve_is_returned_and_accurate():
-    # The moment-matrix path refuses this grid ("routes disagree"): its error
-    # grows like e^(4r) ulps and reaches ~1e-3 at r = 8.
+    # The 8x8 reference path refuses this grid ("routes disagree") at
+    # t = 0.05, where nu ~ 613: there its square-root route is 4.6e-9 off and
+    # its Cholesky route 1.2e-11.
     config = ExperimentConfig(temperature=0.1, gamma=0.5, squeeze_r=8.0, t_steps=100)
     curve = run_curve(config)
     want = float(nu_min_reference(1.0, 0.1, 0.5, 8.0, curve.times[1]))
@@ -149,12 +162,10 @@ def test_a_sweep_raises_what_its_first_failing_value_raises(monkeypatch, tampers
 def test_curves_need_no_spectral_route(monkeypatch):
     # The engine shares no code with the 8x8 reference path.
     def refuse(*args):
-        raise AssertionError("curves must not take the moment-matrix route")
+        raise AssertionError("curves must not take the 8x8 reference route")
 
     for module in ("mesospin.modes", "mesospin.negativity", "mesospin.experiments"):
-        for name in (
-            "propagate", "quadrature_covariance", "min_symplectic_pt", "symplectic_eigenvalues"
-        ):
+        for name in ("propagate", "min_symplectic_pt", "symplectic_eigenvalues"):
             monkeypatch.setattr(importlib.import_module(module), name, refuse, raising=False)
     config = ExperimentConfig(t_steps=2000)
     assert len(run_curve(config).nu_min) == 2000

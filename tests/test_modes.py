@@ -14,7 +14,7 @@ from mesospin.modes import (
     mode_map,
     mode_operators,
     propagate,
-    thermal_moments,
+    thermal_covariance,
 )
 from mesospin.sites import ModelParams, fluctuation_inner, observables, thermal_state
 
@@ -29,7 +29,7 @@ def _stacked(sets) -> ModelParams:
 
 
 def _reference(eta: float) -> np.ndarray:
-    return np.eye(8, dtype=complex) / (2.0 * eta)
+    return np.eye(8) / eta
 
 
 def test_mode_map_coefficients():
@@ -118,59 +118,49 @@ def test_propagator_norm_decays_at_the_slow_rate():
 def test_initial_state_without_squeeze_is_the_fixed_point():
     p = ModelParams(1.0, 0.1, 0.5)
     state = initial_state(p, 0.0)
-    assert np.array_equal(state.moment_matrix, _reference(p.eta))
-    assert np.array_equal(thermal_moments(p.eta), _reference(p.eta))
+    assert np.array_equal(state.covariance, _reference(p.eta))
+    assert np.array_equal(thermal_covariance(p.eta), _reference(p.eta))
 
 
 def test_initial_state_reference_moments():
     p = ModelParams(1.0, 1.0, 0.5)
-    g = initial_state(p, 1.0).moment_matrix
-    assert abs(g[0, 0] - 4.070608104436637) < 1e-12
-    assert abs(g[4, 0] - 3.92417848035706) < 1e-12
-    assert abs(g[1, 1] - 1.0 / (2.0 * p.eta)) < 1e-15
-    # product over the chains: no cross correlations anywhere
-    assert np.abs(g[np.ix_([0, 1, 4, 5], [2, 3, 6, 7])]).max() == 0.0
+    c = initial_state(p, 1.0).covariance
+    assert abs(c[0, 0] - 0.29285924815915554) < 1e-12  # e^{-2}/eta on x of a1
+    assert abs(c[1, 1] - 15.989573169587395) < 1e-12  # e^{2}/eta on p of a1
+    assert np.array_equal(c[4:6, 4:6], c[0:2, 0:2])  # b1 squeezed alike
+    assert abs(c[2, 2] - 1.0 / p.eta) < 1e-15
+    # product over the chains, and x and p uncorrelated within each mode
+    assert np.abs(c - np.diag(np.diag(c))).max() == 0.0
 
 
 def test_initial_state_squeeze_parity():
     p = ModelParams(1.0, 1.0, 0.5)
-    plus = initial_state(p, 1.0).moment_matrix
-    minus = initial_state(p, -1.0).moment_matrix
-    assert abs(plus[0, 0] - minus[0, 0]) < 1e-15
-    assert abs(plus[4, 0] + minus[4, 0]) < 1e-15
+    plus = initial_state(p, 1.0).covariance
+    minus = initial_state(p, -1.0).covariance
+    # r -> -r exchanges the variances of x and p
+    assert np.array_equal(plus[[0, 1, 4, 5], [0, 1, 4, 5]], minus[[1, 0, 5, 4], [1, 0, 5, 4]])
 
 
 def test_gaussian_state_validation():
     p = ModelParams(1.0, 1.0, 0.5)
-    good = initial_state(p, 1.0).moment_matrix
+    good = initial_state(p, 1.0).covariance
     broken = good.copy()
     broken[0, 1] += 0.1
-    asymmetric = good.copy()
-    asymmetric[1, 1] += 0.5  # Hermitian but breaks the mode-conjugate swap
-    lopsided = good.copy()
-    lopsided[0, 2] += 0.25j  # off the diagonal, Hermitian, and swap-asymmetric
-    lopsided[2, 0] -= 0.25j
-    for g, what in ((broken, "Hermitian"), (asymmetric, "swap"), (lopsided, "swap")):
-        with pytest.raises(ContractViolation, match=what):
-            GaussianState(moment_matrix=g, eta=p.eta)
-        # one bad matrix anywhere in a stack is refused
-        with pytest.raises(ContractViolation, match=what):
-            GaussianState(moment_matrix=np.array([good, good, g]), eta=p.eta)
+    with pytest.raises(ContractViolation, match="symmetric"):
+        GaussianState(covariance=broken, eta=p.eta)
+    # one bad matrix anywhere in a stack is refused
+    with pytest.raises(ContractViolation, match="symmetric"):
+        GaussianState(covariance=np.array([good, good, broken]), eta=p.eta)
 
 
 def test_gaussian_state_rejects_nan_moments():
-    for g in (np.full((8, 8), np.nan), np.where(np.eye(8) > 0, np.nan, 0.0)):
+    for c in (np.full((8, 8), np.nan), np.where(np.eye(8) > 0, np.nan, 0.0)):
         with pytest.raises(ContractViolation):
-            GaussianState(moment_matrix=g, eta=0.5)
+            GaussianState(covariance=c, eta=0.5)
     stack = np.array([_reference(0.5)] * 3)
     stack[1, 2, 5] = stack[1, 5, 2] = np.nan
     with pytest.raises(ContractViolation):
-        GaussianState(moment_matrix=stack, eta=0.5)
-    # a NaN in the imaginary part alone, in the last matrix of the stack
-    stack = np.array([_reference(0.5)] * 3)
-    stack[2, 1, 3] = stack[2, 3, 1] = complex(0.0, np.nan)
-    with pytest.raises(ContractViolation):
-        GaussianState(moment_matrix=stack, eta=0.5)
+        GaussianState(covariance=stack, eta=0.5)
 
 
 def test_mode_builders_over_array_params_are_each_single_call():
@@ -216,12 +206,12 @@ def test_initial_state_over_array_params_and_squeezes_is_each_single_call():
     squeezes = np.linspace(-3.0, 3.0, 5)
     # parameter sets down, squeezes across
     stack = initial_state(_stacked(sets), squeezes[:, None])
-    assert stack.moment_matrix.shape == (5, len(sets), 8, 8)
+    assert stack.covariance.shape == (5, len(sets), 8, 8)
     assert stack.eta.shape == (5, len(sets))
     for k, r in enumerate(squeezes):
         for i, p in enumerate(sets):
             single = initial_state(p, r)
-            assert np.array_equal(stack.moment_matrix[k, i], single.moment_matrix)
+            assert np.array_equal(stack.covariance[k, i], single.covariance)
             assert stack.eta[k, i] == single.eta
     # one parameter set and one squeeze keep the scalar eta
     assert type(initial_state(sets[0], 1.0).eta) is float
@@ -237,16 +227,16 @@ def test_propagate_over_a_generator_stack_is_each_single_call():
     start = _start_stack(sets, squeezes)
     times = np.array([[0.0, 0.3], [2.5, 5.0], [0.7, 0.0]])
     stack = propagate(start, drift_matrix(_stacked(sets)), times)
-    assert stack.moment_matrix.shape == (len(sets), 3, 2, 8, 8)
+    assert stack.covariance.shape == (len(sets), 3, 2, 8, 8)
     assert np.array_equal(stack.eta, start.eta)
     for i, (p, r) in enumerate(zip(sets, squeezes)):
-        single = propagate(initial_state(p, r), drift_matrix(p), times).moment_matrix
-        assert np.array_equal(stack.moment_matrix[i], single)
+        single = propagate(initial_state(p, r), drift_matrix(p), times).covariance
+        assert np.array_equal(stack.covariance[i], single)
     # a scalar time gives one state per generator
-    at = propagate(start, drift_matrix(_stacked(sets)), 1.1).moment_matrix
+    at = propagate(start, drift_matrix(_stacked(sets)), 1.1).covariance
     assert at.shape == (len(sets), 8, 8)
     for i, (p, r) in enumerate(zip(sets, squeezes)):
-        single = propagate(initial_state(p, r), drift_matrix(p), 1.1).moment_matrix
+        single = propagate(initial_state(p, r), drift_matrix(p), 1.1).covariance
         assert np.array_equal(at[i], single)
 
 
@@ -259,7 +249,7 @@ def test_propagate_refuses_a_state_stack_that_does_not_match_the_generators():
     with pytest.raises(ContractViolation, match="different thermal parameters"):
         propagate(swapped, gens, 1.0)
     # the stack in another order
-    reordered = GaussianState(moment_matrix=start.moment_matrix[::-1], eta=start.eta[::-1])
+    reordered = GaussianState(covariance=start.covariance[::-1], eta=start.eta[::-1])
     with pytest.raises(ContractViolation, match="different thermal parameters"):
         propagate(reordered, gens, np.array([0.0, 1.0]))
     # one state for a stack of generators, and a stack of states for one generator
@@ -272,34 +262,30 @@ def test_propagate_refuses_a_state_stack_that_does_not_match_the_generators():
     with pytest.raises(ContractViolation, match="one state each"):
         propagate(later, gens, 1.0)
     # a NaN eta matches nothing
-    nan = GaussianState(moment_matrix=start.moment_matrix, eta=np.array([np.nan, *start.eta[1:]]))
+    nan = GaussianState(covariance=start.covariance, eta=np.array([np.nan, *start.eta[1:]]))
     with pytest.raises(ContractViolation, match="different thermal parameters"):
         propagate(nan, gens, 1.0)
 
 
 def test_gaussian_state_takes_eta_over_its_leading_axes_only():
     g = np.broadcast_to(_reference(0.5), (3, 2, 8, 8))
-    assert GaussianState(moment_matrix=g, eta=np.full(3, 0.5)).moment_matrix.shape == (3, 2, 8, 8)
-    assert GaussianState(moment_matrix=g, eta=np.full((3, 2), 0.5)).eta.shape == (3, 2)
+    assert GaussianState(covariance=g, eta=np.full(3, 0.5)).covariance.shape == (3, 2, 8, 8)
+    assert GaussianState(covariance=g, eta=np.full((3, 2), 0.5)).eta.shape == (3, 2)
     for eta in (np.full(2, 0.5), np.full((3, 2, 8), 0.5), np.full(8, 0.5)):
         with pytest.raises(ContractViolation, match="does not lead"):
-            GaussianState(moment_matrix=g, eta=eta)
+            GaussianState(covariance=g, eta=eta)
     with pytest.raises(ContractViolation, match="does not lead"):
-        GaussianState(moment_matrix=_reference(0.5), eta=np.full(8, 0.5))
+        GaussianState(covariance=_reference(0.5), eta=np.full(8, 0.5))
 
 
 def test_gaussian_state_stores_the_swap_symmetrised_stack():
-    # The reference symmetrises with the permutation matrix written out.
-    swap = np.block([[np.zeros((4, 4)), np.eye(4)], [np.eye(4), np.zeros((4, 4))]])
+    # Symmetrised under the swap of the two matrix axes, the transpose.
     rng = np.random.default_rng(17)
-    g = rng.standard_normal((5, 8, 8)) + 1j * rng.standard_normal((5, 8, 8))
-    g = g + g.conj().swapaxes(-1, -2)
-    g = g + swap @ g.conj() @ swap
-    g[:, 0, 4] += 1e-14  # a drift below the tolerance, which the symmetrising removes
-    g[:, 4, 0] += 1e-14
-    hermitian = 0.5 * (g + g.conj().swapaxes(-1, -2))
-    expected = 0.5 * (hermitian + swap @ hermitian.conj() @ swap)
-    assert np.array_equal(GaussianState(moment_matrix=g, eta=0.5).moment_matrix, expected)
+    c = rng.standard_normal((5, 8, 8))
+    c = c + c.swapaxes(-1, -2)
+    c[:, 0, 4] += 1e-14  # a drift below the tolerance, which the symmetrising removes
+    expected = 0.5 * (c + c.swapaxes(-1, -2))
+    assert np.array_equal(GaussianState(covariance=c, eta=0.5).covariance, expected)
 
 
 def test_flow_is_the_exponential_of_the_drift_matrix():
@@ -342,22 +328,22 @@ def test_propagate_zero_time_is_identity():
     p = ModelParams(1.0, 0.1, 0.5)
     state = initial_state(p, 1.0)
     gen = drift_matrix(p)
-    assert np.array_equal(propagate(state, gen, 0.0).moment_matrix, state.moment_matrix)
+    assert np.array_equal(propagate(state, gen, 0.0).covariance, state.covariance)
     # A time array gives a state stack, entry for entry what scalar calls give.
     times = np.array([0.7, 0.0, 2.3, 5.0])
-    stack = propagate(state, gen, times).moment_matrix
+    stack = propagate(state, gen, times).covariance
     assert stack.shape == (4, 8, 8)
-    assert np.array_equal(stack[1], state.moment_matrix)
-    for t, g in zip(times, stack):
-        assert np.array_equal(g, propagate(state, gen, t).moment_matrix)
+    assert np.array_equal(stack[1], state.covariance)
+    for t, c in zip(times, stack):
+        assert np.array_equal(c, propagate(state, gen, t).covariance)
 
 
 def test_propagation_semigroup():
     p = ModelParams(1.0, 0.1, 0.5)
     state = initial_state(p, 1.0)
     gen = drift_matrix(p)
-    direct = propagate(state, gen, 1.7).moment_matrix
-    stepped = propagate(propagate(state, gen, 0.8), gen, 0.9).moment_matrix
+    direct = propagate(state, gen, 1.7).covariance
+    stepped = propagate(propagate(state, gen, 0.8), gen, 0.9).covariance
     assert np.abs(direct - stepped).max() < 1e-10
 
 
@@ -366,17 +352,17 @@ def test_fixed_point_is_exactly_stationary():
     gen = drift_matrix(p)
     state = initial_state(p, 0.0)
     for t in np.linspace(0.0, 5.0, 11):
-        assert np.array_equal(propagate(state, gen, t).moment_matrix, _reference(p.eta))
+        assert np.array_equal(propagate(state, gen, t).covariance, _reference(p.eta))
 
 
 def test_propagation_preserves_chain_exchange_symmetry():
     p = ModelParams(1.0, 0.1, 0.5)
     gen = drift_matrix(p)
     state = initial_state(p, 1.0)
-    perm = [2, 3, 0, 1, 6, 7, 4, 5]
+    perm = [4, 5, 6, 7, 0, 1, 2, 3]
     for t in (0.0, 0.7, 2.3):
-        g = propagate(state, gen, t).moment_matrix
-        assert np.abs(g[np.ix_(perm, perm)] - g).max() < 1e-13
+        c = propagate(state, gen, t).covariance
+        assert np.abs(c[np.ix_(perm, perm)] - c).max() < 1e-13
 
 
 def test_propagation_contracts_toward_the_fixed_point():
@@ -394,7 +380,7 @@ def test_envelope_relaxation_rate(gamma):
     reference = _reference(p.eta)
     times = np.linspace(2.0, 5.0, 16)
     norms = [
-        np.linalg.norm(propagate(state, gen, t).moment_matrix - reference, 2)
+        np.linalg.norm(propagate(state, gen, t).covariance - reference, 2)
         for t in times
     ]
     slope = np.polyfit(times, np.log(norms), 1)[0]

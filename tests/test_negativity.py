@@ -1,4 +1,4 @@
-"""Quadrature conversion, partial transpose spectrum, logarithmic negativity."""
+"""Partial transpose spectrum and logarithmic negativity of quadrature covariances."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from mesospin.negativity import (
     log_negativity,
     min_symplectic_pt,
     negativity,
-    quadrature_covariance,
     symplectic_eigenvalues,
 )
 from mesospin.sites import ModelParams
@@ -28,7 +27,7 @@ def _entangled_state():
 
 def _first_modes(state: GaussianState) -> np.ndarray:
     """The (x, p) rows and columns of a1 and b1 in the state's quadrature covariance."""
-    return quadrature_covariance(state)[..., [[0], [1], [4], [5]], [0, 1, 4, 5]]
+    return state.covariance[..., [[0], [1], [4], [5]], [0, 1, 4, 5]]
 
 
 def _tmsv(s: float) -> np.ndarray:
@@ -41,11 +40,6 @@ def _tmsv(s: float) -> np.ndarray:
             [0.0, -h, 0.0, c],
         ]
     )
-
-
-def test_quadrature_covariance_of_the_fixed_point():
-    p = ModelParams(1.0, 0.1, 0.5)
-    assert np.array_equal(quadrature_covariance(initial_state(p, 0.0)), np.eye(8) / p.eta)
 
 
 def test_quadrature_of_the_thermal_state_is_isotropic():
@@ -65,35 +59,6 @@ def test_quadrature_of_the_squeezed_state_is_diagonal():
     assert np.abs(cov - expected).max() < 1e-12
 
 
-def test_quadrature_vacuum_anchor():
-    vacuum = GaussianState(moment_matrix=0.5 * np.eye(8), eta=1.0)
-    assert np.array_equal(quadrature_covariance(vacuum), np.eye(8))
-
-
-def test_quadrature_rejects_inconsistent_blocks():
-    # quadrature_covariance takes a GaussianState, so moments that are not
-    # Hermitian or not swap-symmetric never reach the assembly.
-    good = _entangled_state()[0].moment_matrix
-    broken = good.copy()
-    broken[0, 1] += 0.3  # not Hermitian
-    lopsided = good.copy()
-    lopsided[0, 0] += 1.0  # Hermitian, but swap-asymmetric
-    for g, what in ((broken, "Hermitian"), (lopsided, "swap")):
-        with pytest.raises(ContractViolation, match=what):
-            quadrature_covariance(GaussianState(moment_matrix=g, eta=0.5))
-        with pytest.raises(ContractViolation, match=what):
-            quadrature_covariance(GaussianState(moment_matrix=np.array([good, g]), eta=0.5))
-
-
-def test_quadrature_covariance_refuses_nan_blocks():
-    with pytest.raises(ContractViolation):
-        quadrature_covariance(GaussianState(moment_matrix=np.full((8, 8), np.nan), eta=0.5))
-    g = _entangled_state()[0].moment_matrix.copy()
-    g[1, 3] = g[3, 1] = np.nan
-    with pytest.raises(ContractViolation):
-        quadrature_covariance(GaussianState(moment_matrix=np.array([g, g.real]), eta=0.5))
-
-
 def _random_propagated_stack(seed: int) -> GaussianState:
     """Squeezed states of 6 random parameter sets, each propagated to 40 random times."""
     rng = np.random.default_rng(seed)
@@ -106,9 +71,9 @@ def _random_propagated_stack(seed: int) -> GaussianState:
 
 @pytest.mark.parametrize("seed", [29, 30, 31])
 def test_quadrature_covariance_is_exactly_symmetric_on_propagated_stacks(seed):
-    # GaussianState stores exactly Hermitian, swap-symmetric moments, and the
-    # assembly keeps that symmetry to the last bit, signed zeros included.
-    cov = quadrature_covariance(_random_propagated_stack(seed))
+    # GaussianState stores every covariance exactly symmetric, signed zeros
+    # included.
+    cov = _random_propagated_stack(seed).covariance
     assert cov.shape == (6, 40, 8, 8)
     assert cov.tobytes() == np.ascontiguousarray(cov.swapaxes(-1, -2)).tobytes()
 
@@ -118,7 +83,7 @@ def test_negativity_of_a_stack_is_each_single_call_bit_for_bit():
     stacked = negativity(states)
     assert stacked.nu_min.shape == stacked.log_negativity.shape == (6, 40)
     for index in np.ndindex(6, 40):
-        single = negativity(GaussianState(states.moment_matrix[index], states.eta[index[0]]))
+        single = negativity(GaussianState(states.covariance[index], states.eta[index[0]]))
         assert type(single.nu_min) is float
         assert single.nu_min == stacked.nu_min[index]
         assert single.log_negativity == stacked.log_negativity[index]
@@ -161,9 +126,9 @@ def test_initial_state_minimum_eigenvalue_is_inverse_eta():
             b = np.linalg.det(cov[2:, 2:])
             c = np.linalg.det(cov[:2, 2:])
             delta = a + b - 2.0 * c
-            # exp(-2r)/eta entries come from a cosh - sinh difference whose
-            # relative accuracy degrades like exp(4r) * eps
-            rel = 1e-12 + 4e-16 * float(np.exp(4.0 * r))
+            # the exp(-+2r)/eta entries are written directly, so no digits
+            # cancel at any r
+            rel = 1e-12
             assert abs(delta - 2.0 / p.eta**2) < rel * (2.0 / p.eta**2)
             det = np.linalg.det(cov)
             assert abs(det - 1.0 / p.eta**4) < rel * (1.0 / p.eta**4)
@@ -201,10 +166,47 @@ def test_dual_routes_agree_at_degenerate_spectra(monkeypatch):
 
     monkeypatch.setattr(negativity_module, "symplectic_eigenvalues", skewed)
     covs = _first_modes(propagate(start, gen, np.array(times)))
-    with pytest.raises(NumericError, match="routes disagree at stack index 3: formula"):
+    with pytest.raises(NumericError, match="routes disagree at stack index 3: Cholesky"):
         min_symplectic_pt(covs)
-    with pytest.raises(NumericError, match="routes disagree: formula"):
+    with pytest.raises(NumericError, match="routes disagree: Cholesky"):
         min_symplectic_pt(covs[3])
+
+
+def _phase_state(p: ModelParams, squeeze_r, phase) -> GaussianState:
+    """Both first modes squeezed by r, b1's 2x2 block then rotated by phase / 2.
+
+    phase is the relative squeeze phase; r and phase broadcast, and the stack
+    shares the scalar eta of p.
+    """
+    c = initial_state(p, squeeze_r).covariance
+    half = 0.5 * np.asarray(phase)[..., None, None]
+    rot = np.cos(half) * np.eye(2) + np.sin(half) * np.array([[0.0, -1.0], [1.0, 0.0]])
+    block = rot @ c[..., 4:6, 4:6] @ rot.swapaxes(-1, -2)
+    c = np.array(np.broadcast_to(c, block.shape[:-2] + (8, 8)))
+    c[..., 4:6, 4:6] = block
+    return GaussianState(covariance=c, eta=p.eta)
+
+
+def test_a_degenerate_spectrum_at_opposite_squeezes_is_read_exactly():
+    # b1 squeezed along p (relative phase pi), by swapping its two variances.
+    # At t = 0.4 both partially transposed symplectic eigenvalues are
+    # 3.99228077833350 (50-digit mpmath), where a closed determinant formula
+    # for nu loses half its digits.
+    p = ModelParams(1.0, 0.1, 0.5)
+    c = initial_state(p, 2.0).covariance.copy()
+    c[4, 4], c[5, 5] = c[5, 5], c[4, 4]
+    state = propagate(GaussianState(covariance=c, eta=p.eta), drift_matrix(p), 0.4)
+    assert abs(negativity(state).nu_min - 3.99228077833350) <= 1e-12 * 3.99228077833350
+
+
+def test_no_relative_squeeze_phase_is_refused():
+    # Near phase pi the two transposed symplectic eigenvalues come close.
+    p = ModelParams(1.0, 0.1, 0.5)
+    phases = np.linspace(0.0, np.pi, 13)
+    start = _phase_state(p, np.array([0.5, 1.0, 2.0])[:, None], phases)
+    result = negativity(propagate(start, drift_matrix(p), np.linspace(0.0, 8.0, 161)))
+    assert result.nu_min.shape == (3, 13, 161)
+    assert np.all(result.nu_min > 0.0)
 
 
 def test_log_negativity_contract():
