@@ -19,14 +19,14 @@ so a caller can probe the complete-positivity window with any couplings.
 
 Each oracle check evaluates its whole (eps, T, gamma) grid as one
 array-valued ModelParams of shape (gammas, eps and T pairs), and every
-builder broadcasts over it: one stack of generators, one stack of mode maps,
-drift matrices and mode operators, one fluctuation_inner for the thermal
-mode tables and one eigh for the Weyl observables. The 8x8 reference of the
-last two checks propagates every curve config of the level as one stack of
-quadrature covariances over their shared time grid. Every residual is the
-one a loop over the grid points gives, to the last bit. The parameter grid
-and the curve configs hold only read-only values, so each is built once per
-process.
+builder broadcasts over it: one stack of generators, one stack of drift
+matrices and of mode operators, one fluctuation_inner for the thermal mode
+tables and one eigh for the Weyl observables. The 8x8 reference of the last
+two checks propagates every curve config of the level as one stack of
+Gaussian states over their shared time grid, and reads its nu_min through
+negativity() as a user does. Every residual is the one a loop over the grid
+points gives, to the last bit. The parameter grid and the curve configs hold
+only read-only values, so each is built once per process.
 """
 
 from __future__ import annotations
@@ -40,13 +40,14 @@ from .errors import ContractViolation, NumericError
 from .experiments import ExperimentConfig, run_curve
 from .linalg import STRUCTURAL_TOL
 from .modes import (
+    GaussianState,
     drift_matrix,
     initial_state,
     mode_operators,
     propagate,
     thermal_covariance,
 )
-from .negativity import _FIRST_MODES, min_symplectic_pt, symplectic_eigenvalues
+from .negativity import negativity, symplectic_eigenvalues
 from .oracle import (
     CLOSURE_TOL,
     Superoperator,
@@ -174,19 +175,18 @@ class _Inputs:
         return self.columns.eta, tables[..., 0, :, :], tables[..., 1, :, :], tables[..., 2, :, :]
 
     @cached_property
-    def reference(self) -> tuple[tuple[ExperimentConfig, ...], np.ndarray]:
-        """The level's curve configs and the 8x8 reference covariance of each over the time grid.
+    def reference(self) -> tuple[tuple[ExperimentConfig, ...], GaussianState]:
+        """The level's curve configs and the 8x8 reference state of each over the time grid.
 
         Every config starts from its squeezed state and is propagated by its
         own generator in one propagate call over the shared time grid; the
-        covariance has shape (configs, times, 8, 8).
+        state stack has shape (configs, times).
         """
         configs = _curve_configs(self.level)
         fields = np.array([(c.epsilon, c.temperature, c.gamma, c.squeeze_r) for c in configs]).T
         params = ModelParams(*fields[:3])
         times = np.linspace(0.0, configs[0].t_max, configs[0].t_steps)
-        states = propagate(initial_state(params, fields[3]), drift_matrix(params), times)
-        return configs, states.covariance
+        return configs, propagate(initial_state(params, fields[3]), drift_matrix(params), times)
 
 
 def _thermal_invariance(inputs: _Inputs) -> tuple[np.ndarray, str]:
@@ -199,8 +199,8 @@ def _thermal_invariance(inputs: _Inputs) -> tuple[np.ndarray, str]:
 
 def _generator_match(inputs: _Inputs) -> tuple[list, str]:
     """Microscopic restriction equals the mesoscopic drift, block by block."""
-    # every generator projected at once, then conjugated by its own mode map
-    ext = extract_mode_generator(Superoperator(inputs.generators), inputs.grid)
+    # every generator read at once in the modes of its own (eps, T)
+    ext = extract_mode_generator(Superoperator(inputs.generators), inputs.columns)
     g = ext.mode_generator
     m_t = drift_matrix(inputs.grid).matrix.swapaxes(-1, -2)
     residuals = [
@@ -246,15 +246,14 @@ def _thermal_covariance(inputs: _Inputs) -> tuple[np.ndarray, str]:
 
 def _physicality(inputs: _Inputs) -> tuple[np.ndarray, str]:
     """Propagated covariances stay physical: symplectic spectrum >= 1."""
-    smallest = symplectic_eigenvalues(inputs.reference[1])[..., 0]
+    smallest = symplectic_eigenvalues(inputs.reference[1].covariance)[..., 0]
     return np.maximum(0.0, 1.0 - smallest), ""
 
 
 def _curve_engine(inputs: _Inputs) -> tuple[np.ndarray, str]:
     """Closed-form curves match the 8x8 reference path at every grid point."""
-    # the (a1, b1) rows and columns that negativity() reads
-    configs, cov = inputs.reference
-    reference = min_symplectic_pt(cov[..., _FIRST_MODES[:, None], _FIRST_MODES])
+    configs, states = inputs.reference
+    reference = negativity(states).nu_min
     curves = np.array([run_curve(config).nu_min for config in configs])
     return np.abs(curves - reference) / reference, ""
 

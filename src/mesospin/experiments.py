@@ -12,7 +12,7 @@ One check pass then holds every point to three checks, in this order: nu_min
 is finite and positive (ContractViolation); each normal mode keeps the
 uncertainty bound x p >= 1 (NumericError); the variances start at the exact
 squeezed state and stay in its relaxation envelope (NumericError). The 8x8
-moment-matrix path (modes.propagate plus negativity.negativity) is the
+covariance path (modes.propagate plus negativity.negativity) is the
 independent reference that the tests and `mesospin verify` compare curves
 against; it shares no code with the engine. The engine is certified to
 SPECTRAL_TOL against a 50-digit reference for |squeeze_r| <= SQUEEZE_R_MAX;

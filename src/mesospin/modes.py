@@ -2,16 +2,15 @@
 
 The eight site observables carry, in the large-size limit, a Gaussian
 fluctuation field with two ladder modes per chain: a1, a2 for chain one and
-b1, b2 for chain two. This module owns the change of basis between site
-observables and modes, the quadratic drift generator of the dissipative
-evolution, and the closed-form propagation of Gaussian states, each held as
-one real quadrature covariance over (x_1, p_1, ..., x_4, p_4) with the
-vacuum normalised to the identity. Every builder broadcasts over the
-parameters: a ModelParams of shape S gives arrays of shape S + (n, n),
-computed by array arithmetic, each entry bit for bit what the call on its
-own parameter set returns. No time stepping is involved: the drift is
-linear, so the flow is an exact matrix exponential conjugation toward the
-thermal fixed point.
+b1, b2 for chain two. This module owns the modes as site matrices, the
+quadratic drift generator of the dissipative evolution, and the closed-form
+propagation of Gaussian states, each held as one real quadrature covariance
+over (x_1, p_1, ..., x_4, p_4) with the vacuum normalised to the identity.
+Every builder broadcasts over the parameters: a ModelParams of shape S gives
+arrays of shape S + (n, n), computed by array arithmetic, each entry bit for
+bit what the call on its own parameter set returns. No time stepping is
+involved: the drift is linear, so the flow is an exact matrix exponential
+conjugation toward the thermal fixed point.
 
 propagate() conjugates the full 8x8 covariance by the real form of exp(tM)
 from flow(), which diagonalises the coupling K numerically and so does not
@@ -32,56 +31,6 @@ from .linalg import STRUCTURAL_TOL, expm
 from .sites import SIGMA0, SIGMA_MINUS, ModelParams, frozen
 
 
-@dataclass(frozen=True)
-class ModeMap:
-    """Invertible map from the eight site observables to ladder modes.
-
-    Row order is (a1, a2, b1, b2, a1*, a2*, b1*, b2*). The inverse is the
-    closed form obtained by solving the defining combinations, not a numerical
-    inversion: the matrix becomes ill-conditioned for eta near 1 and the
-    closed form keeps the round trip exact at the 1e-12 level there.
-    """
-
-    matrix: np.ndarray
-    inverse: np.ndarray
-
-
-def mode_map(params: ModelParams) -> ModeMap:
-    """The mode map of every parameter set, matrix and inverse of shape S + (8, 8).
-
-    The stack is filled entry by entry from coefficient arrays of shape S;
-    every entry is the same floating-point expression as for one set, so each
-    matrix is bit for bit what the call on its own set returns.
-    """
-    eta, w = np.asarray(params.eta), np.asarray(params.eta_perp)
-    sq = np.sqrt(eta)
-    c1 = 1.0 / (2.0 * sq)
-    c2 = sq / (2.0 * w)
-
-    r = np.zeros(eta.shape + (8, 8), dtype=complex)
-    r[..., 0, 0], r[..., 0, 1] = c1, -1.0j * c1
-    r[..., 1, 0], r[..., 1, 1] = c2, -1.0j * c2
-    # The quotient is real: numpy divides a complex array by a real one through
-    # the reciprocal, which can round c2 / eta differently.
-    r[..., 1, 2], r[..., 1, 3] = c2 / eta, -1.0j * (c2 / eta)
-    r[..., 2, 4], r[..., 2, 5] = c1, -1.0j * c1
-    r[..., 3, 4], r[..., 3, 5] = c2, -1.0j * c2
-    r[..., 3, 6], r[..., 3, 7] = c2 / eta, -1.0j * (c2 / eta)
-    r[..., 4:, :] = r[..., :4, :].conj()
-
-    inv = np.zeros(eta.shape + (8, 8), dtype=complex)
-    inv[..., 0, 0], inv[..., 0, 4] = sq, sq
-    inv[..., 1, 0], inv[..., 1, 4] = 1.0j * sq, -1.0j * sq
-    inv[..., 2, 0], inv[..., 2, 1] = -eta * sq, w * sq
-    inv[..., 2, 4], inv[..., 2, 5] = -eta * sq, w * sq
-    inv[..., 3, 0], inv[..., 3, 1] = -1.0j * eta * sq, 1.0j * w * sq
-    inv[..., 3, 4], inv[..., 3, 5] = 1.0j * eta * sq, -1.0j * w * sq
-    inv[..., 4:, 2:4] = inv[..., :4, 0:2]
-    inv[..., 4:, 6:8] = inv[..., :4, 4:6]
-
-    return ModeMap(matrix=r, inverse=inv)
-
-
 # sigma_- x 1 and 1 x sigma_-, the constant Kronecker factors of the modes.
 _LOWER_ONE = frozen(np.kron(SIGMA_MINUS, SIGMA0))
 _LOWER_TWO = frozen(np.kron(SIGMA0, SIGMA_MINUS))
@@ -90,14 +39,17 @@ _LOWER_TWO = frozen(np.kron(SIGMA0, SIGMA_MINUS))
 def mode_operators(params: ModelParams) -> np.ndarray:
     """The four annihilation modes a1, a2, b1, b2 assembled directly as site matrices.
 
-    Equivalent to applying the mode map to the observable vector, but immune
-    to the cancellation that plagues that route for eta near 1: the only
-    delicate diagonal entry is formed as -(1-eta)/eta, which is exact for
-    eta >= 1/2 and loses nothing below. The second modes sigma_- x d and
-    d x sigma_- with d = diag(1 + 1/eta, -(1-eta)/eta) are the lowering
-    factors with their columns scaled by the diagonal of 1 x d and d x 1.
-    The result has shape S + (4, 4, 4), mode first, each entry bit for bit
-    what its own call returns.
+    This is the one definition of the modes. In the observables they read
+    a1 = c1(x1 - i x2) and a2 = c2(x1 - i x2) + (c2/eta)(x3 - i x4) with
+    c1 = 1/(2 sqrt(eta)) and c2 = sqrt(eta)/(2 eta_perp), and b1, b2 alike on
+    x5..x8. Summing those Pauli words would cancel digits for eta near 1, so
+    the matrices are built directly: the only delicate diagonal entry is
+    formed as -(1-eta)/eta, which is exact for eta >= 1/2 and loses nothing
+    below. The second modes sigma_- x d and d x sigma_- with
+    d = diag(1 + 1/eta, -(1-eta)/eta) are the lowering factors with their
+    columns scaled by the diagonal of 1 x d and d x 1. The result has shape
+    S + (4, 4, 4), mode first, each entry bit for bit what its own call
+    returns.
     """
     eta = np.asarray(params.eta)[..., None, None]
     w = np.asarray(params.eta_perp)[..., None, None]

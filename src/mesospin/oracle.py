@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ClosureError, ContractViolation
 from .linalg import STRUCTURAL_TOL, expm
-from .modes import mode_map
+from .modes import mode_operators
 from .sites import (
     ModelParams,
     ThermalSiteState,
@@ -32,6 +32,7 @@ from .sites import (
     lindblad_ops,
     observables,
     site_hamiltonian,
+    thermal_state,
 )
 
 CLOSURE_TOL = 1e-10
@@ -40,8 +41,12 @@ _DIM = 4
 
 
 def vec(x: np.ndarray) -> np.ndarray:
-    """Column-stacked vector of a 4x4 operator, the basis of the 16x16 generators."""
-    return np.asarray(x, dtype=complex).flatten(order="F")
+    """Column-stacked vector of a 4x4 operator, the basis of the 16x16 generators.
+
+    A stack S + (4, 4) gives S + (16,), one vector per operator.
+    """
+    x = np.asarray(x, dtype=complex)
+    return x.swapaxes(-1, -2).reshape(x.shape[:-2] + (_DIM**2,))
 
 
 def _unvec(v: np.ndarray) -> np.ndarray:
@@ -134,18 +139,17 @@ class GeneratorExtraction:
     are traceless and the dynamics unital, so every entry must vanish.
     residual is the largest entry of any L[x_a] minus its projection onto the
     span of the identity and the observables. mode_generator is the
-    restriction in the ladder basis (a1, a2, b1, b2, and conjugates); its
-    upper-left block, annihilation_block, is the drift matrix of the
-    mesoscopic propagation, transposed. For a stack of generators or an
-    array-valued ModelParams, identity_coeffs, mode_generator and annihilation_block
-    are stacks over the broadcast leading axes, and residual is the largest
-    over all of them.
+    restriction in the ladder basis (a1, a2, b1, b2, and conjugates): entry
+    (m, k) is the coefficient of mode k in the image of mode m, and its
+    upper-left 4x4 block is the drift matrix of the mesoscopic propagation,
+    transposed. For a stack of generators or an array-valued ModelParams,
+    identity_coeffs and mode_generator are stacks over the broadcast leading
+    axes, and residual is the largest over all of them.
     """
 
     identity_coeffs: np.ndarray
     residual: float
     mode_generator: np.ndarray
-    annihilation_block: np.ndarray
 
 
 @lru_cache(maxsize=1)
@@ -155,15 +159,18 @@ def _observable_basis() -> np.ndarray:
 
 
 def extract_mode_generator(sup: Superoperator, params: ModelParams) -> GeneratorExtraction:
-    """Restrict sup to the observables and express it in the modes of params.
+    """Restrict sup to the observables and read it in the modes of params.
 
-    The projection reads only sup; params fixes the mode basis. sup may hold
-    a stack of generators of shape G + (16, 16) and params have shape M: all
-    generators are projected in one product and then conjugated by the mode
-    maps of shape M + (8, 8), G broadcast against M. One generator with
-    params over temperatures is thus projected once and expressed in each
-    temperature's modes. Every matrix is bit for bit what the call on its own
-    generator and parameter set returns.
+    The closure test projects the images of the observables onto their span;
+    it reads only sup. The mode generator is read off the canonical
+    commutators of the modes alpha = (a, a^dag) of params in its thermal
+    state w: with w([a_j, a_k^dag]) = delta_jk and w([a_j, a_k]) = 0, the
+    coefficient of a_k in L[alpha_m] is w([L[alpha_m], a_k^dag]) and that of
+    a_k^dag is w([a_k, L[alpha_m]]). sup may hold a stack of generators of
+    shape G + (16, 16) and params have shape M: every entry comes from one
+    product, G broadcast against M. One generator with params over
+    temperatures is thus read in each temperature's modes. Every matrix is
+    bit for bit what the call on its own generator and parameter set returns.
     """
     # Pauli words are orthogonal under tr(x^dag y) = 4 delta, so basis^H / 4 projects.
     basis = _observable_basis()
@@ -174,15 +181,21 @@ def extract_mode_generator(sup: Superoperator, params: ModelParams) -> Generator
         raise ClosureError(
             f"observables do not close under the generator: residual {residual:.3e}"
         )
-    identity, coeffs = components[..., 0, :], components[..., 1:, :]
 
-    mm = mode_map(params)
-    mode_generator = mm.matrix @ coeffs.swapaxes(-1, -2) @ mm.inverse
+    a = mode_operators(params)
+    alpha = np.concatenate([a, a.conj().swapaxes(-1, -2)], axis=-3)
+    # w([Y, d]) = tr(Y E) = vec(E^T) . vec(Y) with E = d rho - rho d, where d
+    # is a_k^dag for an annihilation column and -a_k for a creation column.
+    # H is diagonal in the spin basis, so rho is diagonal and E_ij is
+    # d_ij (p_j - p_i), one elementwise product.
+    d = np.concatenate([alpha[..., 4:, :, :], -a], axis=-3)
+    p = np.diagonal(thermal_state(params).rho, axis1=-2, axis2=-1)
+    e = d * (p[..., None, None, :] - p[..., None, :, None])
+    mode_images = vec(alpha) @ sup.matrix.swapaxes(-1, -2)  # row m is vec(L[alpha_m])
     return GeneratorExtraction(
-        identity_coeffs=identity,
+        identity_coeffs=components[..., 0, :],
         residual=residual,
-        mode_generator=mode_generator,
-        annihilation_block=mode_generator[..., :4, :4].copy(),
+        mode_generator=mode_images @ vec(e.swapaxes(-1, -2)).swapaxes(-1, -2),
     )
 
 

@@ -109,6 +109,27 @@ def test_a_nan_thermal_state_fails_with_a_nan_residual(monkeypatch):
         assert np.isnan(result.residual)
 
 
+def test_clt_convergence_fails_when_the_errors_of_an_observable_rise(monkeypatch):
+    clt_table = checks.clt_table
+
+    def rising(state, sites):
+        table = clt_table(state, sites)
+        limit, finite, errors, _ = table[2]
+        table[2] = (limit, finite, errors[::-1], False)
+        return table
+
+    monkeypatch.setattr(checks, "clt_table", rising)
+    result = _check("clt-convergence")
+    assert not result.passed
+    assert result.residual == float("inf")
+    assert result.detail.startswith("observable 3: errors not monotone")
+
+
+def test_run_checks_refuses_an_unknown_level():
+    with pytest.raises(ValueError, match="'fast' or 'full', got 'medium'"):
+        checks.run_checks("medium")
+
+
 def test_a_nan_coupling_piece_fails_both_generator_checks(monkeypatch):
     l_h, l_0, l_1 = oracle.generator_pieces()
     monkeypatch.setattr(oracle, "generator_pieces", lambda: (l_h, l_0, np.nan * l_1))

@@ -55,6 +55,33 @@ def test_invalid_json_config_is_a_configuration_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+# config None reads no file, "missing" names one that does not exist.
+@pytest.mark.parametrize(
+    "argv,config,message",
+    [
+        (["sweep-gamma", "--gamma-list", "0.1,abc"], None, "gamma_list: could not parse"),
+        (["sweep-gamma", "--gamma-list", ","], None, "gamma_list: must not be empty"),
+        (["curve"], "missing", "config: cannot read"),
+        (["curve"], "[1, 2]", "config: top level must be a JSON object"),
+        (["clt", "--temperature", "0"], None, "temperature must be positive, got 0.0"),
+    ],
+)
+def test_a_configuration_error_exits_2_with_its_message(
+    argv, config, message, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        path = tmp_path / "run.json"
+        if config != "missing":
+            path.write_text(config)
+        argv = argv + ["--config", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"configuration error: {message}")
+    assert captured.out == ""
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_unknown_config_field_is_named(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"coupling_strength": 0.2}))

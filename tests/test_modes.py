@@ -1,4 +1,4 @@
-"""Mode map, canonical commutators, drift generator, Gaussian propagation."""
+"""Mode operators, canonical commutators, drift generator, Gaussian propagation."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from mesospin.modes import (
     drift_matrix,
     flow,
     initial_state,
-    mode_map,
     mode_operators,
     propagate,
     thermal_covariance,
@@ -32,33 +31,67 @@ def _reference(eta: float) -> np.ndarray:
     return np.eye(8) / eta
 
 
+def _coefficients(p: ModelParams) -> np.ndarray:
+    """The modes' coefficients on the observables, rows (a1, a2, b1, b2, a1*, ..., b2*).
+
+    The observables are Pauli words, orthonormal under Tr(x y)/4, so the
+    coefficient of x_k in a mode is Tr(x_k a)/4.
+    """
+    ops = mode_operators(p)
+    x = np.array(observables().ops)
+    r = np.einsum("kij,mji->mk", x, ops) / 4.0
+    adj = np.einsum("kij,mji->mk", x, ops.conj().transpose(0, 2, 1)) / 4.0
+    return np.concatenate([r, adj])
+
+
 def test_mode_map_coefficients():
     p = ModelParams(1.0, 1.0, 0.0)
-    r = mode_map(p).matrix
+    r = _coefficients(p)
     c1 = 1.0 / (2.0 * np.sqrt(p.eta))
     c2 = np.sqrt(p.eta) / (2.0 * p.eta_perp)
     assert abs(r[0, 0] - c1) < 1e-15
     assert abs(r[0, 1] - (-1j * c1)) < 1e-15
     assert abs(r[1, 2] - c2 / p.eta) < 1e-15
-    assert np.abs(r[4:, :] - r[:4, :].conj()).max() == 0.0
+    assert np.abs(r[4:, :] - r[:4, :].conj()).max() < 1e-15
     # chain-two rows repeat the chain-one pattern four columns later
-    assert np.abs(r[2:4, 4:] - r[0:2, 0:4]).max() == 0.0
-
-
-@pytest.mark.parametrize("eps,temp", EPS_TEMP_GRID)
-def test_mode_map_inverse_is_exact(eps, temp):
-    mm = mode_map(ModelParams(eps, temp, 0.0))
-    assert np.abs(mm.matrix @ mm.inverse - np.eye(8)).max() < 1e-12
-    assert np.abs(mm.inverse @ mm.matrix - np.eye(8)).max() < 1e-12
+    assert np.abs(r[2:4, 4:] - r[0:2, 0:4]).max() < 1e-15
 
 
 def test_mode_operators_agree_with_the_map():
+    # The modes lie in the span of the eight observables: the combination of
+    # the coefficients read off them rebuilds each mode.
     p = ModelParams(1.0, 1.0, 0.0)
-    r = mode_map(p).matrix
+    r = _coefficients(p)
     obs = observables().ops
     for row, op in zip(r[:4], mode_operators(p)):
         combined = sum(row[k] * obs[k] for k in range(8))
         assert np.abs(combined - op).max() < 1e-13
+
+
+@pytest.mark.parametrize("eps,temp", EPS_TEMP_GRID)
+def test_mode_operators_are_the_observable_combinations(eps, temp):
+    p = ModelParams(eps, temp, 0.0)
+    c1 = 1.0 / (2.0 * np.sqrt(p.eta))
+    c2 = np.sqrt(p.eta) / (2.0 * p.eta_perp)
+    x = observables().ops
+    expected = np.array(
+        [
+            c1 * (x[0] - 1j * x[1]),
+            c2 * (x[0] - 1j * x[1]) + (c2 / p.eta) * (x[2] - 1j * x[3]),
+            c1 * (x[4] - 1j * x[5]),
+            c2 * (x[4] - 1j * x[5]) + (c2 / p.eta) * (x[6] - 1j * x[7]),
+        ]
+    )
+    ops = mode_operators(p)
+    assert np.abs(ops - expected).max() <= 1e-15 * np.abs(expected).max()
+    # The sum above cancels to 2 c2 (1 - 1/eta) in one entry of a2 and of b2,
+    # read here against its own size with 1 - eta = 2/(e^{eps/T} + 1). eta is
+    # itself rounded, and one ulp of it is eps/(1 - eta) of 1 - eta.
+    one_minus_eta = 2.0 / (np.exp(eps / temp) + 1.0)
+    delicate = -2.0 * c2 * one_minus_eta / p.eta
+    tolerance = 1e-13 + 2.0 * np.finfo(float).eps / one_minus_eta
+    for entry in (ops[1, 3, 1], ops[3, 3, 2]):
+        assert abs(entry - delicate) <= tolerance * abs(delicate)
 
 
 @pytest.mark.parametrize("eps,temp", EPS_TEMP_GRID)
@@ -167,14 +200,10 @@ def test_mode_builders_over_array_params_are_each_single_call():
     sets = [ModelParams(eps, temp, gamma) for eps, temp in EPS_TEMP_GRID for gamma in (0.0, 0.3)]
     sets += [ModelParams(0.3, 20.0, 0.37), ModelParams(5.0, 0.2, 0.5)]
     params = _stacked(sets)
-    maps, ops, drift = mode_map(params), mode_operators(params), drift_matrix(params)
-    assert maps.matrix.shape == maps.inverse.shape == (len(sets), 8, 8)
+    ops, drift = mode_operators(params), drift_matrix(params)
     assert ops.shape == (len(sets), 4, 4, 4)
     assert drift.matrix.shape == drift.coupling.shape == (len(sets), 4, 4)
     for i, p in enumerate(sets):
-        single = mode_map(p)
-        assert np.array_equal(maps.matrix[i], single.matrix)
-        assert np.array_equal(maps.inverse[i], single.inverse)
         assert np.array_equal(ops[i], mode_operators(p))
         gen = drift_matrix(p)
         assert np.array_equal(drift.matrix[i], gen.matrix)
@@ -184,7 +213,6 @@ def test_mode_builders_over_array_params_are_each_single_call():
     # a two-axis ModelParams gives two leading axes
     grid = ModelParams(params.epsilon, params.temperature, np.array([[0.0], [0.45]]))
     assert mode_operators(grid).shape == (2, len(sets), 4, 4, 4)
-    assert np.array_equal(mode_map(grid).matrix[1], maps.matrix)
     last = drift_matrix(ModelParams(5.0, 0.2, 0.45)).matrix
     assert np.array_equal(drift_matrix(grid).matrix[1, -1], last)
     # the stacked generator through the flow: every generator at every time
