@@ -21,8 +21,8 @@ from .experiments import (
     sweep_gamma,
     sweep_temperature,
 )
-from .modes import GaussianState, MesoGenerator, drift_matrix, initial_state, propagate
-from .negativity import NegativityResult, log_negativity, min_symplectic_pt, negativity
+from .modes import GaussianState, drift_matrix, initial_state, propagate
+from .negativity import NegativityResult, log_negativity, min_symplectic_pt
 from .sites import GAMMA_MAX, ModelParams, dissipation_matrix, thermal_state
 
 __version__ = "0.1.0"
@@ -35,7 +35,6 @@ __all__ = [
     "ExperimentConfig",
     "GAMMA_MAX",
     "GaussianState",
-    "MesoGenerator",
     "ModelParams",
     "NegativityCurve",
     "NegativityResult",
@@ -48,7 +47,6 @@ __all__ = [
     "initial_state",
     "log_negativity",
     "min_symplectic_pt",
-    "negativity",
     "propagate",
     "run_checks",
     "run_curve",

@@ -12,8 +12,9 @@ run_checks is the one entry point. It runs the table _CHECKS of (name,
 tolerance, body) in report order: each body takes the inputs that several
 checks read, built at most once per call, and returns its residuals and its
 detail. A harness injects a fault by replacing a builder that this module
-reads (thermal_state, mode_operators, drift_matrix, thermal_covariance, ...)
-and reads the check by name from run_checks; nothing here is ever skipped or
+reads (thermal_state, mode_operators, drift_matrix, thermal_covariance, ...),
+or modes.coupling, which drift_matrix and propagate read, and reads the
+check by name from run_checks; nothing here is ever skipped or
 clamped. check_dissipation_spectrum(gammas) is the body of the first check,
 so a caller can probe the complete-positivity window with any couplings.
 
@@ -48,14 +49,7 @@ from .modes import (
     thermal_covariance,
 )
 from .negativity import negativity, symplectic_eigenvalues
-from .oracle import (
-    CLOSURE_TOL,
-    Superoperator,
-    clt_table,
-    extract_mode_generator,
-    liouvillian,
-    vec,
-)
+from .oracle import CLOSURE_TOL, clt_table, extract_mode_generator, liouvillian, vec
 from .sites import (
     ModelParams,
     ThermalSiteState,
@@ -153,7 +147,7 @@ class _Inputs:
 
     @cached_property
     def generators(self) -> np.ndarray:
-        return liouvillian(self.grid).matrix
+        return liouvillian(self.grid)
 
     @cached_property
     def states(self) -> np.ndarray:
@@ -179,14 +173,14 @@ class _Inputs:
         """The level's curve configs and the 8x8 reference state of each over the time grid.
 
         Every config starts from its squeezed state and is propagated by its
-        own generator in one propagate call over the shared time grid; the
-        state stack has shape (configs, times).
+        own parameter set in one propagate call over the shared time grid;
+        the state stack has shape (configs, times).
         """
         configs = _curve_configs(self.level)
         fields = np.array([(c.epsilon, c.temperature, c.gamma, c.squeeze_r) for c in configs]).T
         params = ModelParams(*fields[:3])
         times = np.linspace(0.0, configs[0].t_max, configs[0].t_steps)
-        return configs, propagate(initial_state(params, fields[3]), drift_matrix(params), times)
+        return configs, propagate(initial_state(params, fields[3]), params, times)
 
 
 def _thermal_invariance(inputs: _Inputs) -> tuple[np.ndarray, str]:
@@ -200,9 +194,9 @@ def _thermal_invariance(inputs: _Inputs) -> tuple[np.ndarray, str]:
 def _generator_match(inputs: _Inputs) -> tuple[list, str]:
     """Microscopic restriction equals the mesoscopic drift, block by block."""
     # every generator read at once in the modes of its own (eps, T)
-    ext = extract_mode_generator(Superoperator(inputs.generators), inputs.columns)
+    ext = extract_mode_generator(inputs.generators, inputs.columns)
     g = ext.mode_generator
-    m_t = drift_matrix(inputs.grid).matrix.swapaxes(-1, -2)
+    m_t = drift_matrix(inputs.grid).swapaxes(-1, -2)
     residuals = [
         ext.residual,
         np.abs(ext.identity_coeffs).max(),

@@ -170,8 +170,8 @@ def _normal_mode_variances(
     sees, so it is dropped. The real remainder is diagonal on a1 +/- b1 with
     damping q_+/- = e^{-t}(c -/+ eta*s), and each quadrature of each normal
     mode relaxes toward the thermal variance: V(t) = q^2 V(0) + (1 - q^2)/eta.
-    1 - q is summed from expm1 terms of one sign and 1 - eta comes from
-    exp(2u), so no difference cancels at any r, t or temperature.
+    1 - q is summed from expm1 terms of one sign and 1 - eta is the delta
+    that params carries, so no difference cancels at any r, t or temperature.
 
     Returns (x, p), each of shape S + (2, len(times)) with rows sigma = +, -:
     x starts anti-squeezed at e^{2|r|}/eta, p squeezed at e^{-2|r|}/eta.
@@ -185,7 +185,7 @@ def _normal_mode_variances(
     r = abs(float(squeeze_r))
     eta = np.asarray(params.eta)[..., None, None]
     gamma = np.asarray(params.gamma)[..., None]
-    low = 1.0 / (np.exp(np.asarray(params.epsilon * params.beta)) + 1.0)[..., None]  # (1 - eta)/2
+    low = 0.5 * np.asarray(params.delta)[..., None]  # (1 - eta)/2
     high = 0.5 * (1.0 + np.asarray(params.eta))[..., None]
     slow = -(1.0 - gamma) * t
     fast = -(1.0 + gamma) * t

@@ -3,7 +3,8 @@
 The eight site observables carry, in the large-size limit, a Gaussian
 fluctuation field with two ladder modes per chain: a1, a2 for chain one and
 b1, b2 for chain two. This module owns the modes as site matrices, the
-quadratic drift generator of the dissipative evolution, and the closed-form
+coupling K and the drift M = -(1+i*eps)I + gamma*K of the dissipative
+evolution, each a plain array read off a ModelParams, and the closed-form
 propagation of Gaussian states, each held as one real quadrature covariance
 over (x_1, p_1, ..., x_4, p_4) with the vacuum normalised to the identity.
 Every builder broadcasts over the parameters: a ModelParams of shape S gives
@@ -14,10 +15,11 @@ conjugation toward the thermal fixed point.
 
 propagate() conjugates the full 8x8 covariance by the real form of exp(tM)
 from flow(), which diagonalises the coupling K numerically and so does not
-rely on K^2 = I; it is the general reference. Given an array of times, or a
-stacked generator and a matching state stack, flow() and propagate() return
-stacks over the generators and the times, entry for entry what single calls
-return. The fixed point is thermal_covariance().
+rely on K^2 = I; it is the general reference. Both take the ModelParams
+itself. Given an array of times, or parameter sets of shape G and a matching
+state stack, flow() and propagate() return stacks over the parameter sets and
+the times, entry for entry what single calls return. The fixed point is
+thermal_covariance().
 """
 
 from __future__ import annotations
@@ -43,10 +45,11 @@ def mode_operators(params: ModelParams) -> np.ndarray:
     a1 = c1(x1 - i x2) and a2 = c2(x1 - i x2) + (c2/eta)(x3 - i x4) with
     c1 = 1/(2 sqrt(eta)) and c2 = sqrt(eta)/(2 eta_perp), and b1, b2 alike on
     x5..x8. Summing those Pauli words would cancel digits for eta near 1, so
-    the matrices are built directly: the only delicate diagonal entry is
-    formed as -(1-eta)/eta, which is exact for eta >= 1/2 and loses nothing
-    below. The second modes sigma_- x d and d x sigma_- with
-    d = diag(1 + 1/eta, -(1-eta)/eta) are the lowering factors with their
+    the matrices are built directly: the only delicate diagonal entry,
+    -(1-eta)/eta, is formed as -delta/eta from the delta that params carries,
+    so it keeps the accuracy of delta rather than of the rounded eta. The
+    second modes sigma_- x d and d x sigma_- with
+    d = diag(1 + 1/eta, -delta/eta) are the lowering factors with their
     columns scaled by the diagonal of 1 x d and d x 1. The result has shape
     S + (4, 4, 4), mode first, each entry bit for bit what its own call
     returns.
@@ -55,7 +58,8 @@ def mode_operators(params: ModelParams) -> np.ndarray:
     w = np.asarray(params.eta_perp)[..., None, None]
     sq = np.sqrt(eta)
     c2 = sq / (2.0 * w)
-    d = np.concatenate([1.0 + 1.0 / eta, -(1.0 - eta) / eta], axis=-1)  # S + (1, 2)
+    delta = np.asarray(params.delta)[..., None, None]
+    d = np.concatenate([1.0 + 1.0 / eta, -delta / eta], axis=-1)  # S + (1, 2)
     ops = np.stack(
         [
             _LOWER_ONE / sq,
@@ -68,41 +72,30 @@ def mode_operators(params: ModelParams) -> np.ndarray:
     return ops
 
 
-@dataclass(frozen=True)
-class MesoGenerator:
-    """Drift matrix of the annihilation modes, -(1+i*eps)I + gamma*K.
+def coupling(params: ModelParams) -> np.ndarray:
+    """The bath-mediated coupling K of every parameter set, shape S + (4, 4).
 
-    The bath-mediated coupling K is real symmetric with K^2 = I, so the
-    spectrum is -(1+i*eps) +/- gamma, each twice: dissipation always wins for
-    gamma < 1 and the slow envelope contracts at rate 1 - gamma per quadrature
-    pair (2(1-gamma) for the covariance).
-    """
-
-    matrix: np.ndarray
-    coupling: np.ndarray
-    epsilon: float | np.ndarray
-    gamma: float | np.ndarray
-    eta: float | np.ndarray
-
-
-def drift_matrix(params: ModelParams) -> MesoGenerator:
-    """The drift of every parameter set, as one generator or one stacked generator.
-
-    matrix and coupling have shape S + (4, 4) and epsilon, gamma and eta are
-    the fields of params, each entry bit for bit what its own call returns.
-    flow() and propagate() take a stack as readily as one generator.
+    K is real symmetric with K^2 = I, so the drift -(1+i*eps)I + gamma*K has
+    the spectrum -(1+i*eps) +/- gamma, each twice: dissipation always wins
+    for gamma < 1 and the slow envelope contracts at rate 1 - gamma per
+    quadrature pair (2(1-gamma) for the covariance).
     """
     eta, w = np.asarray(params.eta), np.asarray(params.eta_perp)
     k = np.zeros(eta.shape + (4, 4))
     k[..., 0, 2], k[..., 0, 3] = -eta, w
     k[..., 1, 2], k[..., 1, 3] = w, eta
     k[..., 2:, :2] = k[..., :2, 2:].swapaxes(-1, -2)
-    m = (
+    return k
+
+
+def drift_matrix(params: ModelParams) -> np.ndarray:
+    """The drift M = -(1+i*eps)I + gamma*K of the annihilation modes, shape S + (4, 4).
+
+    Each entry is bit for bit what its own call returns.
+    """
+    return (
         -(1.0 + 1.0j * np.asarray(params.epsilon))[..., None, None] * np.eye(4, dtype=complex)
-        + np.asarray(params.gamma)[..., None, None] * k
-    )
-    return MesoGenerator(
-        matrix=m, coupling=k, epsilon=params.epsilon, gamma=params.gamma, eta=params.eta
+        + np.asarray(params.gamma)[..., None, None] * coupling(params)
     )
 
 
@@ -171,54 +164,54 @@ def initial_state(params: ModelParams, squeeze_r=0.0) -> GaussianState:
     return GaussianState(covariance=c, eta=eta)
 
 
-def flow(gen: MesoGenerator, t) -> np.ndarray:
+def flow(params: ModelParams, t) -> np.ndarray:
     """The 4x4 mode flow exp(tM) = e^{-(1+i*eps)t} exp(gamma*t*K) for t >= 0.
 
     The identity part of M commutes with K and factors out as a scalar; the
     Hermitian exponential of the coupling is taken from its eigendecomposition.
-    An array t of shape S gives shape S + (4, 4); a generator stack of shape
-    G gives G + S + (4, 4), every generator at every time, each entry bit for
-    bit the single call. t = 0 gives the exact identity.
+    An array t of shape S gives shape S + (4, 4); parameter sets of shape G
+    give G + S + (4, 4), every set at every time, each entry bit for bit the
+    single call. t = 0 gives the exact identity.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)) or np.any(t < 0.0):
         raise ContractViolation(f"propagation time must be nonnegative, got {t!r}")
-    # each generator's scalars and coupling meet every time
+    # each parameter set's scalars and coupling meet every time
     at = (..., *(None,) * t.ndim)
-    epsilon, gamma = np.asarray(gen.epsilon)[at], np.asarray(gen.gamma)[at]
-    coupling = gen.coupling[at + (slice(None), slice(None))]
+    epsilon, gamma = np.asarray(params.epsilon)[at], np.asarray(params.gamma)[at]
+    k = coupling(params)[at + (slice(None), slice(None))]
     phase = np.exp(-(1.0 + 1.0j * epsilon) * t)
-    return phase[..., None, None] * expm(coupling, gamma * t)
+    return phase[..., None, None] * expm(k, gamma * t)
 
 
-def propagate(state: GaussianState, gen: MesoGenerator, t) -> GaussianState:
+def propagate(state: GaussianState, params: ModelParams, t) -> GaussianState:
     """Evolve the covariance for time t >= 0 in closed form.
 
     V(t) = R (V(0) - V_th) R^T + V_th with V_th = thermal_covariance(eta) and
     R the real form of the flow u = exp(tM): the block of mode pair (j, k) is
     [[Re u_jk, -Im u_jk], [Im u_jk, Re u_jk]]. The deviation from the fixed
     point is conjugated by a strict contraction whenever gamma < 1. An array
-    t of shape S gives a stack S + (8, 8). A generator stack of shape G
-    takes one state per generator, a G + (8, 8) stack whose eta matches each
-    generator's, and gives G + S + (8, 8) with eta of shape G, each entry
-    bit for bit the single call.
+    t of shape S gives a stack S + (8, 8). Parameter sets of shape G take
+    one state each, a G + (8, 8) stack whose eta matches each set's, and
+    give G + S + (8, 8) with eta of shape G, each entry bit for bit the
+    single call.
     """
-    u = flow(gen, t)
-    lead = np.shape(gen.eta)
+    u = flow(params, t)
+    lead = np.shape(params.eta)
     # Written as not (x <= limit), so that a NaN fails.
-    if np.shape(state.eta) != lead or not np.all(np.abs(state.eta - gen.eta) <= 1e-15):
+    if np.shape(state.eta) != lead or not np.all(np.abs(state.eta - params.eta) <= 1e-15):
         raise ContractViolation(
-            "state and generator were built from different thermal parameters"
+            "the state and the parameter sets hold different thermal parameters"
         )
     if lead and state.covariance.shape[:-2] != lead:
         raise ContractViolation(
-            f"generators of shape {lead} take one state each, got {state.covariance.shape}"
+            f"parameter sets of shape {lead} take one state each, got {state.covariance.shape}"
         )
     transfer = np.empty(u.shape[:-2] + (8, 8))
     transfer[..., 0::2, 0::2] = transfer[..., 1::2, 1::2] = u.real
     transfer[..., 0::2, 1::2] = -u.imag
     transfer[..., 1::2, 0::2] = u.imag
-    # each generator's state and fixed point meet every time
+    # each parameter set's state and fixed point meet every time
     at = (..., *(None,) * np.ndim(t), slice(None), slice(None))
     reference = thermal_covariance(state.eta)[at]
     deviation = state.covariance[at] - reference

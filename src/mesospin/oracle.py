@@ -8,9 +8,10 @@ mesoscopic propagation never depends on this module; it exists so the two
 routes can be compared.
 
 liouvillian() builds the generator of every parameter set of an array-valued
-ModelParams in one expression and extract_mode_generator() restricts a stack
-in one product, so a parameter grid costs a few array operations rather than
-a Python loop per point.
+ModelParams in one expression, as one plain S + (16, 16) array, and
+extract_mode_generator() restricts such a stack in one product, so a
+parameter grid costs a few array operations rather than a Python loop per
+point.
 """
 
 from __future__ import annotations
@@ -47,23 +48,6 @@ def vec(x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=complex)
     return x.swapaxes(-1, -2).reshape(x.shape[:-2] + (_DIM**2,))
-
-
-def _unvec(v: np.ndarray) -> np.ndarray:
-    return np.asarray(v, dtype=complex).reshape((_DIM, _DIM), order="F")
-
-
-@dataclass(frozen=True)
-class Superoperator:
-    """Heisenberg generator as a 16x16 matrix over column-stacked operators.
-
-    matrix may be a stack (..., 16, 16) of generators; apply() takes one.
-    """
-
-    matrix: np.ndarray
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return _unvec(self.matrix @ vec(x))
 
 
 def _commutator_part(h: np.ndarray) -> np.ndarray:
@@ -110,9 +94,10 @@ def generator_pieces() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def liouvillian(params: ModelParams) -> Superoperator:
+def liouvillian(params: ModelParams) -> np.ndarray:
     """Heisenberg generator L[X] = i[H,X] + (1/2) sum D_mn [[V_m,X],V_n^dag].
 
+    L is a 16x16 matrix over column-stacked operators: vec(L[X]) = L @ vec(X).
     The half in front of the double commutator makes the generator agree with
     the standard completely positive form (sum over both Lindblad pairings);
     unitality L[1] = 0 holds exactly by construction and is checked. The
@@ -128,7 +113,7 @@ def liouvillian(params: ModelParams) -> Superoperator:
     unital = np.abs(gen @ vec(np.eye(_DIM))).max(axis=-1)
     if not np.all(unital <= STRUCTURAL_TOL):
         raise ClosureError(f"generator is not unital: ||L[1]|| = {np.max(unital):.3e}")
-    return Superoperator(matrix=gen)
+    return gen
 
 
 @dataclass(frozen=True)
@@ -158,23 +143,23 @@ def _observable_basis() -> np.ndarray:
     return frozen(np.column_stack([vec(x) for x in (np.eye(_DIM),) + observables().ops]))
 
 
-def extract_mode_generator(sup: Superoperator, params: ModelParams) -> GeneratorExtraction:
-    """Restrict sup to the observables and read it in the modes of params.
+def extract_mode_generator(generator: np.ndarray, params: ModelParams) -> GeneratorExtraction:
+    """Restrict the generator to the observables and read it in the modes of params.
 
     The closure test projects the images of the observables onto their span;
-    it reads only sup. The mode generator is read off the canonical
+    it reads only the generator. The mode generator is read off the canonical
     commutators of the modes alpha = (a, a^dag) of params in its thermal
     state w: with w([a_j, a_k^dag]) = delta_jk and w([a_j, a_k]) = 0, the
     coefficient of a_k in L[alpha_m] is w([L[alpha_m], a_k^dag]) and that of
-    a_k^dag is w([a_k, L[alpha_m]]). sup may hold a stack of generators of
-    shape G + (16, 16) and params have shape M: every entry comes from one
+    a_k^dag is w([a_k, L[alpha_m]]). The generator may be a stack of shape
+    G + (16, 16) and params have shape M: every entry comes from one
     product, G broadcast against M. One generator with params over
     temperatures is thus read in each temperature's modes. Every matrix is
     bit for bit what the call on its own generator and parameter set returns.
     """
     # Pauli words are orthogonal under tr(x^dag y) = 4 delta, so basis^H / 4 projects.
     basis = _observable_basis()
-    images = sup.matrix @ basis[:, 1:]
+    images = generator @ basis[:, 1:]
     components = basis.conj().T @ images / 4.0
     residual = float(np.abs(images - basis @ components).max())
     if not residual <= CLOSURE_TOL:
@@ -191,7 +176,7 @@ def extract_mode_generator(sup: Superoperator, params: ModelParams) -> Generator
     d = np.concatenate([alpha[..., 4:, :, :], -a], axis=-3)
     p = np.diagonal(thermal_state(params).rho, axis1=-2, axis2=-1)
     e = d * (p[..., None, None, :] - p[..., None, :, None])
-    mode_images = vec(alpha) @ sup.matrix.swapaxes(-1, -2)  # row m is vec(L[alpha_m])
+    mode_images = vec(alpha) @ generator.swapaxes(-1, -2)  # row m is vec(L[alpha_m])
     return GeneratorExtraction(
         identity_coeffs=components[..., 0, :],
         residual=residual,

@@ -5,9 +5,11 @@ interact and every site couples to the environment the same way, the whole
 model is generated by one four-dimensional site algebra: the tensor product of
 one spin from chain one with one spin from chain two. Basis ordering is
 |s1 s2> with spin-up first, so sigma3 x 1 = diag(1, 1, -1, -1). Units are
-k_B = hbar = 1 throughout. ModelParams holds one parameter set or, from
-arrays that broadcast to a shape S, one per entry of S; every builder that
-reads it broadcasts over S.
+k_B = hbar = 1 throughout. ModelParams is the one carrier of the
+parameters and of the thermal scales derived from them: it holds one
+parameter set or, from arrays that broadcast to a shape S, parameter sets of
+shape S, and every builder that reads it, flow and propagate included,
+broadcasts over S.
 """
 
 from __future__ import annotations
@@ -60,8 +62,10 @@ class ModelParams:
     lie strictly inside (0, 1). Parameters cold enough that eta rounds to 1.0
     in float are rejected, because every downstream normalization (mode
     commutators, stationary covariance 1/(2*eta)) degenerates there.
-    eta_perp = sqrt(1 - eta**2) is always computed as sech(epsilon*beta/2);
-    forming it from eta would lose half the digits for eta near 1.
+    eta_perp = sqrt(1 - eta**2) is always computed as sech(epsilon*beta/2),
+    and delta = 1 - eta as 2/(exp(epsilon*beta) + 1): forming either from the
+    rounded eta would lose digits for eta near 1, where one ulp of eta is a
+    relative error of about eps_mach/delta in delta.
     """
 
     epsilon: float | np.ndarray = 1.0
@@ -70,6 +74,7 @@ class ModelParams:
     beta: float | np.ndarray = field(init=False)
     eta: float | np.ndarray = field(init=False)
     eta_perp: float | np.ndarray = field(init=False)
+    delta: float | np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         values = [getattr(self, name) for name in _INPUTS]
@@ -89,6 +94,7 @@ class ModelParams:
             u = 0.5 * epsilon * beta
             eta = np.tanh(u)
             eta_perp = 1.0 / np.cosh(u)
+            delta = 2.0 / (np.exp(2.0 * u) + 1.0)
         # For positive epsilon and temperature, eta lies in (0, 1) only if both
         # are finite, and a NaN gamma fails both of its bounds: this mask fails
         # exactly the entries that _refusal refuses.
@@ -100,8 +106,8 @@ class ModelParams:
             k = int(np.argmin(valid))
             entry = (float(np.ravel(x)[k]) for x in (epsilon, temperature, gamma, eta))
             raise ContractViolation(*_refusal(*entry))
-        fields = (epsilon, temperature, gamma, beta, eta, eta_perp)
-        for name, value in zip((*_INPUTS, "beta", "eta", "eta_perp"), fields):
+        fields = (epsilon, temperature, gamma, beta, eta, eta_perp, delta)
+        for name, value in zip((*_INPUTS, "beta", "eta", "eta_perp", "delta"), fields):
             object.__setattr__(self, name, frozen(value) if shape else float(value))
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import importlib
 from collections import Counter
 
 import numpy as np
@@ -10,6 +9,7 @@ import pytest
 
 import mesospin.checks as checks
 import mesospin.modes as modes
+import mesospin.negativity as negativity_module
 import mesospin.oracle as oracle
 from mesospin.experiments import run_curve
 from mesospin.modes import (
@@ -36,8 +36,6 @@ from mesospin.sites import (
     observables,
     thermal_state,
 )
-
-negativity_module = importlib.import_module("mesospin.negativity")
 
 
 def _check(name, level="fast"):
@@ -206,10 +204,10 @@ def _looped_residuals(level):
         state = thermal_state(thermal)
         for gamma in checks.DEFAULT_GAMMAS:
             p = ModelParams(eps, temp, gamma)
-            sup = liouvillian(p)
-            invariance.append(np.abs(vec(state.rho.T) @ (sup.matrix @ words)).max())
-            ext = extract_mode_generator(sup, p)
-            g, m_t = ext.mode_generator, drift_matrix(p).matrix.T
+            generator = liouvillian(p)
+            invariance.append(np.abs(vec(state.rho.T) @ (generator @ words)).max())
+            ext = extract_mode_generator(generator, p)
+            g, m_t = ext.mode_generator, drift_matrix(p).T
             match += [
                 ext.residual,
                 np.abs(ext.identity_coeffs).max(),
@@ -243,11 +241,11 @@ def _looped_residuals(level):
     physicality, engine = [], []
     for config in checks._curve_configs(level):
         p = ModelParams(config.epsilon, config.temperature, config.gamma)
-        start, gen = initial_state(p, config.squeeze_r), drift_matrix(p)
+        start = initial_state(p, config.squeeze_r)
         curve = run_curve(config).nu_min
         times = np.linspace(0.0, config.t_max, config.t_steps)
         for t, nu in zip(times, curve):
-            state = propagate(start, gen, t)
+            state = propagate(start, p, t)
             smallest = symplectic_eigenvalues(state.covariance)[0]
             physicality.append(max(0.0, 1.0 - smallest))
             reference = negativity(state).nu_min
@@ -256,6 +254,14 @@ def _looped_residuals(level):
         max(r)
         for r in (spectrum, invariance, match, ccr, clt, covariance, physicality, engine)
     ]
+
+
+def test_the_mode_checks_read_to_a_few_ulps_on_the_full_grid():
+    # The delicate mode entry -(1 - eta)/eta is read from the carried delta,
+    # so the coldest (eps, T) = (2, 0.1) costs no digits.
+    results = {r.name: r for r in checks.run_checks("full")}
+    for name in ("mode-ccr", "generator-match", "thermal-covariance"):
+        assert results[name].residual <= 1e-14, (name, results[name].residual)
 
 
 @pytest.mark.parametrize("level", ["fast", "full"])

@@ -20,7 +20,7 @@ from mesospin.experiments import (
     sweep_temperature,
 )
 from mesospin.linalg import SPECTRAL_TOL
-from mesospin.modes import drift_matrix, initial_state, propagate
+from mesospin.modes import initial_state, propagate
 from mesospin.negativity import negativity, symplectic_eigenvalues
 from mesospin.sites import ModelParams
 
@@ -64,7 +64,7 @@ def test_reference_path_is_accurate_at_strong_squeezing(temperature, gamma):
     # variances span e^{24}.
     params = ModelParams(1.0, temperature, gamma)
     times = np.linspace(0.0, 12.0, 25)
-    got = negativity(propagate(initial_state(params, 6.0), drift_matrix(params), times))
+    got = negativity(propagate(initial_state(params, 6.0), params, times))
     for t, nu in zip(times, got.nu_min):
         want = float(nu_min_reference(1.0, temperature, gamma, 6.0, t))
         assert abs(nu - want) <= 1e-10 * want, (t, nu, want)
@@ -80,10 +80,9 @@ def test_engine_matches_the_moment_matrix_path(temperature, gamma, squeeze_r):
     )
     curve = run_curve(config)
     params = ModelParams(1.0, temperature, gamma)
-    gen = drift_matrix(params)
     start = initial_state(params, squeeze_r)
     for k in (0, 1, 7, 50, 123, 250, 399):
-        want = negativity(propagate(start, gen, curve.times[k]))
+        want = negativity(propagate(start, params, curve.times[k]))
         assert abs(curve.nu_min[k] - want.nu_min) <= 1e-12 * want.nu_min
         assert abs(curve.log_negativity[k] - want.log_negativity) <= 1e-12
 

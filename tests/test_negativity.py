@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import importlib
-
 import numpy as np
 import pytest
 
+import mesospin.negativity as negativity_module
 from mesospin.errors import ContractViolation, NumericError
-from mesospin.modes import GaussianState, drift_matrix, initial_state, propagate
+from mesospin.modes import GaussianState, initial_state, propagate
 from mesospin.negativity import (
     log_negativity,
     min_symplectic_pt,
@@ -17,12 +16,10 @@ from mesospin.negativity import (
 )
 from mesospin.sites import ModelParams
 
-negativity_module = importlib.import_module("mesospin.negativity")
-
 
 def _entangled_state():
     p = ModelParams(1.0, 0.1, 0.5)
-    return propagate(initial_state(p, 1.0), drift_matrix(p), 1.373), p
+    return propagate(initial_state(p, 1.0), p, 1.373), p
 
 
 def _first_modes(state: GaussianState) -> np.ndarray:
@@ -66,7 +63,7 @@ def _random_propagated_stack(seed: int) -> GaussianState:
         rng.uniform(0.2, 3.0, 6), rng.uniform(0.05, 5.0, 6), rng.uniform(0.0, 0.5, 6)
     )
     start = initial_state(params, rng.uniform(-6.0, 6.0, 6))
-    return propagate(start, drift_matrix(params), np.sort(rng.uniform(0.0, 8.0, 40)))
+    return propagate(start, params, np.sort(rng.uniform(0.0, 8.0, 40)))
 
 
 @pytest.mark.parametrize("seed", [29, 30, 31])
@@ -89,9 +86,6 @@ def test_negativity_of_a_stack_is_each_single_call_bit_for_bit():
         assert single.log_negativity == stacked.log_negativity[index]
 
 
-# Known fault: the package re-exports the function negativity under the name of
-# its module, so the import statement binds the function.
-@pytest.mark.xfail(strict=True, raises=AttributeError, reason="mesospin.negativity is the function")
 def test_import_as_binds_the_negativity_module():
     import mesospin.negativity as module
 
@@ -143,17 +137,16 @@ def test_dual_routes_agree_at_degenerate_spectra(monkeypatch):
     # worst case for a general eigensolver. The internal cross-check must
     # stay silent and the negativity must vanish identically.
     p = ModelParams(1.0, 0.1, 0.0)
-    gen = drift_matrix(p)
     start = initial_state(p, 1.0)
     times = (0.0, 0.5, 1.0, 3.0)
     for t in times:
-        result = negativity(propagate(start, gen, t))
+        result = negativity(propagate(start, p, t))
         assert type(result.nu_min) is float and type(result.log_negativity) is float
         assert result.log_negativity == 0.0
         assert result.nu_min >= 1.0
     # A state stack gives arrays, entry for entry what single states give.
-    stacked = negativity(propagate(start, gen, np.array(times)))
-    loop = [negativity(propagate(start, gen, t)) for t in times]
+    stacked = negativity(propagate(start, p, np.array(times)))
+    loop = [negativity(propagate(start, p, t)) for t in times]
     assert np.array_equal(stacked.nu_min, [r.nu_min for r in loop])
     assert np.array_equal(stacked.log_negativity, [r.log_negativity for r in loop])
     # A disagreement in a stack names the entry; a single 4x4 names none.
@@ -165,7 +158,7 @@ def test_dual_routes_agree_at_degenerate_spectra(monkeypatch):
         return values
 
     monkeypatch.setattr(negativity_module, "symplectic_eigenvalues", skewed)
-    covs = _first_modes(propagate(start, gen, np.array(times)))
+    covs = _first_modes(propagate(start, p, np.array(times)))
     with pytest.raises(NumericError, match="routes disagree at stack index 3: Cholesky"):
         min_symplectic_pt(covs)
     with pytest.raises(NumericError, match="routes disagree: Cholesky"):
@@ -195,7 +188,7 @@ def test_a_degenerate_spectrum_at_opposite_squeezes_is_read_exactly():
     p = ModelParams(1.0, 0.1, 0.5)
     c = initial_state(p, 2.0).covariance.copy()
     c[4, 4], c[5, 5] = c[5, 5], c[4, 4]
-    state = propagate(GaussianState(covariance=c, eta=p.eta), drift_matrix(p), 0.4)
+    state = propagate(GaussianState(covariance=c, eta=p.eta), p, 0.4)
     assert abs(negativity(state).nu_min - 3.99228077833350) <= 1e-12 * 3.99228077833350
 
 
@@ -204,7 +197,7 @@ def test_no_relative_squeeze_phase_is_refused():
     p = ModelParams(1.0, 0.1, 0.5)
     phases = np.linspace(0.0, np.pi, 13)
     start = _phase_state(p, np.array([0.5, 1.0, 2.0])[:, None], phases)
-    result = negativity(propagate(start, drift_matrix(p), np.linspace(0.0, 8.0, 161)))
+    result = negativity(propagate(start, p, np.linspace(0.0, 8.0, 161)))
     assert result.nu_min.shape == (3, 13, 161)
     assert np.all(result.nu_min > 0.0)
 

@@ -63,7 +63,8 @@ def _refusal_edge() -> float:
     return accepted
 
 
-def test_array_params_are_each_scalar_params_bit_for_bit():
+def _random_sets() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """10^4 random (eps, T, gamma) sets up to eps/T = 33, and 400 at the refusal edge."""
     rng = np.random.default_rng(16)
     n = 10_000
     eps = rng.uniform(0.05, 5.0, n)
@@ -76,10 +77,15 @@ def test_array_params_are_each_scalar_params_bit_for_bit():
     eps = np.concatenate([eps, np.ones(2 * len(edge))])
     temps = np.concatenate([temps, edge, edge])
     gammas = np.concatenate([gammas, np.zeros(len(edge)), np.full(len(edge), 0.5)])
+    return eps, temps, gammas
+
+
+def test_array_params_are_each_scalar_params_bit_for_bit():
+    eps, temps, gammas = _random_sets()
     params = ModelParams(eps, temps, gammas)
-    assert params.eta.shape == (n + 2 * len(edge),)
+    assert params.eta.shape == (10_400,)
     singles = [ModelParams(*entry) for entry in zip(eps.tolist(), temps.tolist(), gammas.tolist())]
-    for name in ("epsilon", "temperature", "gamma", "beta", "eta", "eta_perp"):
+    for name in ("epsilon", "temperature", "gamma", "beta", "eta", "eta_perp", "delta"):
         field = getattr(params, name)
         assert not field.flags.writeable
         assert np.array_equal(field, [getattr(p, name) for p in singles]), name
@@ -90,6 +96,18 @@ def test_array_params_are_each_scalar_params_bit_for_bit():
     assert grid.eta[1, 0] == ModelParams(2.0, 0.1, 0.3).eta
     # scalars keep Python floats
     assert all(type(getattr(singles[0], name)) is float for name in ("epsilon", "beta", "eta"))
+
+
+def test_delta_is_one_minus_eta_to_two_ulps_up_to_the_refusal_edge():
+    # 1 - eta from the rounded eta is off by eps_mach/delta relative; the
+    # carried delta is held to 2 ulps of a 40-digit 1 - tanh(u) at the same float u.
+    mp = pytest.importorskip("mpmath").mp
+    params = ModelParams(*_random_sets())
+    u = 0.5 * params.epsilon * params.beta
+    with mp.workdps(40):
+        want = np.array([float(1 - mp.tanh(mp.mpf(x))) for x in u.tolist()])
+    assert np.all(np.abs(params.delta - want) <= 2 * np.spacing(want))
+    assert want.min() < 1e-15
 
 
 @pytest.mark.parametrize(
