@@ -15,14 +15,18 @@ detail. A harness injects a fault by replacing a builder that this module
 reads (thermal_state, mode_operators, drift_matrix, thermal_covariance, ...),
 or modes.coupling, which drift_matrix and propagate read, and reads the
 check by name from run_checks; nothing here is ever skipped or
-clamped. check_dissipation_spectrum(gammas) is the body of the first check,
-so a caller can probe the complete-positivity window with any couplings.
+clamped. check_dissipation_spectrum(gammas) is the body of the first check
+and the one owner of the Kossakowski spectrum and of the complete-positivity
+verdict, so a caller can probe the window with any couplings.
 
 Each oracle check evaluates its whole (eps, T, gamma) grid as one
 array-valued ModelParams of shape (gammas, eps and T pairs), and every
 builder broadcasts over it: one stack of generators, one stack of drift
-matrices and of mode operators, one fluctuation_inner for the thermal mode
-tables and one eigh for the Weyl observables. The 8x8 reference of the last
+matrices, one fluctuation_inner for the thermal mode tables and one eigh for
+the Weyl observables. The mode operators and the thermal populations of the
+(eps, T) pairs are built once per call and read by thermal-invariance,
+generator-match, mode-ccr and thermal-covariance; clt-convergence builds its
+own one-set state. The 8x8 reference of the last
 two checks propagates every curve config of the level as one stack of
 Gaussian states over their shared time grid, and reads its nu_min through
 negativity() as a user does. Every residual is the one a loop over the grid
@@ -50,15 +54,7 @@ from .modes import (
 )
 from .negativity import negativity, symplectic_eigenvalues
 from .oracle import CLOSURE_TOL, clt_table, extract_mode_generator, liouvillian, vec
-from .sites import (
-    ModelParams,
-    ThermalSiteState,
-    dissipation_matrix,
-    fluctuation_inner,
-    frozen,
-    kron2,
-    thermal_state,
-)
+from .sites import ModelParams, dissipation_matrix, fluctuation_inner, frozen, kron2, thermal_state
 
 DEFAULT_GAMMAS = (0.0, 0.1, 0.25, 0.5)
 FULL_EPS_TEMPS = tuple(
@@ -78,28 +74,26 @@ class CheckResult:
 
 
 def check_dissipation_spectrum(gammas: tuple[float, ...] = DEFAULT_GAMMAS) -> tuple[list, str]:
-    """Spectrum {1-2g, 1, 1, 1+2g} and positive semidefiniteness of D."""
+    """Spectrum {1-2g, 1, 1, 1+2g} of D, and complete positivity: min eigenvalue >= -1e-12."""
     residuals = []
     detail = ""
     for gamma in gammas:
-        d = dissipation_matrix(gamma)
+        eigenvalues = np.linalg.eigvalsh(dissipation_matrix(gamma))
         expected = np.sort(np.array([1.0 - 2.0 * gamma, 1.0, 1.0, 1.0 + 2.0 * gamma]))
-        residuals.append(np.abs(d.eigenvalues - expected).max())
-        if not d.is_positive:
-            residuals.append(-d.min_eigenvalue)
-            detail = (
-                f"gamma = {gamma:g} is not completely positive: "
-                f"min eigenvalue {d.min_eigenvalue:.6g}"
-            )
+        residuals.append(np.abs(eigenvalues - expected).max())
+        smallest = float(eigenvalues[0])
+        if not smallest >= -1e-12:
+            residuals.append(-smallest)
+            detail = f"gamma = {gamma:g} is not completely positive: min eigenvalue {smallest:.6g}"
     return residuals, detail
 
 
 def check_clt_convergence() -> tuple[list, str]:
     """Weyl expectations approach their Gaussian limits monotonically."""
-    state = thermal_state(ModelParams(1.0, 1.0, 0.0))
+    weights = thermal_state(ModelParams(1.0, 1.0, 0.0))
     residuals = []
     detail = ""
-    for index, (_, _, errors, monotone) in enumerate(clt_table(state, CLT_SITES)):
+    for index, (_, _, errors, monotone) in enumerate(clt_table(weights, CLT_SITES)):
         if not monotone:
             detail = f"observable {index + 1}: errors not monotone: {errors}"
             residuals.append(float("inf"))
@@ -150,8 +144,12 @@ class _Inputs:
         return liouvillian(self.grid)
 
     @cached_property
-    def states(self) -> np.ndarray:
-        return thermal_state(self.columns).rho
+    def modes(self) -> np.ndarray:
+        return mode_operators(self.columns)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return thermal_state(self.columns)
 
     @cached_property
     def tables(self) -> tuple[np.ndarray, ...]:
@@ -160,12 +158,12 @@ class _Inputs:
         eta has the shape S of the columns and each table S + (4, 4): every
         state and every mode pair from one fluctuation_inner.
         """
-        a = mode_operators(self.columns)
+        a = self.modes
         ad = a.conj().swapaxes(-1, -2)
         x, y = np.stack([a, ad, ad], axis=-4), np.stack([a, ad, a], axis=-4)
-        # states S + (1, 1, 1, 4, 4) against operator pairs S + (3, 4, 4, 4, 4)
-        state = ThermalSiteState(rho=self.states[..., None, None, None, :, :])
-        tables = fluctuation_inner(x[..., :, None, :, :], y[..., None, :, :, :], state)
+        # populations S + (1, 1, 1, 4) against operator pairs S + (3, 4, 4, 4, 4)
+        weights = self.weights[..., None, None, None, :]
+        tables = fluctuation_inner(x[..., :, None, :, :], y[..., None, :, :, :], weights)
         return self.columns.eta, tables[..., 0, :, :], tables[..., 1, :, :], tables[..., 2, :, :]
 
     @cached_property
@@ -185,16 +183,16 @@ class _Inputs:
 
 def _thermal_invariance(inputs: _Inputs) -> tuple[np.ndarray, str]:
     """The thermal state is stationary: w(L[P]) = 0 for all 16 Pauli words."""
-    # w(Y) = tr(rho Y) = vec(rho^T) . vec(Y), and vec(rho^T) is rho read by rows
-    rho = inputs.states
-    weights = rho.reshape(rho.shape[:-2] + (1, -1))
-    return np.abs(weights @ (inputs.generators @ _pauli_words())), ""
+    # column j of the images is vec(L[P_j]), stacked by columns, so rows
+    # 0, 5, 10 and 15 are its diagonal, the only entries w reads
+    diagonals = (inputs.generators @ _pauli_words())[..., ::5, :]
+    return np.abs(inputs.weights[..., None, :] @ diagonals), ""
 
 
 def _generator_match(inputs: _Inputs) -> tuple[list, str]:
     """Microscopic restriction equals the mesoscopic drift, block by block."""
     # every generator read at once in the modes of its own (eps, T)
-    ext = extract_mode_generator(inputs.generators, inputs.columns)
+    ext = extract_mode_generator(inputs.generators, inputs.modes, inputs.weights)
     g = ext.mode_generator
     m_t = drift_matrix(inputs.grid).swapaxes(-1, -2)
     residuals = [

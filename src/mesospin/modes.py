@@ -1,8 +1,12 @@
 """Collective fluctuation modes and their Gaussian mesoscopic dynamics.
 
 The eight site observables carry, in the large-size limit, a Gaussian
-fluctuation field with two ladder modes per chain: a1, a2 for chain one and
-b1, b2 for chain two. This module owns the modes as site matrices, the
+fluctuation field with four ladder modes a1, a2, b1, b2. Only a1 and b1
+belong to one chain each: a1 = sigma_- x 1/sqrt(eta) acts on chain one alone
+and b1 = 1 x sigma_-/sqrt(eta) on chain two. a2 = 2 c2 sigma_- x d and
+b2 = 2 c2 d x sigma_- act on both chains, through the zero-mean factor
+d = diag(1 + 1/eta, -delta/eta) on the other chain's spin (c2 as in
+mode_operators). This module owns the modes as site matrices, the
 coupling K and the drift M = -(1+i*eps)I + gamma*K of the dissipative
 evolution, each a plain array read off a ModelParams, and the closed-form
 propagation of Gaussian states, each held as one real quadrature covariance

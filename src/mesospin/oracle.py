@@ -11,7 +11,9 @@ liouvillian() builds the generator of every parameter set of an array-valued
 ModelParams in one expression, as one plain S + (16, 16) array, and
 extract_mode_generator() restricts such a stack in one product, so a
 parameter grid costs a few array operations rather than a Python loop per
-point.
+point. The thermal state enters every function here as its four populations
+(sites.thermal_state), and the modes as the array that modes.mode_operators
+returns: the caller builds each once and hands it in.
 """
 
 from __future__ import annotations
@@ -23,17 +25,15 @@ import numpy as np
 
 from .errors import ClosureError, ContractViolation
 from .linalg import STRUCTURAL_TOL, expm
-from .modes import mode_operators
 from .sites import (
     ModelParams,
-    ThermalSiteState,
     dissipation_matrix,
+    expectation,
     fluctuation_inner,
     frozen,
     lindblad_ops,
     observables,
     site_hamiltonian,
-    thermal_state,
 )
 
 CLOSURE_TOL = 1e-10
@@ -85,8 +85,8 @@ def generator_pieces() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     L_H is the commutator part at epsilon = 1, L_0 the dissipator of D(0) and
     L_1 that of D(1) - D(0). Built on first use, once per process.
     """
-    d0 = dissipation_matrix(0.0).matrix
-    d1 = dissipation_matrix(1.0).matrix - d0
+    d0 = dissipation_matrix(0.0)
+    d1 = dissipation_matrix(1.0) - d0
     h1 = site_hamiltonian(ModelParams(epsilon=1.0))
     return tuple(
         frozen(piece)
@@ -127,7 +127,7 @@ class GeneratorExtraction:
     restriction in the ladder basis (a1, a2, b1, b2, and conjugates): entry
     (m, k) is the coefficient of mode k in the image of mode m, and its
     upper-left 4x4 block is the drift matrix of the mesoscopic propagation,
-    transposed. For a stack of generators or an array-valued ModelParams,
+    transposed. For a stack of generators or modes of a parameter grid,
     identity_coeffs and mode_generator are stacks over the broadcast leading
     axes, and residual is the largest over all of them.
     """
@@ -143,19 +143,24 @@ def _observable_basis() -> np.ndarray:
     return frozen(np.column_stack([vec(x) for x in (np.eye(_DIM),) + observables().ops]))
 
 
-def extract_mode_generator(generator: np.ndarray, params: ModelParams) -> GeneratorExtraction:
-    """Restrict the generator to the observables and read it in the modes of params.
+def extract_mode_generator(
+    generator: np.ndarray, modes: np.ndarray, weights: np.ndarray
+) -> GeneratorExtraction:
+    """Restrict the generator to the observables and read it in the given modes.
 
     The closure test projects the images of the observables onto their span;
     it reads only the generator. The mode generator is read off the canonical
-    commutators of the modes alpha = (a, a^dag) of params in its thermal
-    state w: with w([a_j, a_k^dag]) = delta_jk and w([a_j, a_k]) = 0, the
-    coefficient of a_k in L[alpha_m] is w([L[alpha_m], a_k^dag]) and that of
-    a_k^dag is w([a_k, L[alpha_m]]). The generator may be a stack of shape
-    G + (16, 16) and params have shape M: every entry comes from one
-    product, G broadcast against M. One generator with params over
-    temperatures is thus read in each temperature's modes. Every matrix is
-    bit for bit what the call on its own generator and parameter set returns.
+    commutators of the modes alpha = (a, a^dag), a = modes as
+    modes.mode_operators returns them, in the thermal state w of populations
+    weights, as sites.thermal_state returns them: with
+    w([a_j, a_k^dag]) = delta_jk and w([a_j, a_k]) = 0, the coefficient of a_k
+    in L[alpha_m] is w([L[alpha_m], a_k^dag]) and that of a_k^dag is
+    w([a_k, L[alpha_m]]). The generator may be a stack of shape G + (16, 16)
+    and modes and weights of one parameter grid M, shapes M + (4, 4, 4) and
+    M + (4,): every entry comes from one product, G broadcast against M. One
+    generator with the modes of several temperatures is thus read in each
+    temperature's modes. Every matrix is bit for bit what the call on its own
+    generator, modes and weights returns.
     """
     # Pauli words are orthogonal under tr(x^dag y) = 4 delta, so basis^H / 4 projects.
     basis = _observable_basis()
@@ -167,15 +172,12 @@ def extract_mode_generator(generator: np.ndarray, params: ModelParams) -> Genera
             f"observables do not close under the generator: residual {residual:.3e}"
         )
 
-    a = mode_operators(params)
-    alpha = np.concatenate([a, a.conj().swapaxes(-1, -2)], axis=-3)
+    alpha = np.concatenate([modes, modes.conj().swapaxes(-1, -2)], axis=-3)
     # w([Y, d]) = tr(Y E) = vec(E^T) . vec(Y) with E = d rho - rho d, where d
     # is a_k^dag for an annihilation column and -a_k for a creation column.
-    # H is diagonal in the spin basis, so rho is diagonal and E_ij is
-    # d_ij (p_j - p_i), one elementwise product.
-    d = np.concatenate([alpha[..., 4:, :, :], -a], axis=-3)
-    p = np.diagonal(thermal_state(params).rho, axis1=-2, axis2=-1)
-    e = d * (p[..., None, None, :] - p[..., None, :, None])
+    # rho = diag(weights), so E_ij is d_ij (w_j - w_i), one elementwise product.
+    d = np.concatenate([alpha[..., 4:, :, :], -modes], axis=-3)
+    e = d * (weights[..., None, None, :] - weights[..., None, :, None])
     mode_images = vec(alpha) @ generator.swapaxes(-1, -2)  # row m is vec(L[alpha_m])
     return GeneratorExtraction(
         identity_coeffs=components[..., 0, :],
@@ -201,43 +203,42 @@ def require_sites(n: float) -> int:
     return int(n)
 
 
-def _site_weyl_unitary(
-    x: np.ndarray, n: int | np.ndarray, state: ThermalSiteState
-) -> np.ndarray:
+def _site_weyl_unitary(x: np.ndarray, n: int | np.ndarray, weights: np.ndarray) -> np.ndarray:
     """One site's factor exp(i(x - w(x))/sqrt(n)) of the centred Weyl operator.
 
     x may be a stack of observables and n an array of site counts: one call
     of expm gives every observable's factor at every count, shape
     x.shape[:-2] + n.shape + (4, 4).
     """
-    centered = x - np.asarray(state.expectation(x))[..., None, None] * np.eye(_DIM)
+    centered = x - np.asarray(expectation(weights, x))[..., None, None] * np.eye(_DIM)
     # one unit axis per axis of n, so that each observable meets every count
     centered = centered.reshape(centered.shape[:-2] + (1,) * np.ndim(n) + (_DIM, _DIM))
     return expm(centered, 1.0j / np.sqrt(np.asarray(n, dtype=float)))
 
 
-def weyl_expectation_finite(x: np.ndarray, n: int, state: ThermalSiteState) -> complex:
+def weyl_expectation_finite(x: np.ndarray, n: int, weights: np.ndarray) -> complex:
     """Exact n-site expectation of the Weyl operator of the mean-centered sum.
 
-    Sites are independent and identically prepared, so the expectation
-    factorizes into the n-th power of one site factor.
+    Every site is in the thermal state of populations weights. Sites are
+    independent and identically prepared, so the expectation factorizes into
+    the n-th power of one site factor.
     """
     x = _require_hermitian(x, "Weyl argument")
     n = require_sites(n)
-    return state.expectation(_site_weyl_unitary(x, n, state)) ** n
+    return expectation(weights, _site_weyl_unitary(x, n, weights)) ** n
 
 
-def weyl_expectation_limit(x: np.ndarray, state: ThermalSiteState) -> float:
+def weyl_expectation_limit(x: np.ndarray, weights: np.ndarray) -> float:
     """Large-n limit exp(-<x,x>/2) of the single Weyl expectation."""
-    return float(_gaussian_limit(_require_hermitian(x, "Weyl argument"), state))
+    return float(_gaussian_limit(_require_hermitian(x, "Weyl argument"), weights))
 
 
-def _gaussian_limit(x: np.ndarray, state: ThermalSiteState) -> np.ndarray:
+def _gaussian_limit(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """exp(-<x,x>/2) for an observable or a stack of them."""
-    return np.exp(-0.5 * np.real(fluctuation_inner(x, x, state)))
+    return np.exp(-0.5 * np.real(fluctuation_inner(x, x, weights)))
 
 
-def clt_table(state: ThermalSiteState, sites: tuple[int, ...]) -> list[tuple]:
+def clt_table(weights: np.ndarray, sites: tuple[int, ...]) -> list[tuple]:
     """(limit, finite-n values, |errors|, monotone) per observable x_1 .. x_8.
 
     monotone is the convergence test: every error below the one before it.
@@ -249,8 +250,8 @@ def clt_table(state: ThermalSiteState, sites: tuple[int, ...]) -> list[tuple]:
         raise ContractViolation(f"site counts must be strictly increasing, got {list(sites)}")
     sites = tuple(require_sites(n) for n in sites)
     ops = np.array(observables().ops)
-    limits = _gaussian_limit(ops, state)
-    factors = state.expectation(_site_weyl_unitary(ops, np.array(sites), state))
+    limits = _gaussian_limit(ops, weights)
+    factors = expectation(weights, _site_weyl_unitary(ops, np.array(sites), weights))
     table = []
     for limit, row in zip(limits.tolist(), factors):
         # Python's complex ** int, as in weyl_expectation_finite: numpy's power

@@ -9,7 +9,8 @@ k_B = hbar = 1 throughout. ModelParams is the one carrier of the
 parameters and of the thermal scales derived from them: it holds one
 parameter set or, from arrays that broadcast to a shape S, parameter sets of
 shape S, and every builder that reads it, flow and propagate included,
-broadcasts over S.
+broadcasts over S. The thermal state, diagonal in the spin basis, is held
+as its four populations, and the Kossakowski matrix as a plain 4x4 array.
 """
 
 from __future__ import annotations
@@ -140,32 +141,8 @@ def site_hamiltonian(params: ModelParams) -> np.ndarray:
     return 0.5 * np.asarray(params.epsilon)[..., None, None] * (kron2(3, 0) + kron2(0, 3))
 
 
-@dataclass(frozen=True)
-class ThermalSiteState:
-    """Gibbs state of a single site pair; rho is diagonal in the spin basis.
-
-    rho may also be a stack of states, which expectation() broadcasts against
-    the leading axes of the operators.
-    """
-
-    rho: np.ndarray
-
-    def expectation(self, op: np.ndarray) -> complex | np.ndarray:
-        """w(op) = tr(rho op), over the last two axes of op.
-
-        One 4x4 operator gives a complex; a stack of shape S + (4, 4) gives
-        an array of shape S, and a stack of states broadcasts against S.
-        """
-        # sum_a sum_b rho_ba op_ab, rows first. With rho diagonal each row sum
-        # is one exact product and the four are added in order, as a trace
-        # of rho @ op adds them: clt_table raises w(U) to the n-th power,
-        # which magnifies any change in the last bit.
-        value = (self.rho.swapaxes(-1, -2) * op).sum(axis=-1).sum(axis=-1)
-        return complex(value) if value.ndim == 0 else value
-
-
-def thermal_state(params: ModelParams) -> ThermalSiteState:
-    """Thermal state exp(-beta H)/Z of one site pair; rho has shape S + (4, 4).
+def thermal_state(params: ModelParams) -> np.ndarray:
+    """Populations p of the thermal state diag(p) = exp(-beta H)/Z of one site pair, S + (4,).
 
     Weights are exponentiated after shifting by the ground energy, so large
     beta*epsilon cannot overflow before normalization.
@@ -173,28 +150,39 @@ def thermal_state(params: ModelParams) -> ThermalSiteState:
     energies = 0.5 * np.asarray(params.epsilon)[..., None] * np.array([2.0, 0.0, 0.0, -2.0])
     lowest = energies.min(axis=-1, keepdims=True)
     shifted = np.exp(-np.asarray(params.beta)[..., None] * (energies - lowest))
-    weights = shifted / shifted.sum(axis=-1, keepdims=True)
-    return ThermalSiteState(rho=weights[..., None] * np.eye(4, dtype=complex))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
-def fluctuation_inner(
-    x: np.ndarray, y: np.ndarray, state: ThermalSiteState
-) -> complex | np.ndarray:
-    """Covariance form <x, y> = w(x^dag y) - w(x^dag) w(y) in the given state.
+def expectation(weights: np.ndarray, op: np.ndarray) -> complex | np.ndarray:
+    """w(op) = sum_a p_a op_aa in the diagonal state of populations p = weights.
+
+    One 4x4 operator and one state give a complex; an operator stack of
+    shape S + (4, 4) gives an array of shape S, and a stack of populations
+    broadcasts against S.
+    """
+    # The products are added in order, as a trace of diag(p) @ op adds them:
+    # clt_table raises w(U) to the n-th power, which magnifies the last bit.
+    value = (weights * np.diagonal(op, axis1=-2, axis2=-1)).sum(axis=-1)
+    return complex(value) if value.ndim == 0 else value
+
+
+def fluctuation_inner(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> complex | np.ndarray:
+    """Covariance form <x, y> = w(x^dag y) - w(x^dag) w(y) in the state of populations weights.
 
     x and y broadcast as operator stacks (..., 4, 4), as in expectation.
     """
     xd = np.swapaxes(x.conj(), -1, -2)
-    return state.expectation(xd @ y) - state.expectation(xd) * state.expectation(y)
+    return expectation(weights, xd @ y) - expectation(weights, xd) * expectation(weights, y)
 
 
 @dataclass(frozen=True)
 class ObservableSet:
     """The eight site observables whose fluctuations close under the dynamics.
 
-    ops[0..3] act on chain one (sigma1 x 1, sigma2 x 1, sigma1 x sigma3,
-    sigma2 x sigma3), ops[4..7] mirror them on chain two. complement holds the
-    remaining eight Pauli words, which stay decoupled in the thermal state.
+    ops are sigma1 x 1, sigma2 x 1, sigma1 x sigma3, sigma2 x sigma3 and their
+    mirrors. Only ops[0..1] act on chain one alone and ops[4..5] on chain two
+    alone; the other four act on both chains. complement holds the remaining
+    eight Pauli words, which stay decoupled in the thermal state.
     """
 
     ops: tuple[np.ndarray, ...]
@@ -229,26 +217,16 @@ def lindblad_ops() -> tuple[np.ndarray, ...]:
     )
 
 
-@dataclass(frozen=True)
-class DissipationMatrix:
-    """Kossakowski matrix over the coupling operators, with its spectrum.
+def dissipation_matrix(gamma: float) -> np.ndarray:
+    """Kossakowski matrix D over the four coupling operators, a 4x4 array.
 
-    Completely positive dynamics requires the matrix to be positive
-    semidefinite, which holds exactly for gamma in [0, 1/2]. Construction
-    never raises outside that window; positivity is reported, not enforced.
+    It is positive semidefinite exactly for gamma in [0, 1/2], but built for
+    any finite gamma: checks.check_dissipation_spectrum gives the verdict.
     """
-
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-    min_eigenvalue: float
-    is_positive: bool
-
-
-def dissipation_matrix(gamma: float) -> DissipationMatrix:
     gamma = float(gamma)
     if not np.isfinite(gamma):
         raise ContractViolation(f"gamma must be finite, got {gamma!r}")
-    m = np.array(
+    return np.array(
         [
             [1.0, 0.0, gamma, gamma],
             [0.0, 1.0, gamma, gamma],
@@ -256,12 +234,4 @@ def dissipation_matrix(gamma: float) -> DissipationMatrix:
             [gamma, gamma, 0.0, 1.0],
         ],
         dtype=complex,
-    )
-    eigenvalues = np.linalg.eigvalsh(m)
-    min_eigenvalue = float(eigenvalues[0])
-    return DissipationMatrix(
-        matrix=m,
-        eigenvalues=eigenvalues,
-        min_eigenvalue=min_eigenvalue,
-        is_positive=min_eigenvalue >= -1e-12,
     )

@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 
+from mesospin.checks import check_dissipation_spectrum
 from mesospin.errors import ContractViolation
 from mesospin.experiments import ExperimentConfig, run_curve, sweep_gamma, sweep_temperature
 from mesospin.modes import drift_matrix, initial_state, mode_operators, propagate
@@ -28,6 +29,7 @@ from mesospin.oracle import (
 from mesospin.sites import (
     ModelParams,
     dissipation_matrix,
+    expectation,
     fluctuation_inner,
     kron2,
     observables,
@@ -53,7 +55,9 @@ def test_criterion_01_generator_certified_on_the_grid():
     worst_residual = 0.0
     worst_block = 0.0
     for params in GRID:
-        ext = extract_mode_generator(liouvillian(params), params)
+        ext = extract_mode_generator(
+            liouvillian(params), mode_operators(params), thermal_state(params)
+        )
         m = drift_matrix(params)
         worst_residual = max(worst_residual, ext.residual)
         worst_block = max(
@@ -72,18 +76,21 @@ def test_criterion_01_generator_certified_on_the_grid():
 
 
 def test_criterion_02_dissipation_spectrum_and_positivity_window():
+    # an empty detail is check_dissipation_spectrum's verdict that every
+    # coupling it was given is completely positive
     worst = 0.0
     for gamma in (0.0, 0.1, 0.25, 0.5):
-        d = dissipation_matrix(gamma)
         expected = np.sort([1.0 - 2.0 * gamma, 1.0, 1.0, 1.0 + 2.0 * gamma])
-        worst = max(worst, float(np.abs(d.eigenvalues - expected).max()))
-        assert d.is_positive
+        eigenvalues = np.linalg.eigvalsh(dissipation_matrix(gamma))
+        worst = max(worst, float(np.abs(eigenvalues - expected).max()))
+        assert check_dissipation_spectrum((gamma,))[1] == ""
     assert worst <= 1e-12
-    assert dissipation_matrix(0.5).is_positive
-    assert not dissipation_matrix(0.5 + 1e-9).is_positive
-    beyond = dissipation_matrix(0.6)
-    assert not beyond.is_positive
-    assert abs(beyond.min_eigenvalue - (-0.2)) <= 1e-12
+    assert check_dissipation_spectrum((0.5,))[1] == ""
+    assert check_dissipation_spectrum((0.5 + 1e-9,))[1] != ""
+    residuals, detail = check_dissipation_spectrum((0.6,))
+    assert detail != ""
+    # the residual after the spectrum's is minus the smallest eigenvalue
+    assert abs(-residuals[1] - (-0.2)) <= 1e-12
     _verdict(2, "dissipation spectrum", f"spectrum residual {worst:.2e}, window edge 0.5")
 
 
@@ -91,11 +98,11 @@ def test_criterion_03_thermal_state_is_invariant_on_both_levels():
     words = [kron2(i, j) for i in range(4) for j in range(4)]
     worst_micro = 0.0
     for params in GRID:
-        state = thermal_state(params)
+        weights = thermal_state(params)
         generator = liouvillian(params)
         for word in words:
             image = (generator @ vec(word)).reshape(4, 4).T
-            worst_micro = max(worst_micro, abs(state.expectation(image)))
+            worst_micro = max(worst_micro, abs(expectation(weights, image)))
     assert worst_micro <= 1e-12
 
     params = ModelParams(1.0, 0.1, 0.5)
@@ -119,16 +126,16 @@ def test_criterion_04_canonical_commutators_everywhere_on_the_grid():
     worst = 0.0
     for eps, temp in EPS_TEMP_GRID:
         params = ModelParams(eps, temp, 0.0)
-        state = thermal_state(params)
+        weights = thermal_state(params)
         ops = mode_operators(params)
         for i, ai in enumerate(ops):
             for j, aj in enumerate(ops):
                 with_dagger = fluctuation_inner(
-                    ai.conj().T, aj.conj().T, state
-                ) - fluctuation_inner(aj, ai, state)
+                    ai.conj().T, aj.conj().T, weights
+                ) - fluctuation_inner(aj, ai, weights)
                 worst = max(worst, abs(with_dagger - (1.0 if i == j else 0.0)))
-                plain = fluctuation_inner(ai.conj().T, aj, state) - fluctuation_inner(
-                    aj.conj().T, ai, state
+                plain = fluctuation_inner(ai.conj().T, aj, weights) - fluctuation_inner(
+                    aj.conj().T, ai, weights
                 )
                 worst = max(worst, abs(plain))
     assert worst <= 1e-12
@@ -136,20 +143,20 @@ def test_criterion_04_canonical_commutators_everywhere_on_the_grid():
 
 
 def test_criterion_05_central_limit_convergence():
-    state = thermal_state(ModelParams(1.0, 1.0, 0.5))
+    weights = thermal_state(ModelParams(1.0, 1.0, 0.5))
     worst_final = 0.0
     for x in observables().ops:
-        limit = weyl_expectation_limit(x, state)
+        limit = weyl_expectation_limit(x, weights)
         errors = [
-            abs(weyl_expectation_finite(x, n, state) - limit)
+            abs(weyl_expectation_finite(x, n, weights) - limit)
             for n in (100, 1000, 10000)
         ]
         assert errors[0] > errors[1] > errors[2]
         worst_final = max(worst_final, errors[2])
     assert worst_final <= 1e-2
     x1 = observables().ops[0]
-    assert abs(weyl_expectation_finite(x1, 100, state) - 0.6060240772154118) <= 1e-12
-    assert abs(weyl_expectation_limit(x1, state) - 0.6065306597126334) <= 1e-12
+    assert abs(weyl_expectation_finite(x1, 100, weights) - 0.6060240772154118) <= 1e-12
+    assert abs(weyl_expectation_limit(x1, weights) - 0.6065306597126334) <= 1e-12
     _verdict(5, "central limit", f"worst error at 10^4 sites {worst_final:.2e}")
 
 

@@ -29,7 +29,6 @@ from mesospin.oracle import (
 )
 from mesospin.sites import (
     ModelParams,
-    ThermalSiteState,
     dissipation_matrix,
     fluctuation_inner,
     kron2,
@@ -58,8 +57,8 @@ def test_mode_ccr_fails_when_a_mode_is_mis_normalised(monkeypatch):
 
 def test_thermal_invariance_fails_for_a_non_stationary_state(monkeypatch):
     # Not population-reversed: the flip-flop dynamics leave that state invariant.
-    rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-    monkeypatch.setattr(checks, "thermal_state", lambda params: ThermalSiteState(rho=rho))
+    weights = np.array([0.4, 0.3, 0.2, 0.1])
+    monkeypatch.setattr(checks, "thermal_state", lambda params: weights)
     result = _check("thermal-invariance")
     assert not result.passed
     assert abs(result.residual - 0.2) < 1e-12
@@ -98,10 +97,9 @@ def test_thermal_covariance_fails_with_a_nan_residual_for_a_nan_fixed_point(monk
 
 
 def test_a_nan_thermal_state_fails_with_a_nan_residual(monkeypatch):
-    rho = np.full((4, 4), np.nan, dtype=complex)
-    monkeypatch.setattr(checks, "thermal_state", lambda params: ThermalSiteState(rho=rho))
+    monkeypatch.setattr(checks, "thermal_state", lambda params: np.full(4, np.nan))
     results = {r.name: r for r in checks.run_checks("fast")}
-    for name in ("thermal-invariance", "mode-ccr"):
+    for name in ("thermal-invariance", "generator-match", "mode-ccr"):
         result = results[name]
         assert not result.passed
         assert np.isnan(result.residual)
@@ -110,8 +108,8 @@ def test_a_nan_thermal_state_fails_with_a_nan_residual(monkeypatch):
 def test_clt_convergence_fails_when_the_errors_of_an_observable_rise(monkeypatch):
     clt_table = checks.clt_table
 
-    def rising(state, sites):
-        table = clt_table(state, sites)
+    def rising(weights, sites):
+        table = clt_table(weights, sites)
         limit, finite, errors, _ = table[2]
         table[2] = (limit, finite, errors[::-1], False)
         return table
@@ -144,7 +142,12 @@ def test_run_checks_keeps_nothing_from_a_tampered_call(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(checks, "mode_operators", _a2_scaled)
         tampered = checks.run_checks("fast")
-    assert [r.name for r in tampered if not r.passed] == ["mode-ccr", "thermal-covariance"]
+    # generator-match reads the same shared modes as mode-ccr and thermal-covariance
+    assert [r.name for r in tampered if not r.passed] == [
+        "generator-match",
+        "mode-ccr",
+        "thermal-covariance",
+    ]
     assert checks.run_checks("fast") == clean
 
 
@@ -180,9 +183,26 @@ def test_a_full_run_builds_each_generator_and_reference_stack_once(monkeypatch):
     }
 
 
+def test_a_full_run_builds_the_modes_once_and_the_thermal_state_twice(monkeypatch):
+    calls = Counter()
+    for module in (checks, oracle):
+        for name in ("mode_operators", "thermal_state"):
+            if hasattr(module, name):
+                original = getattr(module, name)
+
+                def wrapper(params, name=name, original=original):
+                    calls[name] += 1
+                    return original(params)
+
+                monkeypatch.setattr(module, name, wrapper)
+    assert all(r.passed for r in checks.run_checks("full"))
+    # the (eps, T) columns' modes and populations serve four checks; the
+    # second thermal state is clt-convergence's own (1, 1) state
+    assert calls == {"mode_operators": 1, "thermal_state": 2}
+
+
 def test_a_nan_thermal_state_fails_checks_without_aborting_the_run(monkeypatch):
-    rho = np.full((4, 4), np.nan, dtype=complex)
-    monkeypatch.setattr(checks, "thermal_state", lambda params: ThermalSiteState(rho=rho))
+    monkeypatch.setattr(checks, "thermal_state", lambda params: np.full(4, np.nan))
     results = {r.name: r for r in checks.run_checks("fast")}
     assert len(results) == 8
     clt = results["clt-convergence"]
@@ -197,16 +217,17 @@ def _looped_residuals(level):
     spectrum, invariance, match, ccr, covariance = [], [], [], [], []
     for gamma in checks.DEFAULT_GAMMAS:
         expected = np.sort([1.0 - 2.0 * gamma, 1.0, 1.0, 1.0 + 2.0 * gamma])
-        spectrum.append(np.abs(dissipation_matrix(gamma).eigenvalues - expected).max())
+        spectrum.append(np.abs(np.linalg.eigvalsh(dissipation_matrix(gamma)) - expected).max())
     eps_temps = checks.FULL_EPS_TEMPS if level == "full" else checks.FAST_EPS_TEMPS
     for eps, temp in eps_temps:
         thermal = ModelParams(eps, temp, 0.0)
-        state = thermal_state(thermal)
+        weights = thermal_state(thermal)
         for gamma in checks.DEFAULT_GAMMAS:
             p = ModelParams(eps, temp, gamma)
             generator = liouvillian(p)
-            invariance.append(np.abs(vec(state.rho.T) @ (generator @ words)).max())
-            ext = extract_mode_generator(generator, p)
+            # rows 0, 5, 10, 15 of a column-stacked image are its diagonal
+            invariance.append(np.abs(weights @ (generator @ words)[::5]).max())
+            ext = extract_mode_generator(generator, mode_operators(p), thermal_state(p))
             g, m_t = ext.mode_generator, drift_matrix(p).T
             match += [
                 ext.residual,
@@ -219,7 +240,7 @@ def _looped_residuals(level):
         a = list(mode_operators(thermal))
         ad = [x.conj().T for x in a]
         a_a, ad_ad, ad_a = (
-            np.array([[fluctuation_inner(x, y, state) for y in ys] for x in xs])
+            np.array([[fluctuation_inner(x, y, weights) for y in ys] for x in xs])
             for xs, ys in ((a, a), (ad, ad), (ad, a))
         )
         ccr += [np.abs(ad_ad - a_a.T - np.eye(4)).max(), np.abs(ad_a - ad_a.T).max()]
@@ -231,10 +252,10 @@ def _looped_residuals(level):
         cov[1::2, 1::2] = (sym - pair).real
         covariance.append(np.abs(2.0 * cov - thermal_covariance(thermal.eta)).max())
     clt = []
-    state = thermal_state(ModelParams(1.0, 1.0, 0.0))
+    weights = thermal_state(ModelParams(1.0, 1.0, 0.0))
     for x in observables().ops:
-        limit = weyl_expectation_limit(x, state)
-        errors = [abs(weyl_expectation_finite(x, n, state) - limit) for n in checks.CLT_SITES]
+        limit = weyl_expectation_limit(x, weights)
+        errors = [abs(weyl_expectation_finite(x, n, weights) - limit) for n in checks.CLT_SITES]
         if not all(e > f for e, f in zip(errors, errors[1:])):
             clt.append(float("inf"))
         clt.append(errors[-1])

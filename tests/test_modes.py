@@ -16,7 +16,14 @@ from mesospin.modes import (
     propagate,
     thermal_covariance,
 )
-from mesospin.sites import ModelParams, fluctuation_inner, observables, thermal_state
+from mesospin.sites import (
+    SIGMA_MINUS,
+    ModelParams,
+    expectation,
+    fluctuation_inner,
+    observables,
+    thermal_state,
+)
 
 EPS_TEMP_GRID = [
     (eps, temp) for eps in (0.5, 1.0, 2.0) for temp in (0.1, 0.5, 1.0, 5.0)
@@ -54,7 +61,7 @@ def test_mode_map_coefficients():
     assert abs(r[0, 1] - (-1j * c1)) < 1e-15
     assert abs(r[1, 2] - c2 / p.eta) < 1e-15
     assert np.abs(r[4:, :] - r[:4, :].conj()).max() < 1e-15
-    # chain-two rows repeat the chain-one pattern four columns later
+    # the b rows repeat the pattern of the a rows four columns later
     assert np.abs(r[2:4, 4:] - r[0:2, 0:4]).max() < 1e-15
 
 
@@ -99,18 +106,46 @@ def test_mode_operators_are_the_observable_combinations(eps, temp):
 @pytest.mark.parametrize("eps,temp", EPS_TEMP_GRID)
 def test_canonical_commutators_via_fluctuation_form(eps, temp):
     p = ModelParams(eps, temp, 0.0)
-    state = thermal_state(p)
+    weights = thermal_state(p)
     ops = mode_operators(p)
     for i, ai in enumerate(ops):
         for j, aj in enumerate(ops):
             with_dagger = fluctuation_inner(
-                ai.conj().T, aj.conj().T, state
-            ) - fluctuation_inner(aj, ai, state)
+                ai.conj().T, aj.conj().T, weights
+            ) - fluctuation_inner(aj, ai, weights)
             assert abs(with_dagger - (1.0 if i == j else 0.0)) < 1e-12
-            plain = fluctuation_inner(ai.conj().T, aj, state) - fluctuation_inner(
-                aj.conj().T, ai, state
+            plain = fluctuation_inner(ai.conj().T, aj, weights) - fluctuation_inner(
+                aj.conj().T, ai, weights
             )
             assert abs(plain) < 1e-12
+
+
+@pytest.mark.parametrize("eps,temp", EPS_TEMP_GRID)
+def test_only_the_first_modes_act_on_one_chain(eps, temp):
+    # The site is |s1 s2>, chain one's spin first, so A x 1 acts on chain one alone.
+    p = ModelParams(eps, temp, 0.0)
+    a1, a2, b1, b2 = mode_operators(p)
+    lower = SIGMA_MINUS / np.sqrt(p.eta)
+    assert np.array_equal(a1, np.kron(lower, np.eye(2)))
+    assert np.array_equal(b1, np.kron(np.eye(2), lower))
+    # a2 = sigma_- x D and b2 = D x sigma_-, with D = 2 c2 d read off the one
+    # nonzero block of each
+    d_a, d_b = a2[2:, :2], b2[1::2, ::2]
+    assert np.array_equal(a2, np.kron(SIGMA_MINUS, d_a))
+    assert np.array_equal(b2, np.kron(d_b, SIGMA_MINUS))
+    c2 = np.sqrt(p.eta) / (2.0 * p.eta_perp)
+    d = np.diag([1.0 + 1.0 / p.eta, -p.delta / p.eta])
+    populations = thermal_state(p).reshape(2, 2)
+    chain_one, chain_two = populations.sum(axis=1), populations.sum(axis=0)
+    for factor, other_chain in ((d_a, chain_two), (d_b, chain_one)):
+        assert np.abs(factor - 2.0 * c2 * d).max() <= 4e-16 * np.abs(factor).max()
+        # diagonal and not a multiple of the identity: its entries differ in sign
+        assert factor[0, 1] == factor[1, 0] == 0.0
+        assert factor[0, 0].real * factor[1, 1].real < 0.0
+        # a zero-mean fluctuation of the other chain; at (0.5, 5) d holds
+        # 1 + 1/eta = 21, whose ulp alone is 3.6e-15, so the bound is relative
+        factor_d = factor / (2.0 * c2)
+        assert abs(expectation(other_chain, factor_d)) <= 1e-15 * np.abs(factor_d).max()
 
 
 def test_drift_matrix_structure():

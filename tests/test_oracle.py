@@ -9,7 +9,7 @@ import mesospin.checks as checks
 import mesospin.modes as modes
 import mesospin.oracle as oracle
 from mesospin.errors import ClosureError, ContractViolation
-from mesospin.modes import drift_matrix
+from mesospin.modes import drift_matrix, mode_operators
 from mesospin.oracle import (
     clt_table,
     extract_mode_generator,
@@ -22,6 +22,7 @@ from mesospin.oracle import (
 from mesospin.sites import (
     ModelParams,
     dissipation_matrix,
+    expectation,
     kron2,
     lindblad_ops,
     observables,
@@ -51,6 +52,11 @@ def _apply(generator, x):
     return (generator @ vec(x)).reshape(4, 4).T
 
 
+def _extract(generator, p):
+    """extract_mode_generator of the generator in the modes and thermal state of p."""
+    return extract_mode_generator(generator, mode_operators(p), thermal_state(p))
+
+
 def test_generator_is_unital_and_annihilates_the_hamiltonian():
     for p in (ModelParams(1.0, 1.0, 0.5), ModelParams(2.0, 0.1, 0.25)):
         generator = liouvillian(p)
@@ -64,7 +70,7 @@ def test_generator_matches_the_double_commutator_form():
     rng = np.random.default_rng(7)
     for p in GRID + OFF_GRID:
         h = site_hamiltonian(p)
-        d = dissipation_matrix(p.gamma).matrix
+        d = dissipation_matrix(p.gamma)
         generator = liouvillian(p)
         for _ in range(3):
             x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -96,15 +102,15 @@ def test_shared_constant_arrays_are_read_only():
 def test_thermal_state_is_stationary_for_all_pauli_words():
     words = [kron2(i, j) for i in range(4) for j in range(4)]
     for p in GRID:
-        state = thermal_state(p)
+        weights = thermal_state(p)
         generator = liouvillian(p)
-        worst = max(abs(state.expectation(_apply(generator, w))) for w in words)
+        worst = max(abs(expectation(weights, _apply(generator, w))) for w in words)
         assert worst < 1e-12
 
 
 def test_observables_close_and_identity_components_vanish():
     for p in GRID:
-        ext = extract_mode_generator(liouvillian(p), p)
+        ext = _extract(liouvillian(p), p)
         assert ext.residual < 1e-10
         assert np.abs(ext.identity_coeffs).max() < 1e-10
 
@@ -120,10 +126,10 @@ def test_extraction_over_temperatures_is_each_single_extraction():
     temps = (0.1, 0.5, 1.0, 5.0)
     for eps, gamma in ((0.5, 0.0), (1.0, 0.3), (2.0, 0.5)):
         generator = liouvillian(ModelParams(eps, temps[0], gamma))
-        stacked = extract_mode_generator(generator, ModelParams(eps, np.array(temps), gamma))
+        stacked = _extract(generator, ModelParams(eps, np.array(temps), gamma))
         assert stacked.mode_generator.shape == (4, 8, 8)
         for i, temp in enumerate(temps):
-            single = extract_mode_generator(generator, ModelParams(eps, temp, gamma))
+            single = _extract(generator, ModelParams(eps, temp, gamma))
             assert np.array_equal(stacked.mode_generator[i], single.mode_generator)
             assert np.array_equal(stacked.mode_generator[i, :4, :4], single.mode_generator[:4, :4])
             assert stacked.residual == single.residual
@@ -152,14 +158,14 @@ def test_extraction_of_a_generator_stack_is_each_single_extraction():
     # (gamma, (eps, T)) generators against the (eps, T) modes
     generators = liouvillian(ModelParams(temps.epsilon, temps.temperature, gammas))
     assert generators.shape == (3, 3, 16, 16)
-    stacked = extract_mode_generator(generators, temps)
+    stacked = _extract(generators, temps)
     assert stacked.mode_generator.shape == (3, 3, 8, 8)
     assert stacked.identity_coeffs.shape == (3, 3, 8)
     residuals = []
     for g, gamma in enumerate(gammas[:, 0]):
         for t, (eps, temp) in enumerate(zip(temps.epsilon, temps.temperature)):
             p = ModelParams(eps, temp, gamma)
-            single = extract_mode_generator(liouvillian(p), p)
+            single = _extract(liouvillian(p), p)
             assert np.array_equal(stacked.mode_generator[g, t], single.mode_generator)
             assert np.array_equal(
                 stacked.mode_generator[g, t, :4, :4], single.mode_generator[:4, :4]
@@ -170,9 +176,9 @@ def test_extraction_of_a_generator_stack_is_each_single_extraction():
 
 
 def test_weyl_rejects_a_nan_argument():
-    state = thermal_state(ModelParams(1.0, 1.0, 0.5))
+    weights = thermal_state(ModelParams(1.0, 1.0, 0.5))
     with pytest.raises(ContractViolation):
-        weyl_expectation_limit(np.full((4, 4), np.nan), state)
+        weyl_expectation_limit(np.full((4, 4), np.nan), weights)
 
 
 def test_leak_onto_a_complement_word_breaks_closure():
@@ -182,12 +188,12 @@ def test_leak_onto_a_complement_word_breaks_closure():
     # adds 1e-6 * leak to L[x1] and to no other observable's image
     matrix = liouvillian(p) + 1e-6 * np.outer(vec(leak), vec(x1).conj()) / 4.0
     with pytest.raises(ClosureError, match="do not close"):
-        extract_mode_generator(matrix, p)
+        _extract(matrix, p)
 
 
 def test_mode_generator_blocks_match_the_drift_matrix():
     for p in GRID:
-        ext = extract_mode_generator(liouvillian(p), p)
+        ext = _extract(liouvillian(p), p)
         m = drift_matrix(p)
         g = ext.mode_generator
         assert np.abs(g[:4, :4] - m.T).max() < 1e-10
@@ -198,7 +204,7 @@ def test_mode_generator_blocks_match_the_drift_matrix():
 
 def test_drift_corner_entries_at_reference_parameters():
     p = ModelParams(1.0, 1.0, 0.3)
-    ext = extract_mode_generator(liouvillian(p), p)
+    ext = _extract(liouvillian(p), p)
     eta = float(np.tanh(0.5))
     w = float(1.0 / np.cosh(0.5))
     assert abs(ext.mode_generator[0, 2] - (-0.3 * eta)) < 1e-12
@@ -207,7 +213,7 @@ def test_drift_corner_entries_at_reference_parameters():
 
 def test_mode_generator_spectrum():
     p = ModelParams(1.3, 0.7, 0.25)
-    values = np.linalg.eigvals(extract_mode_generator(liouvillian(p), p).mode_generator)
+    values = np.linalg.eigvals(_extract(liouvillian(p), p).mode_generator)
     base = [
         -1.0 - 1.3j + 0.25,
         -1.0 - 1.3j - 0.25,
@@ -221,31 +227,31 @@ def test_mode_generator_spectrum():
 
 def test_zero_coupling_generator_is_diagonal_rotation():
     p = ModelParams(1.0, 1.0, 0.0)
-    g = extract_mode_generator(liouvillian(p), p).mode_generator
+    g = _extract(liouvillian(p), p).mode_generator
     expected = np.diag([-1.0 - 1.0j] * 4 + [-1.0 + 1.0j] * 4)
     assert np.abs(g - expected).max() < 1e-12
 
 
 def test_weyl_expectation_anchor_values():
     p = ModelParams(1.0, 1.0, 0.5)
-    state = thermal_state(p)
+    weights = thermal_state(p)
     x1 = observables().ops[0]
-    finite = weyl_expectation_finite(x1, 100, state)
+    finite = weyl_expectation_finite(x1, 100, weights)
     assert abs(finite - 0.6060240772154118) < 1e-12
     assert abs(finite.imag) < 1e-14
-    assert abs(weyl_expectation_limit(x1, state) - 0.6065306597126334) < 1e-12
+    assert abs(weyl_expectation_limit(x1, weights) - 0.6065306597126334) < 1e-12
     zero = np.zeros((4, 4))
-    # trace(rho) carries a 1 ulp deficit that the 500th power amplifies to 6e-14
-    assert abs(weyl_expectation_finite(zero, 500, state) - 1.0) < 1e-12
+    # the populations sum to 1 with a 1 ulp deficit that the 500th power amplifies to 6e-14
+    assert abs(weyl_expectation_finite(zero, 500, weights) - 1.0) < 1e-12
 
 
 def test_weyl_errors_shrink_monotonically_for_every_observable():
     p = ModelParams(1.0, 1.0, 0.5)
-    state = thermal_state(p)
+    weights = thermal_state(p)
     for x in observables().ops:
-        limit = weyl_expectation_limit(x, state)
+        limit = weyl_expectation_limit(x, weights)
         errors = [
-            abs(weyl_expectation_finite(x, n, state) - limit)
+            abs(weyl_expectation_finite(x, n, weights) - limit)
             for n in (100, 1000, 10000)
         ]
         assert errors[0] > errors[1] > errors[2]
@@ -254,11 +260,11 @@ def test_weyl_errors_shrink_monotonically_for_every_observable():
 
 def test_clt_table_is_each_single_weyl_expectation():
     for p in (ModelParams(1.0, 1.0, 0.0), ModelParams(2.0, 0.3, 0.0)):
-        state = thermal_state(p)
+        weights = thermal_state(p)
         sites = (7, 100, 1000, 10000)
-        for x, (limit, finite, _, _) in zip(observables().ops, clt_table(state, sites)):
-            assert limit == weyl_expectation_limit(x, state)
-            assert finite == [weyl_expectation_finite(x, n, state) for n in sites]
+        for x, (limit, finite, _, _) in zip(observables().ops, clt_table(weights, sites)):
+            assert limit == weyl_expectation_limit(x, weights)
+            assert finite == [weyl_expectation_finite(x, n, weights) for n in sites]
 
 
 # Known fault: a float one-site factor raised to the n-th power carries a
@@ -278,12 +284,12 @@ def test_clt_table_error_at_1e8_sites_is_the_exact_one():
 
 def test_weyl_rejects_non_hermitian_and_bad_site_count():
     p = ModelParams(1.0, 1.0, 0.5)
-    state = thermal_state(p)
+    weights = thermal_state(p)
     lowering = np.kron(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
     with pytest.raises(ContractViolation):
-        weyl_expectation_finite(lowering, 10, state)
+        weyl_expectation_finite(lowering, 10, weights)
     with pytest.raises(ContractViolation):
-        weyl_expectation_limit(lowering, state)
+        weyl_expectation_limit(lowering, weights)
     with pytest.raises(ContractViolation):
-        weyl_expectation_finite(observables().ops[0], 0, state)
+        weyl_expectation_finite(observables().ops[0], 0, weights)
 

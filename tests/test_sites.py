@@ -5,11 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from mesospin.checks import check_dissipation_spectrum
 from mesospin.errors import ContractViolation
 from mesospin.modes import mode_operators
 from mesospin.sites import (
     ModelParams,
     dissipation_matrix,
+    expectation,
     fluctuation_inner,
     kron2,
     lindblad_ops,
@@ -164,16 +166,14 @@ def test_coupling_operators_structure():
 )
 def test_thermal_magnetization(temperature, expected):
     p = ModelParams(epsilon=1.0, temperature=temperature, gamma=0.0)
-    state = thermal_state(p)
-    value = state.expectation(kron2(3, 0)).real
+    value = expectation(thermal_state(p), kron2(3, 0)).real
     assert abs(value - expected) < 1e-14
     assert abs(value + p.eta) < 1e-14
 
 
 def test_thermal_state_is_normalized_positive_and_stationary():
     p = ModelParams(epsilon=1.4, temperature=0.3, gamma=0.0)
-    state = thermal_state(p)
-    rho = state.rho
+    rho = np.diag(thermal_state(p))
     assert abs(np.trace(rho) - 1.0) < 1e-14
     assert np.linalg.eigvalsh(rho).min() >= 0.0
     h = site_hamiltonian(p)
@@ -182,44 +182,44 @@ def test_thermal_state_is_normalized_positive_and_stationary():
 
 def test_thermal_state_factorizes_over_the_two_chains():
     p = ModelParams(epsilon=0.8, temperature=0.25, gamma=0.0)
-    rho = thermal_state(p).rho
+    weights = thermal_state(p)
     single = np.exp(-p.beta * 0.4 * np.array([1.0, -1.0]))
-    single = np.diag(single / single.sum())
-    assert np.abs(rho - np.kron(single, single)).max() < 1e-15
+    single = single / single.sum()
+    assert np.abs(weights - np.kron(single, single)).max() < 1e-15
 
 
 def test_fluctuation_inner_on_the_first_chain_pair():
     p = ModelParams(epsilon=1.0, temperature=1.0, gamma=0.0)
-    state = thermal_state(p)
+    weights = thermal_state(p)
     x1, x2 = observables().ops[0], observables().ops[1]
-    assert abs(fluctuation_inner(x1, x1, state) - 1.0) < 1e-14
-    assert abs(fluctuation_inner(x1, x2, state) - (-1j * p.eta)) < 1e-14
-    assert abs(fluctuation_inner(x2, x1, state) - (1j * p.eta)) < 1e-14
+    assert abs(fluctuation_inner(x1, x1, weights) - 1.0) < 1e-14
+    assert abs(fluctuation_inner(x1, x2, weights) - (-1j * p.eta)) < 1e-14
+    assert abs(fluctuation_inner(x2, x1, weights) - (1j * p.eta)) < 1e-14
 
 
 def test_stacked_expectation_and_inner_form_match_scalar_calls():
     p = ModelParams(epsilon=1.3, temperature=0.4, gamma=0.2)
-    state = thermal_state(p)
+    weights = thermal_state(p)
     ops = mode_operators(p)
     stack = np.array(ops)
-    table = fluctuation_inner(stack[:, None], stack[None, :], state)
-    values = state.expectation(stack)
+    table = fluctuation_inner(stack[:, None], stack[None, :], weights)
+    values = expectation(weights, stack)
     assert table.shape == (4, 4) and values.shape == (4,)
     for i, x in enumerate(ops):
-        assert abs(values[i] - state.expectation(x)) <= 1e-15
+        assert abs(values[i] - expectation(weights, x)) <= 1e-15
         for j, y in enumerate(ops):
-            assert abs(table[i, j] - fluctuation_inner(x, y, state)) <= 1e-15
-    assert type(state.expectation(ops[0])) is complex
-    assert type(fluctuation_inner(ops[0], ops[1], state)) is complex
+            assert abs(table[i, j] - fluctuation_inner(x, y, weights)) <= 1e-15
+    assert type(expectation(weights, ops[0])) is complex
+    assert type(fluctuation_inner(ops[0], ops[1], weights)) is complex
 
 
 def test_fluctuation_inner_vanishes_across_chains():
     p = ModelParams(epsilon=1.0, temperature=0.5, gamma=0.0)
-    state = thermal_state(p)
+    weights = thermal_state(p)
     obs = observables().ops
     for i in range(4):
         for j in range(4, 8):
-            assert abs(fluctuation_inner(obs[i], obs[j], state)) < 1e-14
+            assert abs(fluctuation_inner(obs[i], obs[j], weights)) < 1e-14
 
 
 def test_observables_are_hermitian_traceless_involutions():
@@ -232,30 +232,36 @@ def test_observables_are_hermitian_traceless_involutions():
 def test_complement_decouples_in_the_fluctuation_form():
     for temperature in (0.1, 1.0, 5.0):
         p = ModelParams(epsilon=1.0, temperature=temperature, gamma=0.0)
-        state = thermal_state(p)
+        weights = thermal_state(p)
         obs = observables()
         for y in obs.complement:
             for x in obs.ops:
-                assert abs(fluctuation_inner(y, x, state)) < 1e-12
-                assert abs(fluctuation_inner(x, y, state)) < 1e-12
+                assert abs(fluctuation_inner(y, x, weights)) < 1e-12
+                assert abs(fluctuation_inner(x, y, weights)) < 1e-12
+
+
+def _is_positive(gamma):
+    """The complete-positivity verdict of check_dissipation_spectrum on one coupling."""
+    return check_dissipation_spectrum((gamma,))[1] == ""
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.25, 0.5])
 def test_dissipation_spectrum(gamma):
     d = dissipation_matrix(gamma)
     expected = np.sort([1.0 - 2.0 * gamma, 1.0, 1.0, 1.0 + 2.0 * gamma])
-    assert np.abs(d.eigenvalues - expected).max() < 1e-12
-    assert d.is_positive
-    assert np.abs(d.matrix - d.matrix.T).max() == 0.0
+    assert np.abs(np.linalg.eigvalsh(d) - expected).max() < 1e-12
+    assert _is_positive(gamma)
+    assert np.abs(d - d.T).max() == 0.0
 
 
 def test_dissipation_positivity_flips_at_one_half():
-    assert dissipation_matrix(0.5).is_positive
-    assert not dissipation_matrix(0.5 + 1e-9).is_positive
-    beyond = dissipation_matrix(0.6)
-    assert not beyond.is_positive
-    assert abs(beyond.min_eigenvalue - (-0.2)) < 1e-12
+    assert _is_positive(0.5)
+    assert not _is_positive(0.5 + 1e-9)
+    residuals, detail = check_dissipation_spectrum((0.6,))
+    assert detail == "gamma = 0.6 is not completely positive: min eigenvalue -0.2"
+    # the residual after the spectrum's is minus the smallest eigenvalue
+    assert abs(-residuals[1] - (-0.2)) < 1e-12
 
 
 def test_dissipation_matrix_at_zero_coupling_is_identity():
-    assert np.array_equal(dissipation_matrix(0.0).matrix, np.eye(4, dtype=complex))
+    assert np.array_equal(dissipation_matrix(0.0), np.eye(4, dtype=complex))
