@@ -127,14 +127,11 @@ def _write_sweep(sweep: SweepResult, out_dir: str, plot_script: str | None) -> i
     if plot_script and os.path.dirname(plot_script):
         _require_parent_dirs(os.path.join(out_dir, plot_script))
     os.makedirs(out_dir, exist_ok=True)
-    names = []
-    for value, curve in zip(sweep.values, sweep.curves):
-        name = f"curve_{sweep.parameter}_{format_float(value)}.csv"
+    for name, curve in zip(sweep.curve_files, sweep.curves):
         write_text(os.path.join(out_dir, name), curve_csv_text(curve))
-        names.append(name)
     summary_name = f"{sweep.parameter}_summary.csv"
     write_text(os.path.join(out_dir, summary_name), summary_csv_text(sweep))
-    for (value, max_e, life), name in zip(sweep.summary, names):
+    for (value, max_e, life), name in zip(sweep.summary, sweep.curve_files):
         print(
             f"{sweep.parameter} = {format_float(value)}: "
             f"max E = {format_float(max_e)}, lifetime = {format_float(life)} "
@@ -147,7 +144,7 @@ def _write_sweep(sweep: SweepResult, out_dir: str, plot_script: str | None) -> i
         ]
         write_text(
             os.path.join(out_dir, plot_script),
-            _plot_script_text(names, labels),
+            _plot_script_text(list(sweep.curve_files), labels),
         )
         print(f"wrote {plot_script} in {out_dir}")
     return 0

@@ -14,13 +14,15 @@ uncertainty bound x p >= 1 (NumericError); the variances start at the exact
 squeezed state and stay in its relaxation envelope (NumericError). The 8x8
 covariance path (modes.propagate plus negativity.negativity) is the
 independent reference that the tests and `mesospin verify` compare curves
-against; it shares no code with the engine. The engine is certified to
-SPECTRAL_TOL against a 50-digit reference for |squeeze_r| <= SQUEEZE_R_MAX;
-larger squeezes are refused. A sweep evaluates all of its curves in the same
-batched pass, from one ModelParams whose swept field is the array of swept
-values; run_curve is the one-value case of that pass.
-CSV files are written with fixed 12-significant-digit formatting and '\\n'
-line endings, so repeated runs are byte-identical.
+against; the one function it shares with the engine is
+negativity.log_negativity. The engine is certified to SPECTRAL_TOL against a
+50-digit reference for |squeeze_r| <= SQUEEZE_R_MAX; larger squeezes are
+refused. A sweep evaluates all of its curves in the same batched pass, from
+one ModelParams whose swept field is the array of swept values; run_curve is
+the one-value case of that pass. A sweep also names each curve file, where it
+checks that no two names clash. Every CSV table is written by one writer,
+with fixed 12-significant-digit formatting and '\\n' line endings, so
+repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -269,11 +271,12 @@ def run_curve(config: ExperimentConfig) -> NegativityCurve:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Curves and (value, max E, lifetime) summary rows for one swept field."""
+    """Curves, their CSV file names and (value, max E, lifetime) rows of one swept field."""
 
     parameter: str
     values: tuple[float, ...]
     curves: tuple[NegativityCurve, ...]
+    curve_files: tuple[str, ...]
     summary: tuple[tuple[float, float, float], ...]
     meta: dict
 
@@ -282,29 +285,26 @@ def _sweep(config: ExperimentConfig, parameter: str) -> SweepResult:
     """One curve per value of the parameter's list, the one place that list is validated."""
     name = f"{parameter}_list"
     values = getattr(config, name)
-    # A sweep names each curve file by the value's CSV format.
-    first = {}
+    # Each value's curve file is named by its CSV format, so no two may print alike.
+    files = {}
     for v in values:
         text = format_float(v)
-        if text in first:
+        file = f"curve_{parameter}_{text}.csv"
+        if file in files:
             raise ConfigError(
-                f"{name}: {first[text]!r} and {v!r} both print as {text} "
+                f"{name}: {files[file]!r} and {v!r} both print as {text} "
                 "and would write the same curve file"
             )
-        first[text] = v
+        files[file] = v
     params = _model_params(config, **{parameter: np.array(values, dtype=float)})
     base = config.meta()
     metas = tuple({**base, parameter: v} for v in values)
     curves = _curves(config, params, metas)
-    summary = tuple(
-        (v, c.max_log_negativity, c.lifetime()) for v, c in zip(values, curves)
-    )
+    summary = tuple((v, c.max_log_negativity, c.lifetime()) for v, c in zip(values, curves))
     meta = dict(base)
     meta.pop(parameter, None)
     meta["swept"] = parameter
-    return SweepResult(
-        parameter=parameter, values=values, curves=curves, summary=summary, meta=meta
-    )
+    return SweepResult(parameter, values, curves, tuple(files), summary, meta)
 
 
 def sweep_gamma(config: ExperimentConfig) -> SweepResult:
@@ -317,33 +317,27 @@ def sweep_temperature(config: ExperimentConfig) -> SweepResult:
     return _sweep(config, "temperature")
 
 
-def _header_lines(title: str, meta: dict) -> list[str]:
+def _csv_text(title: str, meta: dict, columns: str, table: np.ndarray) -> str:
+    """The one CSV layout: '# title', a '# key = value' line per meta entry, columns, rows.
+
+    A string value is written verbatim and a number through format_float. The
+    rows of the 2-D table are formatted in one call with format_float's "%.12g".
+    """
     lines = [f"# {title}"]
-    for key, value in meta.items():
-        if isinstance(value, str):
-            lines.append(f"# {key} = {value}")
-        else:
-            lines.append(f"# {key} = {format_float(value)}")
-    return lines
+    lines += [f"# {k} = {v if isinstance(v, str) else format_float(v)}" for k, v in meta.items()]
+    lines.append(columns)
+    row = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    return "\n".join(lines) + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
 
 
 def curve_csv_text(curve: NegativityCurve) -> str:
-    lines = _header_lines("negativity curve", curve.meta)
-    lines.append("t,nu_min,E")
-    # "%.12g" is format_float's format, applied in one call to every row.
-    flat = np.column_stack((curve.times, curve.nu_min, curve.log_negativity)).ravel()
-    rows = ("%.12g,%.12g,%.12g\n" * len(curve.times)) % tuple(flat.tolist())
-    return "\n".join(lines) + "\n" + rows
+    table = np.column_stack((curve.times, curve.nu_min, curve.log_negativity))
+    return _csv_text("negativity curve", curve.meta, "t,nu_min,E", table)
 
 
 def summary_csv_text(sweep: SweepResult) -> str:
-    lines = _header_lines("sweep summary", sweep.meta)
-    lines.append(f"{sweep.parameter},max_E,lifetime")
-    for value, max_e, life in sweep.summary:
-        lines.append(
-            f"{format_float(value)},{format_float(max_e)},{format_float(life)}"
-        )
-    return "\n".join(lines) + "\n"
+    columns = f"{sweep.parameter},max_E,lifetime"
+    return _csv_text("sweep summary", sweep.meta, columns, np.array(sweep.summary, dtype=float))
 
 
 def write_text(path: str, text: str) -> None:

@@ -1,10 +1,10 @@
 """The generic tolerances and the one matrix exponential the package needs.
 
-Both exponentials in the model are of a Hermitian matrix times a scalar: the
-bath coupling K of the mode drift, and the centred site observables of the
-oracle's Weyl factors. expm() takes that structure as its contract and
-evaluates it through numpy's Hermitian eigensolver, for one matrix or a
-stack of them at one scalar or at scalars that broadcast against the stack.
+The matrix exponential of the model, that of the bath coupling K in the mode
+drift, is of a Hermitian matrix times a scalar. expm() takes that structure
+as its contract and evaluates it through numpy's Hermitian eigensolver, for
+one matrix or a stack of them at one scalar or at scalars that broadcast
+against the stack.
 This module declares STRUCTURAL_TOL and SPECTRAL_TOL; a tolerance that
 belongs to one routine or one check is declared beside it, in that routine's
 or check's module.

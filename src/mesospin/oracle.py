@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ClosureError, ContractViolation
-from .linalg import STRUCTURAL_TOL, expm
+from .linalg import STRUCTURAL_TOL
 from .sites import (
     ModelParams,
     dissipation_matrix,
@@ -203,17 +203,27 @@ def require_sites(n: float) -> int:
     return int(n)
 
 
-def _site_weyl_unitary(x: np.ndarray, n: int | np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """One site's factor exp(i(x - w(x))/sqrt(n)) of the centred Weyl operator.
+def _weyl_powers(x: np.ndarray, n: int | np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """w(exp(i(x - w(x))/sqrt(n)))^n, the n-th power of one site's centred Weyl factor.
 
-    x may be a stack of observables and n an array of site counts: one call
-    of expm gives every observable's factor at every count, shape
-    x.shape[:-2] + n.shape + (4, 4).
+    With the eigenpairs (lambda_k, P_k) of the centred observable, the factor
+    is f = 1 + z, z = sum_k w(P_k) expm1(i lambda_k/sqrt(n)), and f^n is taken
+    as exp(n (log|f| + i arg f)) with log|f| = log1p(2a + a^2 + b^2)/2 for
+    z = a + ib: no rounding of f itself is raised to the n-th power. x may be a
+    stack of observables and n an array of site counts: one eigh serves every
+    count, and the result has shape x.shape[:-2] + n.shape.
     """
     centered = x - np.asarray(expectation(weights, x))[..., None, None] * np.eye(_DIM)
+    if not np.all(np.isfinite(centered)):
+        raise ContractViolation("expm argument must be finite")
+    n = np.asarray(n, dtype=float)
+    lam, vectors = np.linalg.eigh(centered)
+    mass = (weights[..., None] * (vectors * vectors.conj()).real).sum(axis=-2)  # w(P_k)
     # one unit axis per axis of n, so that each observable meets every count
-    centered = centered.reshape(centered.shape[:-2] + (1,) * np.ndim(n) + (_DIM, _DIM))
-    return expm(centered, 1.0j / np.sqrt(np.asarray(n, dtype=float)))
+    shape = lam.shape[:-1] + (1,) * n.ndim + (_DIM,)
+    z = (mass.reshape(shape) * np.expm1(1j * lam.reshape(shape) / np.sqrt(n)[..., None])).sum(-1)
+    a, b = z.real, z.imag
+    return np.exp(n * (0.5 * np.log1p(2.0 * a + a * a + b * b) + 1j * np.arctan2(b, 1.0 + a)))
 
 
 def weyl_expectation_finite(x: np.ndarray, n: int, weights: np.ndarray) -> complex:
@@ -224,8 +234,7 @@ def weyl_expectation_finite(x: np.ndarray, n: int, weights: np.ndarray) -> compl
     the n-th power of one site factor.
     """
     x = _require_hermitian(x, "Weyl argument")
-    n = require_sites(n)
-    return expectation(weights, _site_weyl_unitary(x, n, weights)) ** n
+    return complex(_weyl_powers(x, require_sites(n), weights))
 
 
 def weyl_expectation_limit(x: np.ndarray, weights: np.ndarray) -> float:
@@ -251,12 +260,8 @@ def clt_table(weights: np.ndarray, sites: tuple[int, ...]) -> list[tuple]:
     sites = tuple(require_sites(n) for n in sites)
     ops = np.array(observables().ops)
     limits = _gaussian_limit(ops, weights)
-    factors = expectation(weights, _site_weyl_unitary(ops, np.array(sites), weights))
     table = []
-    for limit, row in zip(limits.tolist(), factors):
-        # Python's complex ** int, as in weyl_expectation_finite: numpy's power
-        # rounds differently at large n, and the errors read the last bits.
-        finite = [complex(f) ** n for f, n in zip(row, sites)]
+    for limit, finite in zip(limits.tolist(), _weyl_powers(ops, sites, weights).tolist()):
         errors = [abs(f - limit) for f in finite]
         table.append((limit, finite, errors, all(a > b for a, b in zip(errors, errors[1:]))))
     return table

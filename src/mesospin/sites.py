@@ -160,8 +160,7 @@ def expectation(weights: np.ndarray, op: np.ndarray) -> complex | np.ndarray:
     shape S + (4, 4) gives an array of shape S, and a stack of populations
     broadcasts against S.
     """
-    # The products are added in order, as a trace of diag(p) @ op adds them:
-    # clt_table raises w(U) to the n-th power, which magnifies the last bit.
+    # The products are added in order, as a trace of diag(p) @ op adds them.
     value = (weights * np.diagonal(op, axis1=-2, axis2=-1)).sum(axis=-1)
     return complex(value) if value.ndim == 0 else value
 

@@ -261,6 +261,28 @@ def test_summary_csv_layout():
     assert any("# swept = gamma" == line for line in lines)
 
 
+def test_csv_texts_and_curve_file_names_are_pinned():
+    # Every byte of both tables and every curve file name, as readers of the output see them.
+    assert curve_csv_text(run_curve(ExperimentConfig(t_steps=3))) == (
+        "# negativity curve\n# epsilon = 1\n# temperature = 0.1\n# gamma = 0.5\n"
+        "# squeeze_r = 1\n# t_max = 5\n# t_steps = 3\nt,nu_min,E\n"
+        "0,1.00009080398,0\n2.5,0.965652873393,0.0349508536626\n"
+        "5,0.997174502312,0.00282949694123\n"
+    )
+    sweep = sweep_gamma(ExperimentConfig(t_steps=3, gamma_list=(0.1, 0.5)))
+    assert summary_csv_text(sweep) == (
+        "# sweep summary\n# epsilon = 1\n# temperature = 0.1\n# squeeze_r = 1\n"
+        "# t_max = 5\n# t_steps = 3\n# swept = gamma\ngamma,max_E,lifetime\n"
+        "0.1,0,0\n0.5,0.0349508536626,5\n"
+    )
+    assert sweep.curve_files == ("curve_gamma_0.1.csv", "curve_gamma_0.5.csv")
+    assert sweep_temperature(ExperimentConfig(t_steps=3)).curve_files == (
+        "curve_temperature_0.1.csv",
+        "curve_temperature_0.5.csv",
+        "curve_temperature_1.csv",
+    )
+
+
 @pytest.mark.parametrize("squeeze_r", [0.0, 2.0, -9.5])
 @pytest.mark.parametrize("t_steps", [2, 100])
 @pytest.mark.parametrize(

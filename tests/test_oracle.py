@@ -267,9 +267,6 @@ def test_clt_table_is_each_single_weyl_expectation():
             assert finite == [weyl_expectation_finite(x, n, weights) for n in sites]
 
 
-# Known fault: a float one-site factor raised to the n-th power carries a
-# relative error of about n * eps, 1.2e-8 at n = 1e8.
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the n-th power loses n * eps")
 def test_clt_table_error_at_1e8_sites_is_the_exact_one():
     # Each x_a squares to 1 and is centred in the thermal state, so its exact
     # n-site value is cos(1/sqrt(n))^n.
