@@ -41,9 +41,8 @@ from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ContractViolation, NumericError
+from .errors import STRUCTURAL_TOL, ContractViolation, NumericError
 from .experiments import ExperimentConfig, run_curve
-from .linalg import STRUCTURAL_TOL
 from .modes import (
     GaussianState,
     drift_matrix,

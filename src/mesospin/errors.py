@@ -1,6 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types and generic tolerances shared across the package.
+
+This module declares STRUCTURAL_TOL and SPECTRAL_TOL; a tolerance that
+belongs to one routine or one check is declared beside it, in that routine's
+or check's module.
+"""
 
 from __future__ import annotations
+
+# Structural identities (symmetry, CCR, invariance) must hold to near machine
+# precision; spectral quantities inherit eigensolver conditioning.
+STRUCTURAL_TOL = 1e-12
+SPECTRAL_TOL = 1e-9
 
 
 class ContractViolation(ValueError):

@@ -32,8 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, NumericError
-from .linalg import SPECTRAL_TOL
+from .errors import SPECTRAL_TOL, ConfigError, ContractViolation, NumericError
 from .negativity import log_negativity
 from .sites import ModelParams
 
@@ -60,11 +59,12 @@ class ExperimentConfig:
 
     The defaults reproduce the strongest entangling case: coldest default
     temperature, maximal CP-allowed coupling, unit squeeze. Construction
-    checks every field's type and finiteness. The physical domain is checked
-    by ModelParams in the command that reads a value: run_curve checks the
-    base point (epsilon, temperature, gamma), a sweep the base fields it
-    reads and its own list, whose curve file names it checks too. So a sweep
-    ignores the base value of its swept field, and run_curve both lists.
+    checks every field's type and finiteness, and stores -0.0 as 0.0, so that
+    no header or file name reads "-0". The physical domain is checked by
+    ModelParams in the command that reads a value: run_curve checks the base
+    point (epsilon, temperature, gamma), a sweep the base fields it reads and
+    its own list, then its curve file names. So a sweep ignores the base
+    value of its swept field, and run_curve both lists.
     """
 
     epsilon: float = 1.0
@@ -81,7 +81,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{name}: expected a number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, float(value) + 0.0)
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name}: must be finite, got {value!r}")
         if isinstance(self.t_steps, bool) or not isinstance(self.t_steps, int):
@@ -106,7 +106,7 @@ class ExperimentConfig:
             for v in values:
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
                     raise ConfigError(f"{name}: expected a number, got {v!r}")
-            object.__setattr__(self, name, tuple(float(v) for v in values))
+            object.__setattr__(self, name, tuple(float(v) + 0.0 for v in values))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -285,6 +285,9 @@ def _sweep(config: ExperimentConfig, parameter: str) -> SweepResult:
     """One curve per value of the parameter's list, the one place that list is validated."""
     name = f"{parameter}_list"
     values = getattr(config, name)
+    # The values are checked before their curve files are named, so a bad value
+    # is refused as such, not as a clash of its name.
+    params = _model_params(config, **{parameter: np.array(values, dtype=float)})
     # Each value's curve file is named by its CSV format, so no two may print alike.
     files = {}
     for v in values:
@@ -296,7 +299,6 @@ def _sweep(config: ExperimentConfig, parameter: str) -> SweepResult:
                 "and would write the same curve file"
             )
         files[file] = v
-    params = _model_params(config, **{parameter: np.array(values, dtype=float)})
     base = config.meta()
     metas = tuple({**base, parameter: v} for v in values)
     curves = _curves(config, params, metas)

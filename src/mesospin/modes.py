@@ -18,12 +18,13 @@ involved: the drift is linear, so the flow is an exact matrix exponential
 conjugation toward the thermal fixed point.
 
 propagate() conjugates the full 8x8 covariance by the real form of exp(tM)
-from flow(), which diagonalises the coupling K numerically and so does not
-rely on K^2 = I; it is the general reference. Both take the ModelParams
-itself. Given an array of times, or parameter sets of shape G and a matching
-state stack, flow() and propagate() return stacks over the parameter sets and
-the times, entry for entry what single calls return. The fixed point is
-thermal_covariance().
+from flow(), which splits the modes by the spectral projectors (I +/- K)/2
+of K (K^2 = I) and damps each at its own rate; it is the reference that the
+curve engine, with its own expm1 variance rows, is checked against. Both take
+the ModelParams itself. Given an array of times, or parameter sets of shape G
+and a matching state stack, flow() and propagate() return stacks over the
+parameter sets and the times, entry for entry what single calls return. The
+fixed point is thermal_covariance().
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation
-from .linalg import STRUCTURAL_TOL, expm
+from .errors import STRUCTURAL_TOL, ContractViolation
 from .sites import SIGMA0, SIGMA_MINUS, ModelParams, frozen
 
 
@@ -169,13 +169,15 @@ def initial_state(params: ModelParams, squeeze_r=0.0) -> GaussianState:
 
 
 def flow(params: ModelParams, t) -> np.ndarray:
-    """The 4x4 mode flow exp(tM) = e^{-(1+i*eps)t} exp(gamma*t*K) for t >= 0.
+    """The 4x4 mode flow exp(tM) for t >= 0, from the spectral projectors of K.
 
-    The identity part of M commutes with K and factors out as a scalar; the
-    Hermitian exponential of the coupling is taken from its eigendecomposition.
-    An array t of shape S gives shape S + (4, 4); parameter sets of shape G
-    give G + S + (4, 4), every set at every time, each entry bit for bit the
-    single call. t = 0 gives the exact identity.
+    K^2 = I splits the modes into P+ = (I + K)/2 and P- = (I - K)/2, on which
+    M acts as -(1+i*eps) + gamma and -(1+i*eps) - gamma, so
+    exp(tM) = e^{-i*eps*t} (e^{-(1-gamma)t} P+ + e^{-(1+gamma)t} P-). Each rate
+    has its own exponential, so nothing overflows at any t, and t = 0 gives
+    the exact identity. An array t of shape S gives shape S + (4, 4);
+    parameter sets of shape G give G + S + (4, 4), every set at every time,
+    each entry bit for bit the single call.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)) or np.any(t < 0.0):
@@ -184,8 +186,10 @@ def flow(params: ModelParams, t) -> np.ndarray:
     at = (..., *(None,) * t.ndim)
     epsilon, gamma = np.asarray(params.epsilon)[at], np.asarray(params.gamma)[at]
     k = coupling(params)[at + (slice(None), slice(None))]
-    phase = np.exp(-(1.0 + 1.0j * epsilon) * t)
-    return phase[..., None, None] * expm(k, gamma * t)
+    rotation = np.exp(-1.0j * epsilon * t)[..., None, None]
+    slow = 0.5 * np.exp(-(1.0 - gamma) * t)[..., None, None]
+    fast = 0.5 * np.exp(-(1.0 + gamma) * t)[..., None, None]
+    return rotation * ((slow + fast) * np.eye(4) + (slow - fast) * k)
 
 
 def propagate(state: GaussianState, params: ModelParams, t) -> GaussianState:

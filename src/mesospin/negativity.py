@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, NumericError
-from .linalg import SPECTRAL_TOL
+from .errors import SPECTRAL_TOL, ContractViolation, NumericError
 from .modes import GaussianState
 from .sites import frozen
 

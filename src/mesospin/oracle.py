@@ -23,8 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ClosureError, ContractViolation
-from .linalg import STRUCTURAL_TOL
+from .errors import STRUCTURAL_TOL, ClosureError, ContractViolation
 from .sites import (
     ModelParams,
     dissipation_matrix,

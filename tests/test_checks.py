@@ -170,17 +170,14 @@ def test_a_full_run_builds_each_generator_and_reference_stack_once(monkeypatch):
     counted(negativity_module, "symplectic_eigenvalues", "spectra")
     # the Weyl powers take one eigh of all their observables per call
     counted(oracle, "_weyl_powers")
-    counted(modes, "expm")
     assert all(r.passed for r in checks.run_checks("full"))
     # one generator stack shared by two checks, one reference covariance stack
-    # for all curve configs, one eigendecomposition for all Weyl observables
-    # and one for all couplings
+    # for all curve configs and one eigendecomposition for all Weyl observables
     assert calls == {
         "mesospin.checks.liouvillian": 1,
         "mesospin.checks.propagate": 1,
         "spectra": 2,
         "mesospin.oracle._weyl_powers": 1,
-        "mesospin.modes.expm": 1,
     }
 
 

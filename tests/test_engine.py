@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import mesospin.experiments as experiments
-from mesospin.errors import ConfigError, ContractViolation, NumericError
+from mesospin.errors import SPECTRAL_TOL, ConfigError, ContractViolation, NumericError
 from mesospin.experiments import (
     SQUEEZE_R_MAX,
     ExperimentConfig,
@@ -19,7 +19,6 @@ from mesospin.experiments import (
     sweep_gamma,
     sweep_temperature,
 )
-from mesospin.linalg import SPECTRAL_TOL
 from mesospin.modes import initial_state, propagate
 from mesospin.negativity import negativity, symplectic_eigenvalues
 from mesospin.sites import ModelParams

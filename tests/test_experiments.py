@@ -118,6 +118,19 @@ def test_invalid_config_names_the_field(kwargs, field):
             "0.5 and 0.50000000000004 both print as 0.5 and would write the same curve file",
             id="temperatures-print-alike",
         ),
+        # a bad value is refused as such, before any clash of the file names
+        pytest.param(
+            {"temperature_list": (-1, -1.0)},
+            "temperature must be positive, got -1.0; at zero temperature the thermal "
+            "fluctuation structure contracts (eta -> 1) and the model is undefined",
+            id="bad-temperatures-print-alike",
+        ),
+        # -0.0 is stored as 0.0, so it names the same curve file as 0
+        pytest.param(
+            {"gamma_list": (0.0, -0.0)},
+            "0.0 and 0.0 both print as 0 and would write the same curve file",
+            id="gamma-signed-zero",
+        ),
         # a list reports its first bad value, not the last or the first one
         pytest.param(
             {"gamma_list": (0.1, 0.6, 0.7)},
@@ -144,6 +157,12 @@ def test_unknown_field_is_rejected():
     with pytest.raises(ConfigError) as excinfo:
         ExperimentConfig.from_dict({"couplings": [0.1]})
     assert "couplings" in str(excinfo.value)
+
+
+def test_signed_zero_is_stored_as_zero():
+    cfg = ExperimentConfig(gamma=-0.0, squeeze_r=-0.0, gamma_list=(-0.0, 0.1))
+    for value in (cfg.gamma, cfg.squeeze_r, cfg.gamma_list[0]):
+        assert value == 0.0 and np.copysign(1.0, value) == 1.0
 
 
 def test_from_dict_coerces_integral_step_counts():

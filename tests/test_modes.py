@@ -155,6 +155,12 @@ def test_drift_matrix_structure():
     assert abs(m[0, 3] - 0.3 * p.eta_perp) < 1e-15
     assert np.abs(m - m.T).max() == 0.0
     assert np.abs(k - k.T).max() == 0.0
+    # flow() takes its projectors (I +/- K)/2 from K^2 = I, so that must hold
+    # over the grid and near the cold refusal edge, where eta rounds near 1.
+    sets = [(eps, temp, gamma) for eps, temp in EPS_TEMP_GRID + [(1.0, 0.027)]
+            for gamma in (0.0, 0.25, 0.5)]
+    k = coupling(ModelParams(*np.array(sets).T))
+    assert np.abs(k - k.swapaxes(-1, -2)).max() == 0.0
     assert np.abs(k @ k - np.eye(4)).max() < 1e-14
 
 
@@ -349,22 +355,23 @@ def test_gaussian_state_stores_the_swap_symmetrised_stack():
 
 
 def test_flow_is_the_exponential_of_the_drift_matrix():
-    # flow() exponentiates only the coupling K; a 30-digit expm of the whole
-    # drift matrix M pins that the split reproduces exp(tM) itself.
+    # A 40-digit expm of the whole drift matrix M pins that the projector form
+    # reproduces exp(tM) itself, to rounding of its slow envelope, out to long times.
     mp = pytest.importorskip("mpmath").mp
-    p = ModelParams(1.3, 0.4, 0.45)
-    times = (0.0, 0.3, 1.7, 6.0)
-    for t in times:
-        with mp.workdps(30):
-            reference = mp.expm(mp.mpf(t) * mp.matrix(drift_matrix(p).tolist()))
-            expected = np.array(reference.tolist(), dtype=complex)
-        assert np.abs(flow(p, t) - expected).max() < 1e-13
-    # A time array gives, entry for entry, the flows of the scalar calls.
-    stack = flow(p, np.array(times))
-    assert stack.shape == (len(times), 4, 4)
-    assert np.array_equal(stack[0], np.eye(4, dtype=complex))
-    for t, u in zip(times, stack):
-        assert np.array_equal(u, flow(p, t))
+    times = (0.0, 0.3, 1.7, 6.0, 20.0, 60.0, 150.0)
+    for p in (ModelParams(1.3, 0.4, 0.45), ModelParams(0.5, 5.0, 0.25)):
+        for t in times:
+            with mp.workdps(40):
+                reference = mp.expm(mp.mpf(t) * mp.matrix(drift_matrix(p).tolist()))
+                expected = np.array(reference.tolist(), dtype=complex)
+            envelope = np.exp(-(1.0 - p.gamma) * t)
+            assert np.abs(flow(p, t) - expected).max() < 1e-14 * envelope
+        # A time array gives, entry for entry, the flows of the scalar calls.
+        stack = flow(p, np.array(times))
+        assert stack.shape == (len(times), 4, 4)
+        assert np.array_equal(stack[0], np.eye(4, dtype=complex))
+        for t, u in zip(times, stack):
+            assert np.array_equal(u, flow(p, t))
 
 
 def test_propagate_validates_time_and_parameters():
@@ -420,8 +427,12 @@ def test_propagation_preserves_chain_exchange_symmetry():
 
 def test_propagation_contracts_toward_the_fixed_point():
     p = ModelParams(1.0, 0.1, 0.5)
-    for t in np.linspace(0.0, 5.0, 21):
+    for t in (*np.linspace(0.0, 5.0, 21), 1500.0, 2000.0):
         assert np.linalg.norm(flow(p, t), 2) <= 1.0 + 1e-12
+    # Long after every rate has underflowed, the state is the fixed point itself.
+    for t in (1500.0, 2000.0):
+        covariance = propagate(initial_state(p, 1.0), p, t).covariance
+        assert np.array_equal(covariance, thermal_covariance(p.eta))
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.5])
