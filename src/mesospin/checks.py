@@ -7,37 +7,36 @@ collective modes, central-limit convergence, the thermal quadrature
 covariance against the microscopic thermal state, physicality of propagated
 states, agreement of the closed-form curve engine with the 8x8 reference path
 at every grid point) and reports the worst residual against its tolerance.
+There is one suite, with no level to choose: the (eps, T) pairs EPS_TEMPS
+times DEFAULT_GAMMAS, and the curve configs CURVE_CONFIGS, built at import.
 
-run_checks is the one entry point. It runs the table _CHECKS of (name,
+run_checks() is the one entry point. It runs the table _CHECKS of (name,
 tolerance, body) in report order: each body takes the inputs that several
 checks read, built at most once per call, and returns its residuals and its
 detail. A harness injects a fault by replacing a builder that this module
 reads (thermal_state, mode_operators, drift_matrix, thermal_covariance, ...),
 or modes.coupling, which drift_matrix and propagate read, and reads the
-check by name from run_checks; nothing here is ever skipped or
-clamped. check_dissipation_spectrum(gammas) is the body of the first check
-and the one owner of the Kossakowski spectrum and of the complete-positivity
-verdict, so a caller can probe the window with any couplings.
+check by name from run_checks; nothing here is ever skipped or clamped.
+check_dissipation_spectrum(gammas), the body of the first check, owns the
+Kossakowski spectrum and the complete-positivity verdict, so a caller can
+probe the window with any couplings.
 
-Each oracle check evaluates its whole (eps, T, gamma) grid as one
-array-valued ModelParams of shape (gammas, eps and T pairs), and every
-builder broadcasts over it: one stack of generators, one stack of drift
+The grid is one array-valued ModelParams of shape (gammas, (eps, T) pairs),
+and every builder broadcasts over it: one stack of generators, one of drift
 matrices, one fluctuation_inner for the thermal mode tables and one eigh for
-the Weyl observables. The mode operators and the thermal populations of the
+the Weyl observables. The mode operators and thermal populations of the
 (eps, T) pairs are built once per call and read by thermal-invariance,
 generator-match, mode-ccr and thermal-covariance; clt-convergence builds its
-own one-set state. The 8x8 reference of the last
-two checks propagates every curve config of the level as one stack of
-Gaussian states over their shared time grid, and reads its nu_min through
-negativity() as a user does. Every residual is the one a loop over the grid
-points gives, to the last bit. The parameter grid and the curve configs hold
-only read-only values, so each is built once per process.
+own one-set state. The 8x8 reference of the last two checks propagates every
+curve config as one stack over their shared time grid, and reads its nu_min
+through negativity() as a user does. Every residual is the one a loop over
+the grid points gives, to the last bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -56,11 +55,18 @@ from .oracle import CLOSURE_TOL, clt_table, extract_mode_generator, liouvillian,
 from .sites import ModelParams, dissipation_matrix, fluctuation_inner, frozen, kron2, thermal_state
 
 DEFAULT_GAMMAS = (0.0, 0.1, 0.25, 0.5)
-FULL_EPS_TEMPS = tuple(
-    (eps, temp) for eps in (0.5, 1.0, 2.0) for temp in (0.1, 0.5, 1.0, 5.0)
-)
-FAST_EPS_TEMPS = ((1.0, 1.0), (1.0, 0.1), (2.0, 0.5))
+EPS_TEMPS = tuple((eps, temp) for eps in (0.5, 1.0, 2.0) for temp in (0.1, 0.5, 1.0, 5.0))
 CLT_SITES = (100, 1000, 10000)
+# Every curve config shares the 51-point time grid to t = 5.
+CURVE_CONFIGS = (
+    ExperimentConfig(t_steps=51),
+    ExperimentConfig(gamma=0.3, temperature=0.5, squeeze_r=-2.0, t_steps=51),
+    ExperimentConfig(gamma=0.1, temperature=1.0, t_steps=51),
+)
+# One parameter set per gamma (rows) and (eps, T) pair (columns), and the
+# columns alone: thermal states and modes do not read gamma.
+_GRID = ModelParams(*np.array(EPS_TEMPS).T, np.array(DEFAULT_GAMMAS)[:, None])
+_COLUMNS = ModelParams(*np.array(EPS_TEMPS).T, 0.0)
 
 
 @dataclass(frozen=True)
@@ -100,55 +106,30 @@ def check_clt_convergence() -> tuple[list, str]:
     return residuals, detail
 
 
-@cache
-def _parameter_grid(level: str) -> ModelParams:
-    """The level's parameter sets, one row per gamma and one column per (eps, T)."""
-    eps, temps = np.array(FULL_EPS_TEMPS if level == "full" else FAST_EPS_TEMPS).T
-    return ModelParams(eps, temps, np.array(DEFAULT_GAMMAS)[:, None])
-
-
 @lru_cache(maxsize=1)
 def _pauli_words() -> np.ndarray:
     """Read-only 16x16 columns vec(sigma_i x sigma_j), every two-site Pauli word."""
     return frozen(np.column_stack([vec(kron2(i, j)) for i in range(4) for j in range(4)]))
 
 
-@cache
-def _curve_configs(level: str) -> tuple[ExperimentConfig, ...]:
-    """The level's curve configs; all share the 51-point time grid to t = 5."""
-    configs = (ExperimentConfig(t_steps=51),)
-    if level == "full":
-        configs += (
-            ExperimentConfig(gamma=0.3, temperature=0.5, squeeze_r=-2.0, t_steps=51),
-            ExperimentConfig(gamma=0.1, temperature=1.0, t_steps=51),
-        )
-    return configs
-
-
 class _Inputs:
-    """The inputs that several checks of one run_checks(level) call read.
+    """The inputs that several checks of one run_checks call read.
 
     Each is built on first read and lives only for the call; a build that
     raises is tried again, and fails, for each check that reads it.
     """
 
-    def __init__(self, level: str):
-        self.level = level
-        self.grid = grid = _parameter_grid(level)
-        # row 0, one set per (eps, T): thermal states and modes do not read gamma
-        self.columns = ModelParams(grid.epsilon[0], grid.temperature[0], grid.gamma[0])
-
     @cached_property
     def generators(self) -> np.ndarray:
-        return liouvillian(self.grid)
+        return liouvillian(_GRID)
 
     @cached_property
     def modes(self) -> np.ndarray:
-        return mode_operators(self.columns)
+        return mode_operators(_COLUMNS)
 
     @cached_property
     def weights(self) -> np.ndarray:
-        return thermal_state(self.columns)
+        return thermal_state(_COLUMNS)
 
     @cached_property
     def tables(self) -> tuple[np.ndarray, ...]:
@@ -163,21 +144,21 @@ class _Inputs:
         # populations S + (1, 1, 1, 4) against operator pairs S + (3, 4, 4, 4, 4)
         weights = self.weights[..., None, None, None, :]
         tables = fluctuation_inner(x[..., :, None, :, :], y[..., None, :, :, :], weights)
-        return self.columns.eta, tables[..., 0, :, :], tables[..., 1, :, :], tables[..., 2, :, :]
+        return _COLUMNS.eta, tables[..., 0, :, :], tables[..., 1, :, :], tables[..., 2, :, :]
 
     @cached_property
-    def reference(self) -> tuple[tuple[ExperimentConfig, ...], GaussianState]:
-        """The level's curve configs and the 8x8 reference state of each over the time grid.
+    def reference(self) -> GaussianState:
+        """The 8x8 reference state of every curve config over the time grid.
 
         Every config starts from its squeezed state and is propagated by its
         own parameter set in one propagate call over the shared time grid;
         the state stack has shape (configs, times).
         """
-        configs = _curve_configs(self.level)
+        configs = CURVE_CONFIGS
         fields = np.array([(c.epsilon, c.temperature, c.gamma, c.squeeze_r) for c in configs]).T
         params = ModelParams(*fields[:3])
         times = np.linspace(0.0, configs[0].t_max, configs[0].t_steps)
-        return configs, propagate(initial_state(params, fields[3]), params, times)
+        return propagate(initial_state(params, fields[3]), params, times)
 
 
 def _thermal_invariance(inputs: _Inputs) -> tuple[np.ndarray, str]:
@@ -193,7 +174,7 @@ def _generator_match(inputs: _Inputs) -> tuple[list, str]:
     # every generator read at once in the modes of its own (eps, T)
     ext = extract_mode_generator(inputs.generators, inputs.modes, inputs.weights)
     g = ext.mode_generator
-    m_t = drift_matrix(inputs.grid).swapaxes(-1, -2)
+    m_t = drift_matrix(_GRID).swapaxes(-1, -2)
     residuals = [
         ext.residual,
         np.abs(ext.identity_coeffs).max(),
@@ -237,15 +218,14 @@ def _thermal_covariance(inputs: _Inputs) -> tuple[np.ndarray, str]:
 
 def _physicality(inputs: _Inputs) -> tuple[np.ndarray, str]:
     """Propagated covariances stay physical: symplectic spectrum >= 1."""
-    smallest = symplectic_eigenvalues(inputs.reference[1].covariance)[..., 0]
+    smallest = symplectic_eigenvalues(inputs.reference.covariance)[..., 0]
     return np.maximum(0.0, 1.0 - smallest), ""
 
 
 def _curve_engine(inputs: _Inputs) -> tuple[np.ndarray, str]:
     """Closed-form curves match the 8x8 reference path at every grid point."""
-    configs, states = inputs.reference
-    reference = negativity(states).nu_min
-    curves = np.array([run_curve(config).nu_min for config in configs])
+    reference = negativity(inputs.reference).nu_min
+    curves = np.array([run_curve(config).nu_min for config in CURVE_CONFIGS])
     return np.abs(curves - reference) / reference, ""
 
 
@@ -264,15 +244,13 @@ _CHECKS = (
 )
 
 
-def run_checks(level: str = "fast") -> list[CheckResult]:
+def run_checks() -> list[CheckResult]:
     """Run every check in turn; a NumericError or ContractViolation fails only its check.
 
     A check's residual is the largest of its residuals, or 0; the failed
     check reports residual inf and the error's message.
     """
-    if level not in ("fast", "full"):
-        raise ValueError(f"verification level must be 'fast' or 'full', got {level!r}")
-    inputs = _Inputs(level)
+    inputs = _Inputs()
     results = []
     for name, tolerance, body in _CHECKS:
         try:

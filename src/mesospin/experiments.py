@@ -59,12 +59,14 @@ class ExperimentConfig:
 
     The defaults reproduce the strongest entangling case: coldest default
     temperature, maximal CP-allowed coupling, unit squeeze. Construction
-    checks every field's type and finiteness, and stores -0.0 as 0.0, so that
-    no header or file name reads "-0". The physical domain is checked by
-    ModelParams in the command that reads a value: run_curve checks the base
-    point (epsilon, temperature, gamma), a sweep the base fields it reads and
-    its own list, then its curve file names. So a sweep ignores the base
-    value of its swept field, and run_curve both lists.
+    checks every field's type, stores -0.0 as 0.0, so that no header or file
+    name reads "-0", and checks t_max, t_steps and squeeze_r in full. The
+    domain of epsilon, temperature and gamma, finiteness included, and of
+    the lists is checked by ModelParams in the command that reads a value:
+    run_curve checks the base point (epsilon, temperature, gamma), a sweep
+    the base fields it reads and its own list, then its curve file names. So
+    a sweep ignores the base value of its swept field, and run_curve both
+    lists.
     """
 
     epsilon: float = 1.0
@@ -82,7 +84,7 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{name}: expected a number, got {value!r}")
             object.__setattr__(self, name, float(value) + 0.0)
-            if not np.isfinite(getattr(self, name)):
+            if name in ("squeeze_r", "t_max") and not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name}: must be finite, got {value!r}")
         if isinstance(self.t_steps, bool) or not isinstance(self.t_steps, int):
             raise ConfigError(f"t_steps: expected an integer, got {self.t_steps!r}")

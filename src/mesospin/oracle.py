@@ -36,6 +36,8 @@ from .sites import (
 )
 
 CLOSURE_TOL = 1e-10
+# Site count from which clt_table reads the error off the cumulant series.
+SERIES_SITES = 1e5
 
 _DIM = 4
 
@@ -139,7 +141,7 @@ class GeneratorExtraction:
 @lru_cache(maxsize=1)
 def _observable_basis() -> np.ndarray:
     """Read-only 16x9 columns vec(1), vec(x_1) .. vec(x_8)."""
-    return frozen(np.column_stack([vec(x) for x in (np.eye(_DIM),) + observables().ops]))
+    return frozen(np.column_stack([vec(x) for x in (np.eye(_DIM),) + observables()]))
 
 
 def extract_mode_generator(
@@ -202,19 +204,24 @@ def require_sites(n: float) -> int:
     return int(n)
 
 
-def _weyl_powers(x: np.ndarray, n: int | np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _centred(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """x - w(x) for an observable or a stack of them; ContractViolation unless finite."""
+    centered = x - np.asarray(expectation(weights, x))[..., None, None] * np.eye(_DIM)
+    if not np.all(np.isfinite(centered)):
+        raise ContractViolation("Weyl argument must be finite")
+    return centered
+
+
+def _weyl_powers(centered: np.ndarray, n: int | np.ndarray, weights: np.ndarray) -> np.ndarray:
     """w(exp(i(x - w(x))/sqrt(n)))^n, the n-th power of one site's centred Weyl factor.
 
     With the eigenpairs (lambda_k, P_k) of the centred observable, the factor
     is f = 1 + z, z = sum_k w(P_k) expm1(i lambda_k/sqrt(n)), and f^n is taken
     as exp(n (log|f| + i arg f)) with log|f| = log1p(2a + a^2 + b^2)/2 for
-    z = a + ib: no rounding of f itself is raised to the n-th power. x may be a
-    stack of observables and n an array of site counts: one eigh serves every
-    count, and the result has shape x.shape[:-2] + n.shape.
+    z = a + ib: no rounding of f itself is raised to the n-th power. centered
+    may be a stack of observables and n an array of site counts: one eigh
+    serves every count, and the result has shape centered.shape[:-2] + n.shape.
     """
-    centered = x - np.asarray(expectation(weights, x))[..., None, None] * np.eye(_DIM)
-    if not np.all(np.isfinite(centered)):
-        raise ContractViolation("expm argument must be finite")
     n = np.asarray(n, dtype=float)
     lam, vectors = np.linalg.eigh(centered)
     mass = (weights[..., None] * (vectors * vectors.conj()).real).sum(axis=-2)  # w(P_k)
@@ -225,6 +232,27 @@ def _weyl_powers(x: np.ndarray, n: int | np.ndarray, weights: np.ndarray) -> np.
     return np.exp(n * (0.5 * np.log1p(2.0 * a + a * a + b * b) + 1j * np.arctan2(b, 1.0 + a)))
 
 
+def _series_errors(centered: np.ndarray, n: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """|f^n / limit - 1| = |expm1(n R)|, shaped as _weyl_powers, from cumulants kappa_3 .. kappa_6.
+
+    log f^n = -kappa_2/2 + n R, n R = sum_k kappa_k i^k theta^(k-2)/k! with
+    theta = n^(-1/2), and the moments w(x^k) of the centred x give the
+    cumulants. The first omitted term is of order theta^6: from n = 1e5 the
+    series is right to about 1e-11 relative, f^n - limit only to 2e-15 n.
+    """
+    n = np.asarray(n, dtype=float)
+    shape = centered.shape[:-2] + (1,) * n.ndim
+    mu2, mu3, mu4, mu5, mu6 = (
+        expectation(weights, np.linalg.matrix_power(centered, k)).real.reshape(shape)
+        for k in range(2, 7)
+    )
+    kappa = (mu3, mu4 - 3.0 * mu2**2, mu5 - 10.0 * mu3 * mu2,
+             mu6 - 15.0 * mu4 * mu2 - 10.0 * mu3**2 + 30.0 * mu2**3)
+    terms = (-1j / 6.0, 1.0 / 24.0, 1j / 120.0, -1.0 / 720.0)  # i^k / k!
+    n_r = sum(c * k * n ** (-0.5 * (j + 1)) for j, (c, k) in enumerate(zip(terms, kappa)))
+    return np.abs(np.expm1(n_r))
+
+
 def weyl_expectation_finite(x: np.ndarray, n: int, weights: np.ndarray) -> complex:
     """Exact n-site expectation of the Weyl operator of the mean-centered sum.
 
@@ -233,7 +261,7 @@ def weyl_expectation_finite(x: np.ndarray, n: int, weights: np.ndarray) -> compl
     the n-th power of one site factor.
     """
     x = _require_hermitian(x, "Weyl argument")
-    return complex(_weyl_powers(x, require_sites(n), weights))
+    return complex(_weyl_powers(_centred(x, weights), require_sites(n), weights))
 
 
 def weyl_expectation_limit(x: np.ndarray, weights: np.ndarray) -> float:
@@ -246,21 +274,27 @@ def _gaussian_limit(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * np.real(fluctuation_inner(x, x, weights)))
 
 
-def clt_table(weights: np.ndarray, sites: tuple[int, ...]) -> list[tuple]:
+def clt_table(weights: np.ndarray, sites: tuple[float, ...]) -> list[tuple]:
     """(limit, finite-n values, |errors|, monotone) per observable x_1 .. x_8.
 
     monotone is the convergence test: every error below the one before it.
-    It reads convergence only if n rises, so the site counts must be strictly
-    increasing; ContractViolation otherwise. The eight observables are
-    diagonalised by one eigh, for all site counts at once.
+    It reads convergence only if n rises, so this is where the site counts
+    are checked: positive integers, strictly increasing; ContractViolation
+    otherwise. The eight observables are diagonalised by one eigh, for all
+    site counts at once. From SERIES_SITES on, where the difference of finite
+    value and limit loses more digits than the series, an error is
+    limit |expm1(n R)|.
     """
     if any(a >= b for a, b in zip(sites, sites[1:])):
         raise ContractViolation(f"site counts must be strictly increasing, got {list(sites)}")
     sites = tuple(require_sites(n) for n in sites)
-    ops = np.array(observables().ops)
-    limits = _gaussian_limit(ops, weights)
-    table = []
-    for limit, finite in zip(limits.tolist(), _weyl_powers(ops, sites, weights).tolist()):
-        errors = [abs(f - limit) for f in finite]
-        table.append((limit, finite, errors, all(a > b for a, b in zip(errors, errors[1:]))))
-    return table
+    ops = np.array(observables())
+    centered = _centred(ops, weights)
+    limits = _gaussian_limit(ops, weights)[:, None]
+    finites = _weyl_powers(centered, sites, weights)
+    series = limits * _series_errors(centered, sites, weights)
+    errors = np.where(np.array(sites, dtype=float) < SERIES_SITES, abs(finites - limits), series)
+    return [
+        (limit, finite, error, all(a > b for a, b in zip(error, error[1:])))
+        for limit, finite, error in zip(limits[:, 0].tolist(), finites.tolist(), errors.tolist())
+    ]

@@ -174,32 +174,19 @@ def fluctuation_inner(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> comp
     return expectation(weights, xd @ y) - expectation(weights, xd) * expectation(weights, y)
 
 
-@dataclass(frozen=True)
-class ObservableSet:
-    """The eight site observables whose fluctuations close under the dynamics.
-
-    ops are sigma1 x 1, sigma2 x 1, sigma1 x sigma3, sigma2 x sigma3 and their
-    mirrors. Only ops[0..1] act on chain one alone and ops[4..5] on chain two
-    alone; the other four act on both chains. complement holds the remaining
-    eight Pauli words, which stay decoupled in the thermal state.
-    """
-
-    ops: tuple[np.ndarray, ...]
-    complement: tuple[np.ndarray, ...]
-
-
 @lru_cache(maxsize=1)
-def observables() -> ObservableSet:
-    """The shared, read-only observable set."""
-    ops = tuple(
+def observables() -> tuple[np.ndarray, ...]:
+    """The eight read-only site observables whose fluctuations close under the dynamics.
+
+    sigma1 x 1, sigma2 x 1, sigma1 x sigma3, sigma2 x sigma3 and their
+    mirrors: the first two act on chain one alone, the fifth and sixth on
+    chain two alone and the other four on both. The other eight Pauli words
+    stay decoupled in the thermal state.
+    """
+    return tuple(
         frozen(kron2(i, j))
         for i, j in ((1, 0), (2, 0), (1, 3), (2, 3), (0, 1), (0, 2), (3, 1), (3, 2))
     )
-    complement = tuple(
-        frozen(kron2(i, j))
-        for i, j in ((0, 0), (3, 0), (0, 3), (3, 3), (1, 1), (1, 2), (2, 1), (2, 2))
-    )
-    return ObservableSet(ops=ops, complement=complement)
 
 
 @lru_cache(maxsize=1)

@@ -145,7 +145,7 @@ def test_criterion_04_canonical_commutators_everywhere_on_the_grid():
 def test_criterion_05_central_limit_convergence():
     weights = thermal_state(ModelParams(1.0, 1.0, 0.5))
     worst_final = 0.0
-    for x in observables().ops:
+    for x in observables():
         limit = weyl_expectation_limit(x, weights)
         errors = [
             abs(weyl_expectation_finite(x, n, weights) - limit)
@@ -154,7 +154,7 @@ def test_criterion_05_central_limit_convergence():
         assert errors[0] > errors[1] > errors[2]
         worst_final = max(worst_final, errors[2])
     assert worst_final <= 1e-2
-    x1 = observables().ops[0]
+    x1 = observables()[0]
     assert abs(weyl_expectation_finite(x1, 100, weights) - 0.6060240772154118) <= 1e-12
     assert abs(weyl_expectation_limit(x1, weights) - 0.6065306597126334) <= 1e-12
     _verdict(5, "central limit", f"worst error at 10^4 sites {worst_final:.2e}")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mesospin.checks as checks
+import mesospin.cli as cli
 import mesospin.modes as modes
 import mesospin.negativity as negativity_module
 import mesospin.oracle as oracle
@@ -37,9 +38,9 @@ from mesospin.sites import (
 )
 
 
-def _check(name, level="fast"):
-    """The result of the named check in run_checks(level)."""
-    return next(r for r in checks.run_checks(level) if r.name == name)
+def _check(name):
+    """The result of the named check in run_checks()."""
+    return next(r for r in checks.run_checks() if r.name == name)
 
 
 def _a2_scaled(params):
@@ -71,17 +72,17 @@ def test_thermal_covariance_fails_for_a_mis_scaled_fixed_point(monkeypatch):
     result = _check("thermal-covariance")
     assert not result.passed
     # the largest diagonal entry 1/eta sits at the hottest (eps, T)
-    worst = max(1e-6 / ModelParams(e, t, 0.0).eta for e, t in checks.FAST_EPS_TEMPS)
+    worst = max(1e-6 / ModelParams(e, t, 0.0).eta for e, t in checks.EPS_TEMPS)
     assert abs(result.residual - worst) < 1e-12
 
 
 def test_generator_match_fails_for_a_mis_scaled_coupling_piece(monkeypatch):
     l_h, l_0, l_1 = oracle.generator_pieces()
     monkeypatch.setattr(oracle, "generator_pieces", lambda: (l_h, l_0, (1.0 + 1e-6) * l_1))
-    results = {r.name: r for r in checks.run_checks("full")}
+    results = {r.name: r for r in checks.run_checks()}
     assert not results["generator-match"].passed
     # gamma K gains 1e-6 gamma K; the largest |K| entry is max(eta, eta_perp)
-    eps, temps = np.array(checks.FULL_EPS_TEMPS).T
+    eps, temps = np.array(checks.EPS_TEMPS).T
     grid = ModelParams(eps[:, None], temps[:, None], np.array(checks.DEFAULT_GAMMAS))
     worst = np.max(1e-6 * grid.gamma * np.maximum(grid.eta, grid.eta_perp))
     assert abs(results["generator-match"].residual - worst) < 1e-12
@@ -98,7 +99,7 @@ def test_thermal_covariance_fails_with_a_nan_residual_for_a_nan_fixed_point(monk
 
 def test_a_nan_thermal_state_fails_with_a_nan_residual(monkeypatch):
     monkeypatch.setattr(checks, "thermal_state", lambda params: np.full(4, np.nan))
-    results = {r.name: r for r in checks.run_checks("fast")}
+    results = {r.name: r for r in checks.run_checks()}
     for name in ("thermal-invariance", "generator-match", "mode-ccr"):
         result = results[name]
         assert not result.passed
@@ -121,15 +122,10 @@ def test_clt_convergence_fails_when_the_errors_of_an_observable_rise(monkeypatch
     assert result.detail.startswith("observable 3: errors not monotone")
 
 
-def test_run_checks_refuses_an_unknown_level():
-    with pytest.raises(ValueError, match="'fast' or 'full', got 'medium'"):
-        checks.run_checks("medium")
-
-
 def test_a_nan_coupling_piece_fails_both_generator_checks(monkeypatch):
     l_h, l_0, l_1 = oracle.generator_pieces()
     monkeypatch.setattr(oracle, "generator_pieces", lambda: (l_h, l_0, np.nan * l_1))
-    failed = [r for r in checks.run_checks("fast") if not r.passed]
+    failed = [r for r in checks.run_checks() if not r.passed]
     assert [r.name for r in failed] == ["thermal-invariance", "generator-match"]
     for r in failed:
         assert r.residual == float("inf")
@@ -137,18 +133,18 @@ def test_a_nan_coupling_piece_fails_both_generator_checks(monkeypatch):
 
 
 def test_run_checks_keeps_nothing_from_a_tampered_call(monkeypatch):
-    clean = checks.run_checks("fast")
+    clean = checks.run_checks()
     assert all(r.passed for r in clean)
     with monkeypatch.context() as patch:
         patch.setattr(checks, "mode_operators", _a2_scaled)
-        tampered = checks.run_checks("fast")
+        tampered = checks.run_checks()
     # generator-match reads the same shared modes as mode-ccr and thermal-covariance
     assert [r.name for r in tampered if not r.passed] == [
         "generator-match",
         "mode-ccr",
         "thermal-covariance",
     ]
-    assert checks.run_checks("fast") == clean
+    assert checks.run_checks() == clean
 
 
 def test_a_full_run_builds_each_generator_and_reference_stack_once(monkeypatch):
@@ -170,7 +166,7 @@ def test_a_full_run_builds_each_generator_and_reference_stack_once(monkeypatch):
     counted(negativity_module, "symplectic_eigenvalues", "spectra")
     # the Weyl powers take one eigh of all their observables per call
     counted(oracle, "_weyl_powers")
-    assert all(r.passed for r in checks.run_checks("full"))
+    assert all(r.passed for r in checks.run_checks())
     # one generator stack shared by two checks, one reference covariance stack
     # for all curve configs and one eigendecomposition for all Weyl observables
     assert calls == {
@@ -193,7 +189,7 @@ def test_a_full_run_builds_the_modes_once_and_the_thermal_state_twice(monkeypatc
                     return original(params)
 
                 monkeypatch.setattr(module, name, wrapper)
-    assert all(r.passed for r in checks.run_checks("full"))
+    assert all(r.passed for r in checks.run_checks())
     # the (eps, T) columns' modes and populations serve four checks; the
     # second thermal state is clt-convergence's own (1, 1) state
     assert calls == {"mode_operators": 1, "thermal_state": 2}
@@ -201,23 +197,22 @@ def test_a_full_run_builds_the_modes_once_and_the_thermal_state_twice(monkeypatc
 
 def test_a_nan_thermal_state_fails_checks_without_aborting_the_run(monkeypatch):
     monkeypatch.setattr(checks, "thermal_state", lambda params: np.full(4, np.nan))
-    results = {r.name: r for r in checks.run_checks("fast")}
+    results = {r.name: r for r in checks.run_checks()}
     assert len(results) == 8
     clt = results["clt-convergence"]
     assert not clt.passed
     assert clt.residual == float("inf")
-    assert clt.detail == "expm argument must be finite"
+    assert clt.detail == "Weyl argument must be finite"
 
 
-def _looped_residuals(level):
-    """Every residual of run_checks(level), one (eps, T, gamma) or grid point at a time."""
+def _looped_residuals():
+    """Every residual of run_checks(), one (eps, T, gamma) or grid point at a time."""
     words = np.column_stack([vec(kron2(i, j)) for i in range(4) for j in range(4)])
     spectrum, invariance, match, ccr, covariance = [], [], [], [], []
     for gamma in checks.DEFAULT_GAMMAS:
         expected = np.sort([1.0 - 2.0 * gamma, 1.0, 1.0, 1.0 + 2.0 * gamma])
         spectrum.append(np.abs(np.linalg.eigvalsh(dissipation_matrix(gamma)) - expected).max())
-    eps_temps = checks.FULL_EPS_TEMPS if level == "full" else checks.FAST_EPS_TEMPS
-    for eps, temp in eps_temps:
+    for eps, temp in checks.EPS_TEMPS:
         thermal = ModelParams(eps, temp, 0.0)
         weights = thermal_state(thermal)
         for gamma in checks.DEFAULT_GAMMAS:
@@ -251,14 +246,14 @@ def _looped_residuals(level):
         covariance.append(np.abs(2.0 * cov - thermal_covariance(thermal.eta)).max())
     clt = []
     weights = thermal_state(ModelParams(1.0, 1.0, 0.0))
-    for x in observables().ops:
+    for x in observables():
         limit = weyl_expectation_limit(x, weights)
         errors = [abs(weyl_expectation_finite(x, n, weights) - limit) for n in checks.CLT_SITES]
         if not all(e > f for e, f in zip(errors, errors[1:])):
             clt.append(float("inf"))
         clt.append(errors[-1])
     physicality, engine = [], []
-    for config in checks._curve_configs(level):
+    for config in checks.CURVE_CONFIGS:
         p = ModelParams(config.epsilon, config.temperature, config.gamma)
         start = initial_state(p, config.squeeze_r)
         curve = run_curve(config).nu_min
@@ -278,12 +273,24 @@ def _looped_residuals(level):
 def test_the_mode_checks_read_to_a_few_ulps_on_the_full_grid():
     # The delicate mode entry -(1 - eta)/eta is read from the carried delta,
     # so the coldest (eps, T) = (2, 0.1) costs no digits.
-    results = {r.name: r for r in checks.run_checks("full")}
+    results = {r.name: r for r in checks.run_checks()}
     for name in ("mode-ccr", "generator-match", "thermal-covariance"):
         assert results[name].residual <= 1e-14, (name, results[name].residual)
 
 
 @pytest.mark.parametrize("level", ["fast", "full"])
-def test_each_residual_is_the_one_a_loop_over_the_grid_gives(level):
-    stacked = [repr(r.residual) for r in checks.run_checks(level)]
-    assert stacked == [repr(float(r)) for r in _looped_residuals(level)]
+def test_each_residual_is_the_one_a_loop_over_the_grid_gives(level, monkeypatch, capsys):
+    # --level is accepted for compatibility only: either value runs the one
+    # full-grid suite, whose residuals a loop over that grid reproduces
+    runs = []
+
+    def recorded():
+        runs.append(checks.run_checks())
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "run_checks", recorded)
+    assert cli.main(["verify", "--level", level]) == 0
+    capsys.readouterr()
+    assert len(runs) == 1
+    stacked = [repr(r.residual) for r in runs[0]]
+    assert stacked == [repr(float(r)) for r in _looped_residuals()]

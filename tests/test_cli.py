@@ -129,6 +129,22 @@ def test_a_sweep_runs_whatever_base_value_of_its_swept_field_it_is_given(args, t
     assert main(args + ["--t-steps", "20", "--output-dir", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize("base", ["inf", "nan"])
+def test_a_non_finite_base_gamma_is_refused_only_where_it_is_read(base, tmp_path, capsys):
+    # sweep-gamma never reads the base gamma, so any value gives the same files
+    args = ["sweep-gamma", "--t-steps", "20", "--gamma-list", "0.1,0.4", "--gamma"]
+    assert main(args + [base, "--output-dir", str(tmp_path / "odd")]) == 0
+    assert main(args + ["0.7", "--output-dir", str(tmp_path / "plain")]) == 0
+    names = sorted(os.listdir(tmp_path / "plain"))
+    assert sorted(os.listdir(tmp_path / "odd")) == names
+    for name in names:
+        assert (tmp_path / "odd" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    capsys.readouterr()
+    assert main(["curve", "--gamma", base, "--output", str(tmp_path / "c.csv")]) == 2
+    assert capsys.readouterr().err == f"configuration error: gamma must be finite, got {base}\n"
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_sweep_temp_refuses_its_default_list_where_eta_rounds_to_one(tmp_path, capsys):
     argv = ["sweep-temp", "--epsilon", "4", "--temperature", "1.0", "--output-dir"]
     assert main(argv + [str(tmp_path)]) == 2
@@ -227,6 +243,15 @@ def test_verify_fast_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_prints_one_report_whatever_the_level(capsys):
+    reports = []
+    for level in ([], ["--level", "fast"], ["--level", "full"]):
+        assert main(["verify", *level]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0].endswith("all checks passed\n")
+
+
 def test_verify_fails_when_the_drift_is_tampered(monkeypatch, capsys):
     def tampered(params):
         matrix = drift_matrix(params).copy()
@@ -305,6 +330,15 @@ def test_clt_refuses_a_non_integral_site_count(sites, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("configuration error: sites: ")
     assert captured.out == ""
+
+
+def test_clt_reads_the_error_where_the_difference_keeps_no_digit(capsys):
+    assert main(["clt", "--sites", "1e12,1e14,1e16,1e18,1e20"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # limit/(12 n) to seven digits, for each of the eight observables
+    for k in (14, 16, 18, 20, 22):
+        assert sum(line.endswith(f"5.054422e-{k}") for line in lines) == 8
+    assert lines[-1] == "monotone convergence for every observable: yes"
 
 
 def test_clt_takes_a_site_count_beyond_64_bits(capsys):

@@ -46,7 +46,7 @@ def _coefficients(p: ModelParams) -> np.ndarray:
     coefficient of x_k in a mode is Tr(x_k a)/4.
     """
     ops = mode_operators(p)
-    x = np.array(observables().ops)
+    x = np.array(observables())
     r = np.einsum("kij,mji->mk", x, ops) / 4.0
     adj = np.einsum("kij,mji->mk", x, ops.conj().transpose(0, 2, 1)) / 4.0
     return np.concatenate([r, adj])
@@ -70,7 +70,7 @@ def test_mode_operators_agree_with_the_map():
     # the coefficients read off them rebuilds each mode.
     p = ModelParams(1.0, 1.0, 0.0)
     r = _coefficients(p)
-    obs = observables().ops
+    obs = observables()
     for row, op in zip(r[:4], mode_operators(p)):
         combined = sum(row[k] * obs[k] for k in range(8))
         assert np.abs(combined - op).max() < 1e-13
@@ -81,7 +81,7 @@ def test_mode_operators_are_the_observable_combinations(eps, temp):
     p = ModelParams(eps, temp, 0.0)
     c1 = 1.0 / (2.0 * np.sqrt(p.eta))
     c2 = np.sqrt(p.eta) / (2.0 * p.eta_perp)
-    x = observables().ops
+    x = observables()
     expected = np.array(
         [
             c1 * (x[0] - 1j * x[1]),

@@ -85,8 +85,7 @@ def test_generator_matches_the_double_commutator_form():
 
 def test_shared_constant_arrays_are_read_only():
     shared = [
-        observables().ops[0],
-        observables().complement[0],
+        *observables(),
         lindblad_ops()[0],
         *generator_pieces(),
         oracle._observable_basis(),
@@ -183,8 +182,8 @@ def test_weyl_rejects_a_nan_argument():
 
 def test_leak_onto_a_complement_word_breaks_closure():
     p = ModelParams(1.0, 1.0, 0.3)
-    x1 = observables().ops[0]
-    leak = observables().complement[1]  # sigma3 x 1
+    x1 = observables()[0]
+    leak = kron2(3, 0)  # sigma3 x 1, outside the span of the observables
     # adds 1e-6 * leak to L[x1] and to no other observable's image
     matrix = liouvillian(p) + 1e-6 * np.outer(vec(leak), vec(x1).conj()) / 4.0
     with pytest.raises(ClosureError, match="do not close"):
@@ -235,7 +234,7 @@ def test_zero_coupling_generator_is_diagonal_rotation():
 def test_weyl_expectation_anchor_values():
     p = ModelParams(1.0, 1.0, 0.5)
     weights = thermal_state(p)
-    x1 = observables().ops[0]
+    x1 = observables()[0]
     finite = weyl_expectation_finite(x1, 100, weights)
     assert abs(finite - 0.6060240772154118) < 1e-12
     assert abs(finite.imag) < 1e-14
@@ -248,7 +247,7 @@ def test_weyl_expectation_anchor_values():
 def test_weyl_errors_shrink_monotonically_for_every_observable():
     p = ModelParams(1.0, 1.0, 0.5)
     weights = thermal_state(p)
-    for x in observables().ops:
+    for x in observables():
         limit = weyl_expectation_limit(x, weights)
         errors = [
             abs(weyl_expectation_finite(x, n, weights) - limit)
@@ -262,7 +261,7 @@ def test_clt_table_is_each_single_weyl_expectation():
     for p in (ModelParams(1.0, 1.0, 0.0), ModelParams(2.0, 0.3, 0.0)):
         weights = thermal_state(p)
         sites = (7, 100, 1000, 10000)
-        for x, (limit, finite, _, _) in zip(observables().ops, clt_table(weights, sites)):
+        for x, (limit, finite, _, _) in zip(observables(), clt_table(weights, sites)):
             assert limit == weyl_expectation_limit(x, weights)
             assert finite == [weyl_expectation_finite(x, n, weights) for n in sites]
 
@@ -279,6 +278,21 @@ def test_clt_table_error_at_1e8_sites_is_the_exact_one():
         assert abs(errors[1] - want) <= 1e-2 * want
 
 
+def test_clt_table_errors_up_to_1e20_sites_are_the_exact_ones():
+    # Past n = 1e14 the difference of finite value and limit keeps no digit;
+    # the cumulant series reads the error as limit |expm1(n R)|.
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 60
+    sites = tuple(10**k for k in (12, 14, 16, 18, 20))
+    for temperature in (1.0, 0.3):
+        table = clt_table(thermal_state(ModelParams(1.0, temperature, 0.0)), sites)
+        for _, _, errors, monotone in table:
+            assert monotone
+            for n, error in zip(sites, errors):
+                exact = abs(mp.cos(1 / mp.sqrt(n)) ** n - mp.exp(mp.mpf(-0.5)))  # ~ 0.05/n
+                assert abs(error - exact) <= 1e-10 * exact
+
+
 def test_weyl_rejects_non_hermitian_and_bad_site_count():
     p = ModelParams(1.0, 1.0, 0.5)
     weights = thermal_state(p)
@@ -288,5 +302,5 @@ def test_weyl_rejects_non_hermitian_and_bad_site_count():
     with pytest.raises(ContractViolation):
         weyl_expectation_limit(lowering, weights)
     with pytest.raises(ContractViolation):
-        weyl_expectation_finite(observables().ops[0], 0, weights)
+        weyl_expectation_finite(observables()[0], 0, weights)
 

@@ -191,7 +191,7 @@ def test_thermal_state_factorizes_over_the_two_chains():
 def test_fluctuation_inner_on_the_first_chain_pair():
     p = ModelParams(epsilon=1.0, temperature=1.0, gamma=0.0)
     weights = thermal_state(p)
-    x1, x2 = observables().ops[0], observables().ops[1]
+    x1, x2 = observables()[0], observables()[1]
     assert abs(fluctuation_inner(x1, x1, weights) - 1.0) < 1e-14
     assert abs(fluctuation_inner(x1, x2, weights) - (-1j * p.eta)) < 1e-14
     assert abs(fluctuation_inner(x2, x1, weights) - (1j * p.eta)) < 1e-14
@@ -216,26 +216,27 @@ def test_stacked_expectation_and_inner_form_match_scalar_calls():
 def test_fluctuation_inner_vanishes_across_chains():
     p = ModelParams(epsilon=1.0, temperature=0.5, gamma=0.0)
     weights = thermal_state(p)
-    obs = observables().ops
+    obs = observables()
     for i in range(4):
         for j in range(4, 8):
             assert abs(fluctuation_inner(obs[i], obs[j], weights)) < 1e-14
 
 
 def test_observables_are_hermitian_traceless_involutions():
-    for x in observables().ops:
+    for x in observables():
         assert np.abs(x - x.conj().T).max() == 0.0
         assert abs(np.trace(x)) == 0.0
         assert np.abs(x @ x - np.eye(4)).max() == 0.0
 
 
 def test_complement_decouples_in_the_fluctuation_form():
+    # the eight Pauli words that are not observables
+    pairs = ((0, 0), (3, 0), (0, 3), (3, 3), (1, 1), (1, 2), (2, 1), (2, 2))
     for temperature in (0.1, 1.0, 5.0):
         p = ModelParams(epsilon=1.0, temperature=temperature, gamma=0.0)
         weights = thermal_state(p)
-        obs = observables()
-        for y in obs.complement:
-            for x in obs.ops:
+        for y in (kron2(i, j) for i, j in pairs):
+            for x in observables():
                 assert abs(fluctuation_inner(y, x, weights)) < 1e-12
                 assert abs(fluctuation_inner(x, y, weights)) < 1e-12
 
