@@ -21,7 +21,7 @@ from .experiments import (
     sweep_gamma,
     sweep_temperature,
 )
-from .modes import GaussianState, drift_matrix, initial_state, propagate
+from .modes import drift_matrix, initial_state, propagate
 from .negativity import NegativityResult, log_negativity, min_symplectic_pt
 from .sites import GAMMA_MAX, ModelParams, dissipation_matrix, thermal_state
 
@@ -34,7 +34,6 @@ __all__ = [
     "ContractViolation",
     "ExperimentConfig",
     "GAMMA_MAX",
-    "GaussianState",
     "ModelParams",
     "NegativityCurve",
     "NegativityResult",

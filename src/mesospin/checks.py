@@ -5,10 +5,11 @@ thermal invariance, closure of the observable algebra, generator agreement
 between the microscopic and mesoscopic routes, canonical commutation of the
 collective modes, central-limit convergence, the thermal quadrature
 covariance against the microscopic thermal state, physicality of propagated
-states, agreement of the closed-form curve engine with the 8x8 reference path
-at every grid point) and reports the worst residual against its tolerance.
-There is one suite, with no level to choose: the (eps, T) pairs EPS_TEMPS
-times DEFAULT_GAMMAS, and the curve configs CURVE_CONFIGS, built at import.
+covariances, agreement of the closed-form curve engine with the 8x8
+reference path at every grid point) and reports the worst residual against
+its tolerance. There is one suite, with no level to choose: the (eps, T)
+pairs EPS_TEMPS times DEFAULT_GAMMAS, and the curve configs CURVE_CONFIGS,
+built at import.
 
 run_checks() is the one entry point. It runs the table _CHECKS of (name,
 tolerance, body) in report order: each body takes the inputs that several
@@ -42,14 +43,7 @@ import numpy as np
 
 from .errors import STRUCTURAL_TOL, ContractViolation, NumericError
 from .experiments import ExperimentConfig, run_curve
-from .modes import (
-    GaussianState,
-    drift_matrix,
-    initial_state,
-    mode_operators,
-    propagate,
-    thermal_covariance,
-)
+from .modes import drift_matrix, initial_state, mode_operators, propagate, thermal_covariance
 from .negativity import negativity, symplectic_eigenvalues
 from .oracle import CLOSURE_TOL, clt_table, extract_mode_generator, liouvillian, vec
 from .sites import ModelParams, dissipation_matrix, fluctuation_inner, frozen, kron2, thermal_state
@@ -147,12 +141,12 @@ class _Inputs:
         return _COLUMNS.eta, tables[..., 0, :, :], tables[..., 1, :, :], tables[..., 2, :, :]
 
     @cached_property
-    def reference(self) -> GaussianState:
-        """The 8x8 reference state of every curve config over the time grid.
+    def reference(self) -> np.ndarray:
+        """The 8x8 reference covariance of every curve config over the time grid.
 
         Every config starts from its squeezed state and is propagated by its
         own parameter set in one propagate call over the shared time grid;
-        the state stack has shape (configs, times).
+        the covariance stack has shape (configs, times, 8, 8).
         """
         configs = CURVE_CONFIGS
         fields = np.array([(c.epsilon, c.temperature, c.gamma, c.squeeze_r) for c in configs]).T
@@ -218,7 +212,7 @@ def _thermal_covariance(inputs: _Inputs) -> tuple[np.ndarray, str]:
 
 def _physicality(inputs: _Inputs) -> tuple[np.ndarray, str]:
     """Propagated covariances stay physical: symplectic spectrum >= 1."""
-    smallest = symplectic_eigenvalues(inputs.reference.covariance)[..., 0]
+    smallest = symplectic_eigenvalues(inputs.reference)[..., 0]
     return np.maximum(0.0, 1.0 - smallest), ""
 
 

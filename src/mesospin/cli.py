@@ -16,8 +16,10 @@ import dataclasses
 import errno
 import functools
 import json
+import math
 import os
 import sys
+from decimal import Decimal
 
 from .checks import format_report, run_checks
 from .errors import ConfigError, ContractViolation
@@ -39,14 +41,24 @@ _WORKERS_HELP = "accepted for compatibility; no effect, a sweep computes its cur
 _LEVEL_HELP = "accepted for compatibility; no effect, verify runs its one full suite"
 
 
-def _parse_number_list(text: str, field: str) -> tuple[float, ...]:
+def _parse_number_list(text: str, field: str, parse=float) -> tuple[float, ...]:
     try:
-        values = tuple(float(part) for part in text.split(",") if part.strip())
+        values = tuple(parse(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise ConfigError(f"{field}: could not parse '{text}' as numbers") from exc
     if not values:
         raise ConfigError(f"{field}: must not be empty")
     return values
+
+
+def _site_count(part: str) -> int | float:
+    """One --sites entry: the exact int typed if it is integral, else its float.
+
+    float() alone reads 1e23 as 99999999999999991611392. clt_table refuses
+    every count that is not a positive integer, 1e400 (inf as a float) too.
+    """
+    value, exact = float(part), Decimal(part)
+    return int(exact) if math.isfinite(value) and exact == exact.to_integral_value() else value
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -166,7 +178,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_clt(args: argparse.Namespace) -> int:
-    sites = _parse_number_list(args.sites, "sites")
+    sites = _parse_number_list(args.sites, "sites", _site_count)
     try:
         params = ModelParams(args.epsilon, args.temperature, 0.0)
     except ContractViolation as exc:

@@ -9,8 +9,10 @@ d = diag(1 + 1/eta, -delta/eta) on the other chain's spin (c2 as in
 mode_operators). This module owns the modes as site matrices, the
 coupling K and the drift M = -(1+i*eps)I + gamma*K of the dissipative
 evolution, each a plain array read off a ModelParams, and the closed-form
-propagation of Gaussian states, each held as one real quadrature covariance
-over (x_1, p_1, ..., x_4, p_4) with the vacuum normalised to the identity.
+propagation of the quasi-free state, held as its real quadrature covariance
+over (x_1, p_1, ..., x_4, p_4), vacuum = identity: a plain (8, 8) array, or a
+(..., 8, 8) stack. symplectic_eigenvalues, which reads it, refuses one that
+is not symmetric, NaN entries included.
 Every builder broadcasts over the parameters: a ModelParams of shape S gives
 arrays of shape S + (n, n), computed by array arithmetic, each entry bit for
 bit what the call on its own parameter set returns. No time stepping is
@@ -22,18 +24,16 @@ from flow(), which splits the modes by the spectral projectors (I +/- K)/2
 of K (K^2 = I) and damps each at its own rate; it is the reference that the
 curve engine, with its own expm1 variance rows, is checked against. Both take
 the ModelParams itself. Given an array of times, or parameter sets of shape G
-and a matching state stack, flow() and propagate() return stacks over the
+and a matching covariance stack, flow() and propagate() return stacks over the
 parameter sets and the times, entry for entry what single calls return. The
 fixed point is thermal_covariance().
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import STRUCTURAL_TOL, ContractViolation
+from .errors import ContractViolation
 from .sites import SIGMA0, SIGMA_MINUS, ModelParams, frozen
 
 
@@ -103,38 +103,6 @@ def drift_matrix(params: ModelParams) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class GaussianState:
-    """Quasi-free fluctuation state, held as its real quadrature covariance.
-
-    The covariance is ordered (x_1, p_1, ..., x_4, p_4), quadrature pair k
-    belonging to mode k of (a1, a2, b1, b2), and normalised so that the vacuum
-    is the identity. A stack (..., 8, 8) holds one state per leading index.
-    eta is a float shared by every state, or an array over the first leading
-    axes: eta[i] belongs to every state of covariance[i]. Construction
-    enforces the symmetry of every matrix, which a NaN entry fails, then
-    stores the exactly symmetrised stack.
-    """
-
-    covariance: np.ndarray
-    eta: float | np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.covariance, dtype=float)
-        if c.shape[-2:] != (8, 8):
-            raise ContractViolation(f"covariance must be (..., 8, 8), got {c.shape}")
-        lead = np.shape(self.eta)
-        if len(lead) > c.ndim - 2 or c.shape[: len(lead)] != lead:
-            raise ContractViolation(
-                f"eta of shape {lead} does not lead the covariances {c.shape}"
-            )
-        limit = STRUCTURAL_TOL * np.maximum(1.0, np.abs(c).max(axis=(-2, -1)))
-        # Written as not (x <= limit), so that a NaN fails.
-        if not np.all(np.abs(c - c.swapaxes(-1, -2)).max(axis=(-2, -1)) <= limit):
-            raise ContractViolation("covariance must be symmetric")
-        object.__setattr__(self, "covariance", 0.5 * (c + c.swapaxes(-1, -2)))
-
-
 def thermal_covariance(eta) -> np.ndarray:
     """The thermal fixed point I/eta, the one place it is written.
 
@@ -143,8 +111,8 @@ def thermal_covariance(eta) -> np.ndarray:
     return np.eye(8) / np.asarray(eta)[..., None, None]
 
 
-def initial_state(params: ModelParams, squeeze_r=0.0) -> GaussianState:
-    """Thermal fluctuation state with both first modes squeezed by r.
+def initial_state(params: ModelParams, squeeze_r=0.0) -> np.ndarray:
+    """Covariance of the thermal fluctuation state with both first modes squeezed by r.
 
     The squeeze acts independently on a1 and b1 with the same real parameter
     (alpha -> cosh(r) alpha - sinh(r) alpha*): x of each takes the variance
@@ -153,19 +121,17 @@ def initial_state(params: ModelParams, squeeze_r=0.0) -> GaussianState:
     correlations: entanglement between the chains can only be generated by
     the common bath afterwards. r = 0 returns the exact fixed point
     thermal_covariance(eta). params of shape S and r, a scalar or an array,
-    broadcast to one shape B; the state stack has shape B + (8, 8) and its
-    eta shape B.
+    broadcast to one shape B; the covariance stack has shape B + (8, 8).
     """
     r = np.asarray(squeeze_r, dtype=float)
     if not np.all(np.isfinite(r)):
         raise ContractViolation(f"squeeze parameter must be finite, got {squeeze_r!r}")
-    shape = np.broadcast_shapes(np.shape(params.eta), r.shape)
-    eta = np.broadcast_to(params.eta, shape) if shape else params.eta
+    eta = np.broadcast_to(params.eta, np.broadcast_shapes(np.shape(params.eta), r.shape))
     c = thermal_covariance(eta)
     # (x, p) of a1 are rows 0 and 1, those of b1 rows 4 and 5
     c[..., 0, 0] = c[..., 4, 4] = np.exp(-2.0 * r) / eta
     c[..., 1, 1] = c[..., 5, 5] = np.exp(2.0 * r) / eta
-    return GaussianState(covariance=c, eta=eta)
+    return c
 
 
 def flow(params: ModelParams, t) -> np.ndarray:
@@ -192,7 +158,7 @@ def flow(params: ModelParams, t) -> np.ndarray:
     return rotation * ((slow + fast) * np.eye(4) + (slow - fast) * k)
 
 
-def propagate(state: GaussianState, params: ModelParams, t) -> GaussianState:
+def propagate(covariance: np.ndarray, params: ModelParams, t) -> np.ndarray:
     """Evolve the covariance for time t >= 0 in closed form.
 
     V(t) = R (V(0) - V_th) R^T + V_th with V_th = thermal_covariance(eta) and
@@ -200,29 +166,26 @@ def propagate(state: GaussianState, params: ModelParams, t) -> GaussianState:
     [[Re u_jk, -Im u_jk], [Im u_jk, Re u_jk]]. The deviation from the fixed
     point is conjugated by a strict contraction whenever gamma < 1. An array
     t of shape S gives a stack S + (8, 8). Parameter sets of shape G take
-    one state each, a G + (8, 8) stack whose eta matches each set's, and
-    give G + S + (8, 8) with eta of shape G, each entry bit for bit the
-    single call.
+    one covariance each, a G + (8, 8) stack, and give G + S + (8, 8), each
+    entry bit for bit the single call. eta is read from params alone, and
+    the result is symmetrised exactly under the swap of its matrix axes.
     """
     u = flow(params, t)
+    covariance = np.asarray(covariance, dtype=float)
+    if covariance.shape[-2:] != (8, 8):
+        raise ContractViolation(f"covariance must be (..., 8, 8), got {covariance.shape}")
     lead = np.shape(params.eta)
-    # Written as not (x <= limit), so that a NaN fails.
-    if np.shape(state.eta) != lead or not np.all(np.abs(state.eta - params.eta) <= 1e-15):
+    if lead and covariance.shape[:-2] != lead:
         raise ContractViolation(
-            "the state and the parameter sets hold different thermal parameters"
-        )
-    if lead and state.covariance.shape[:-2] != lead:
-        raise ContractViolation(
-            f"parameter sets of shape {lead} take one state each, got {state.covariance.shape}"
+            f"parameter sets of shape {lead} take one state each, got {covariance.shape}"
         )
     transfer = np.empty(u.shape[:-2] + (8, 8))
     transfer[..., 0::2, 0::2] = transfer[..., 1::2, 1::2] = u.real
     transfer[..., 0::2, 1::2] = -u.imag
     transfer[..., 1::2, 0::2] = u.imag
-    # each parameter set's state and fixed point meet every time
+    # each parameter set's covariance and fixed point meet every time
     at = (..., *(None,) * np.ndim(t), slice(None), slice(None))
-    reference = thermal_covariance(state.eta)[at]
-    deviation = state.covariance[at] - reference
-    c = transfer @ deviation @ transfer.swapaxes(-1, -2)
+    reference = thermal_covariance(params.eta)[at]
+    c = transfer @ (covariance[at] - reference) @ transfer.swapaxes(-1, -2)
     c += reference
-    return GaussianState(covariance=c, eta=state.eta)
+    return 0.5 * (c + c.swapaxes(-1, -2))

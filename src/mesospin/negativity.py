@@ -1,6 +1,6 @@
 """Logarithmic negativity between the first collective modes of the chains.
 
-The pipeline is: read the (a1, b1) rows and columns of a state's real
+The pipeline is: read the (a1, b1) rows and columns of an 8x8 real
 quadrature covariance (vacuum = identity), partially transpose the second
 mode, and read off the smallest symplectic eigenvalue. Entanglement is
 E = max(0, -ln nu_min): positive exactly when the partial transpose fails to
@@ -14,8 +14,8 @@ factor of sigma, and i S Omega S with S the symmetric square root of sigma
 from its own eigendecomposition. The two routes must agree; disagreement is
 reported as a numeric failure, never papered over.
 
-Every step broadcasts over leading axes: a state stack gives nu_min and E as
-arrays, a single state gives floats.
+Every step broadcasts over leading axes: a covariance stack gives nu_min and
+E as arrays, a single covariance gives floats.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SPECTRAL_TOL, ContractViolation, NumericError
-from .modes import GaussianState
 from .sites import frozen
 
 _BLOCK_TOL = 1e-10
@@ -114,10 +113,13 @@ class NegativityResult:
     log_negativity: float | np.ndarray
 
 
-def negativity(state: GaussianState) -> NegativityResult:
-    """Logarithmic negativity between a1 and b1 in the given state or state stack.
+def negativity(covariance: np.ndarray) -> NegativityResult:
+    """Logarithmic negativity between a1 and b1 of an 8x8 covariance or a (..., 8, 8) stack.
 
-    nu_min is read from the (a1, b1) rows and columns of state.covariance.
+    nu_min is read from the (a1, b1) rows and columns of the covariance.
     """
-    nu_min = min_symplectic_pt(state.covariance[..., _FIRST_MODES[:, None], _FIRST_MODES])
+    covariance = np.asarray(covariance, dtype=float)
+    if covariance.shape[-2:] != (8, 8):
+        raise ContractViolation(f"covariance must be (..., 8, 8), got {covariance.shape}")
+    nu_min = min_symplectic_pt(covariance[..., _FIRST_MODES[:, None], _FIRST_MODES])
     return NegativityResult(nu_min=nu_min, log_negativity=log_negativity(nu_min))

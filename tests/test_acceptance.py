@@ -109,7 +109,7 @@ def test_criterion_03_thermal_state_is_invariant_on_both_levels():
     state = initial_state(params, 0.0)
     reference = np.eye(8) / params.eta
     worst_meso = max(
-        float(np.abs(propagate(state, params, t).covariance - reference).max())
+        float(np.abs(propagate(state, params, t) - reference).max())
         for t in np.linspace(0.0, 5.0, 101)
     )
     assert worst_meso <= 1e-10
@@ -225,7 +225,7 @@ def test_criterion_09_relaxation_envelope_rate():
         reference = np.eye(8) / params.eta
         times = np.linspace(2.0, 5.0, 16)
         norms = [
-            np.linalg.norm(propagate(state, params, t).covariance - reference, 2)
+            np.linalg.norm(propagate(state, params, t) - reference, 2)
             for t in times
         ]
         slope = np.polyfit(times, np.log(norms), 1)[0]

@@ -95,6 +95,16 @@ def test_thermal_covariance_fails_with_a_nan_residual_for_a_nan_fixed_point(monk
     result = _check("thermal-covariance")
     assert not result.passed
     assert np.isnan(result.residual)
+    # the reference path reaches the fixed point through modes
+    monkeypatch.setattr(
+        modes, "thermal_covariance", lambda eta: np.full(np.shape(eta) + (8, 8), np.nan)
+    )
+    results = {r.name: r for r in checks.run_checks()}
+    for name in ("state-physicality", "curve-engine"):
+        assert (results[name].residual, results[name].detail) == (
+            float("inf"),
+            "covariance must be symmetric",
+        )
 
 
 def test_a_nan_thermal_state_fails_with_a_nan_residual(monkeypatch):
@@ -260,7 +270,7 @@ def _looped_residuals():
         times = np.linspace(0.0, config.t_max, config.t_steps)
         for t, nu in zip(times, curve):
             state = propagate(start, p, t)
-            smallest = symplectic_eigenvalues(state.covariance)[0]
+            smallest = symplectic_eigenvalues(state)[0]
             physicality.append(max(0.0, 1.0 - smallest))
             reference = negativity(state).nu_min
             engine.append(abs(nu - reference) / reference)

@@ -324,7 +324,7 @@ def test_clt_table(capsys):
 
 
 # The last two do not rise, so no monotone verdict could be read from them.
-@pytest.mark.parametrize("sites", ["100.7,1000", "inf", "nan", "1000,100", "100,100"])
+@pytest.mark.parametrize("sites", ["100.7,1000", "inf", "nan", "1e400", "1000,100", "100,100"])
 def test_clt_refuses_a_non_integral_site_count(sites, capsys):
     assert main(["clt", "--sites", sites]) == 2
     captured = capsys.readouterr()
@@ -346,6 +346,14 @@ def test_clt_takes_a_site_count_beyond_64_bits(capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.count(f"{10**20:>8}") == 8
+
+
+def test_clt_reads_an_exponent_site_count_exactly(capsys):
+    # float("1e23") is 99999999999999991611392
+    assert main(["clt", "--sites", "100,1e23"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("100000000000000000000000") == 8
+    assert "99999999999999991611392" not in out
 
 
 def _fresh_interpreter(*argv: str) -> str:

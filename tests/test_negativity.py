@@ -7,7 +7,7 @@ import pytest
 
 import mesospin.negativity as negativity_module
 from mesospin.errors import ContractViolation, NumericError
-from mesospin.modes import GaussianState, initial_state, propagate
+from mesospin.modes import initial_state, propagate
 from mesospin.negativity import (
     log_negativity,
     min_symplectic_pt,
@@ -22,9 +22,9 @@ def _entangled_state():
     return propagate(initial_state(p, 1.0), p, 1.373), p
 
 
-def _first_modes(state: GaussianState) -> np.ndarray:
-    """The (x, p) rows and columns of a1 and b1 in the state's quadrature covariance."""
-    return state.covariance[..., [[0], [1], [4], [5]], [0, 1, 4, 5]]
+def _first_modes(covariance: np.ndarray) -> np.ndarray:
+    """The (x, p) rows and columns of a1 and b1 in an 8x8 quadrature covariance."""
+    return covariance[..., [[0], [1], [4], [5]], [0, 1, 4, 5]]
 
 
 def _tmsv(s: float) -> np.ndarray:
@@ -56,7 +56,7 @@ def test_quadrature_of_the_squeezed_state_is_diagonal():
     assert np.abs(cov - expected).max() < 1e-12
 
 
-def _random_propagated_stack(seed: int) -> GaussianState:
+def _random_propagated_stack(seed: int) -> np.ndarray:
     """Squeezed states of 6 random parameter sets, each propagated to 40 random times."""
     rng = np.random.default_rng(seed)
     params = ModelParams(
@@ -68,19 +68,19 @@ def _random_propagated_stack(seed: int) -> GaussianState:
 
 @pytest.mark.parametrize("seed", [29, 30, 31])
 def test_quadrature_covariance_is_exactly_symmetric_on_propagated_stacks(seed):
-    # GaussianState stores every covariance exactly symmetric, signed zeros
+    # propagate returns every covariance exactly symmetric, signed zeros
     # included.
-    cov = _random_propagated_stack(seed).covariance
+    cov = _random_propagated_stack(seed)
     assert cov.shape == (6, 40, 8, 8)
     assert cov.tobytes() == np.ascontiguousarray(cov.swapaxes(-1, -2)).tobytes()
 
 
 def test_negativity_of_a_stack_is_each_single_call_bit_for_bit():
-    states = _random_propagated_stack(29)
-    stacked = negativity(states)
+    covariances = _random_propagated_stack(29)
+    stacked = negativity(covariances)
     assert stacked.nu_min.shape == stacked.log_negativity.shape == (6, 40)
     for index in np.ndindex(6, 40):
-        single = negativity(GaussianState(states.covariance[index], states.eta[index[0]]))
+        single = negativity(covariances[index])
         assert type(single.nu_min) is float
         assert single.nu_min == stacked.nu_min[index]
         assert single.log_negativity == stacked.log_negativity[index]
@@ -96,6 +96,38 @@ def test_symplectic_eigenvalues_refuse_a_nan_covariance():
     # not a NumericError from the Cholesky factor: the input breaks the contract
     with pytest.raises(ContractViolation, match="symmetric"):
         symplectic_eigenvalues(np.full((4, 4), np.nan))
+
+
+def test_negativity_refuses_an_asymmetric_first_mode_block():
+    p = ModelParams(1.0, 1.0, 0.5)
+    good = initial_state(p, 1.0)
+    broken = good.copy()
+    broken[0, 1] += 0.1  # x and p of a1, inside the (a1, b1) block
+    with pytest.raises(ContractViolation, match="covariance must be symmetric"):
+        negativity(broken)
+    # one bad matrix anywhere in a stack is refused
+    with pytest.raises(ContractViolation, match="covariance must be symmetric"):
+        negativity(np.array([good, good, broken]))
+
+
+def test_symplectic_eigenvalues_refuse_nan_moments_anywhere_in_a_stack():
+    reference = initial_state(ModelParams(1.0, 1.0, 0.5), 0.0)
+    for c in (np.full((8, 8), np.nan), np.where(np.eye(8) > 0, np.nan, 0.0)):
+        with pytest.raises(ContractViolation, match="covariance must be symmetric"):
+            symplectic_eigenvalues(c)
+    for index in (1, -1):
+        stack = np.array([reference] * 3)
+        stack[index, 2, 5] = stack[index, 5, 2] = np.nan
+        with pytest.raises(ContractViolation, match="covariance must be symmetric"):
+            symplectic_eigenvalues(stack)
+
+
+def test_negativity_refuses_a_covariance_that_is_not_8x8():
+    # a (10, 10) array would have rows 0, 1, 4 and 5 read silently, a (6, 6)
+    # one would raise IndexError
+    for bad in (np.broadcast_to(np.eye(10), (3, 10, 10)), np.eye(10), np.eye(6), np.ones(8)):
+        with pytest.raises(ContractViolation, match=r"covariance must be \(\.\.\., 8, 8\)"):
+            negativity(bad)
 
 
 def test_symplectic_spectrum_of_direct_sums():
@@ -144,7 +176,7 @@ def test_dual_routes_agree_at_degenerate_spectra(monkeypatch):
         assert type(result.nu_min) is float and type(result.log_negativity) is float
         assert result.log_negativity == 0.0
         assert result.nu_min >= 1.0
-    # A state stack gives arrays, entry for entry what single states give.
+    # A covariance stack gives arrays, entry for entry what single ones give.
     stacked = negativity(propagate(start, p, np.array(times)))
     loop = [negativity(propagate(start, p, t)) for t in times]
     assert np.array_equal(stacked.nu_min, [r.nu_min for r in loop])
@@ -165,19 +197,19 @@ def test_dual_routes_agree_at_degenerate_spectra(monkeypatch):
         min_symplectic_pt(covs[3])
 
 
-def _phase_state(p: ModelParams, squeeze_r, phase) -> GaussianState:
+def _phase_state(p: ModelParams, squeeze_r, phase) -> np.ndarray:
     """Both first modes squeezed by r, b1's 2x2 block then rotated by phase / 2.
 
     phase is the relative squeeze phase; r and phase broadcast, and the stack
-    shares the scalar eta of p.
+    shares the one parameter set p.
     """
-    c = initial_state(p, squeeze_r).covariance
+    c = initial_state(p, squeeze_r)
     half = 0.5 * np.asarray(phase)[..., None, None]
     rot = np.cos(half) * np.eye(2) + np.sin(half) * np.array([[0.0, -1.0], [1.0, 0.0]])
     block = rot @ c[..., 4:6, 4:6] @ rot.swapaxes(-1, -2)
     c = np.array(np.broadcast_to(c, block.shape[:-2] + (8, 8)))
     c[..., 4:6, 4:6] = block
-    return GaussianState(covariance=c, eta=p.eta)
+    return c
 
 
 def test_a_degenerate_spectrum_at_opposite_squeezes_is_read_exactly():
@@ -186,9 +218,9 @@ def test_a_degenerate_spectrum_at_opposite_squeezes_is_read_exactly():
     # 3.99228077833350 (50-digit mpmath), where a closed determinant formula
     # for nu loses half its digits.
     p = ModelParams(1.0, 0.1, 0.5)
-    c = initial_state(p, 2.0).covariance.copy()
+    c = initial_state(p, 2.0)
     c[4, 4], c[5, 5] = c[5, 5], c[4, 4]
-    state = propagate(GaussianState(covariance=c, eta=p.eta), p, 0.4)
+    state = propagate(c, p, 0.4)
     assert abs(negativity(state).nu_min - 3.99228077833350) <= 1e-12 * 3.99228077833350
 
 

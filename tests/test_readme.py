@@ -1,7 +1,9 @@
-"""The README's library quickstart runs as written."""
+"""The README's library quickstart runs as written, and its names exist."""
 
 from __future__ import annotations
 
+import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -24,3 +26,20 @@ def test_layout_names_every_module_of_the_package():
     package = README.parent / "src" / "mesospin"
     modules = {p.name for p in package.glob("*.py") if not p.name.startswith("__")}
     assert named == modules
+
+
+def test_every_camel_case_name_in_backticks_is_a_package_class_or_a_builtin():
+    # a class renamed or deleted in the package leaves no stale name behind
+    prose = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.DOTALL)
+    spans = re.findall(r"`([^`\n]+)`", prose)
+    named = {name for span in spans for name in re.findall(r"\b[A-Z][a-z0-9]+[A-Z]\w*", span)}
+    package = README.parent / "src" / "mesospin"
+    classes = {
+        node.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+    }
+    builtin = {name for name in named if isinstance(getattr(builtins, name, None), type)}
+    assert "ModelParams" in named
+    assert named - classes - builtin == set()
