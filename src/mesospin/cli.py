@@ -16,10 +16,9 @@ import dataclasses
 import errno
 import functools
 import json
-import math
 import os
 import sys
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 
 from .checks import format_report, run_checks
 from .errors import ConfigError, ContractViolation
@@ -44,21 +43,23 @@ _LEVEL_HELP = "accepted for compatibility; no effect, verify runs its one full s
 def _parse_number_list(text: str, field: str, parse=float) -> tuple[float, ...]:
     try:
         values = tuple(parse(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
+    except (ValueError, InvalidOperation) as exc:
         raise ConfigError(f"{field}: could not parse '{text}' as numbers") from exc
     if not values:
         raise ConfigError(f"{field}: must not be empty")
     return values
 
 
-def _site_count(part: str) -> int | float:
-    """One --sites entry: the exact int typed if it is integral, else its float.
+def _site_count(part: str) -> Decimal:
+    """One --sites entry, exactly as typed: float() reads 1e23 as 99999999999999991611392.
 
-    float() alone reads 1e23 as 99999999999999991611392. clt_table refuses
-    every count that is not a positive integer, 1e400 (inf as a float) too.
+    clt_table refuses every count that is not a positive integer, such as
+    100.0000000000000001; a signalling NaN, which no comparison takes, is junk.
     """
-    value, exact = float(part), Decimal(part)
-    return int(exact) if math.isfinite(value) and exact == exact.to_integral_value() else value
+    exact = Decimal(part)
+    if exact.is_snan():
+        raise ValueError(part)
+    return exact
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:

@@ -36,7 +36,6 @@ from .errors import SPECTRAL_TOL, ConfigError, ContractViolation, NumericError
 from .negativity import log_negativity
 from .sites import ModelParams
 
-LIFETIME_THRESHOLD = 1e-12
 # Largest |squeeze_r| accepted: the range of the 50-digit property test in
 # tests/test_engine.py. Beyond it the closed form is untested.
 SQUEEZE_R_MAX = 10.0
@@ -150,13 +149,13 @@ class NegativityCurve:
         return float(self.log_negativity.max())
 
     def lifetime(self) -> float:
-        """Largest sampled time with E above LIFETIME_THRESHOLD; 0.0 if none.
+        """Largest sampled time with nu_min < 1, that is E > 0; 0.0 if none.
 
         It and max_log_negativity are read off the sampled grid, so a curve
         still entangled at t_max reports t_max: the default curve reports 5.0,
         against a closed-form death time of 8.468292.
         """
-        alive = np.nonzero(self.log_negativity > LIFETIME_THRESHOLD)[0]
+        alive = np.nonzero(self.nu_min < 1.0)[0]
         if len(alive) == 0:
             return 0.0
         return float(self.times[alive[-1]])

@@ -18,7 +18,6 @@ returns: the caller builds each once and hands it in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -117,40 +116,26 @@ def liouvillian(params: ModelParams) -> np.ndarray:
     return gen
 
 
-@dataclass(frozen=True)
-class GeneratorExtraction:
-    """Restriction of the generator to the span of the eight observables.
-
-    identity_coeffs[a] is the identity component of L[x_a]; the observables
-    are traceless and the dynamics unital, so every entry must vanish.
-    residual is the largest entry of any L[x_a] minus its projection onto the
-    span of the identity and the observables. mode_generator is the
-    restriction in the ladder basis (a1, a2, b1, b2, and conjugates): entry
-    (m, k) is the coefficient of mode k in the image of mode m, and its
-    upper-left 4x4 block is the drift matrix of the mesoscopic propagation,
-    transposed. For a stack of generators or modes of a parameter grid,
-    identity_coeffs and mode_generator are stacks over the broadcast leading
-    axes, and residual is the largest over all of them.
-    """
-
-    identity_coeffs: np.ndarray
-    residual: float
-    mode_generator: np.ndarray
-
-
 @lru_cache(maxsize=1)
 def _observable_basis() -> np.ndarray:
-    """Read-only 16x9 columns vec(1), vec(x_1) .. vec(x_8)."""
-    return frozen(np.column_stack([vec(x) for x in (np.eye(_DIM),) + observables()]))
+    """Read-only 16x8 columns vec(x_1) .. vec(x_8)."""
+    return frozen(np.column_stack([vec(x) for x in observables()]))
 
 
 def extract_mode_generator(
     generator: np.ndarray, modes: np.ndarray, weights: np.ndarray
-) -> GeneratorExtraction:
+) -> tuple[np.ndarray, float]:
     """Restrict the generator to the observables and read it in the given modes.
 
-    The closure test projects the images of the observables onto their span;
-    it reads only the generator. The mode generator is read off the canonical
+    Returns (mode_generator, residual). The closure test reads only the
+    generator: residual is the largest entry of any L[x_a] minus its
+    projection onto span(x_1 .. x_8). The fluctuation of the identity
+    vanishes, so an identity component of L[x_a] is a leak like any word
+    outside the span; above CLOSURE_TOL it raises ClosureError.
+    mode_generator is the restriction in the ladder basis (a1, a2, b1, b2,
+    and conjugates): entry (m, k) is the coefficient of mode k in the image
+    of mode m, and its upper-left 4x4 block is the drift matrix of the
+    mesoscopic propagation, transposed. It is read off the canonical
     commutators of the modes alpha = (a, a^dag), a = modes as
     modes.mode_operators returns them, in the thermal state w of populations
     weights, as sites.thermal_state returns them: with
@@ -158,16 +143,16 @@ def extract_mode_generator(
     in L[alpha_m] is w([L[alpha_m], a_k^dag]) and that of a_k^dag is
     w([a_k, L[alpha_m]]). The generator may be a stack of shape G + (16, 16)
     and modes and weights of one parameter grid M, shapes M + (4, 4, 4) and
-    M + (4,): every entry comes from one product, G broadcast against M. One
-    generator with the modes of several temperatures is thus read in each
-    temperature's modes. Every matrix is bit for bit what the call on its own
-    generator, modes and weights returns.
+    M + (4,): every entry comes from one product, G broadcast against M,
+    mode_generator is the stack over the broadcast axes and residual the
+    largest over all of it. One generator with the modes of several
+    temperatures is thus read in each temperature's modes. Every matrix is
+    bit for bit what the call on its own generator, modes and weights returns.
     """
     # Pauli words are orthogonal under tr(x^dag y) = 4 delta, so basis^H / 4 projects.
     basis = _observable_basis()
-    images = generator @ basis[:, 1:]
-    components = basis.conj().T @ images / 4.0
-    residual = float(np.abs(images - basis @ components).max())
+    images = generator @ basis
+    residual = float(np.abs(images - basis @ (basis.conj().T @ images / 4.0)).max())
     if not residual <= CLOSURE_TOL:
         raise ClosureError(
             f"observables do not close under the generator: residual {residual:.3e}"
@@ -180,11 +165,7 @@ def extract_mode_generator(
     d = np.concatenate([alpha[..., 4:, :, :], -modes], axis=-3)
     e = d * (weights[..., None, None, :] - weights[..., None, :, None])
     mode_images = vec(alpha) @ generator.swapaxes(-1, -2)  # row m is vec(L[alpha_m])
-    return GeneratorExtraction(
-        identity_coeffs=components[..., 0, :],
-        residual=residual,
-        mode_generator=mode_images @ vec(e.swapaxes(-1, -2)).swapaxes(-1, -2),
-    )
+    return mode_images @ vec(e.swapaxes(-1, -2)).swapaxes(-1, -2), residual
 
 
 def _require_hermitian(x: np.ndarray, name: str) -> np.ndarray:
@@ -198,9 +179,10 @@ def _require_hermitian(x: np.ndarray, name: str) -> np.ndarray:
 
 def require_sites(n: float) -> int:
     """A site count as an int; raises ContractViolation unless a positive integer."""
-    # an int of any size compares exactly; the range test keeps NaN and inf from int()
-    if not 1 <= n < np.inf or int(n) != n:
-        raise ContractViolation(f"site count must be a positive integer, got {n!r}")
+    # n may be an int or a Decimal of any size, and int(n) != n compares it exactly;
+    # the float range test keeps NaN, inf and a count beyond any float from int()
+    if not 1 <= float(n) < np.inf or int(n) != n:
+        raise ContractViolation(f"site count must be a positive integer, got {n}")
     return int(n)
 
 
@@ -285,9 +267,9 @@ def clt_table(weights: np.ndarray, sites: tuple[float, ...]) -> list[tuple]:
     value and limit loses more digits than the series, an error is
     limit |expm1(n R)|.
     """
+    sites = tuple(require_sites(n) for n in sites)
     if any(a >= b for a, b in zip(sites, sites[1:])):
         raise ContractViolation(f"site counts must be strictly increasing, got {list(sites)}")
-    sites = tuple(require_sites(n) for n in sites)
     ops = np.array(observables())
     centered = _centred(ops, weights)
     limits = _gaussian_limit(ops, weights)[:, None]

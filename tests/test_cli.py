@@ -324,7 +324,10 @@ def test_clt_table(capsys):
 
 
 # The last two do not rise, so no monotone verdict could be read from them.
-@pytest.mark.parametrize("sites", ["100.7,1000", "inf", "nan", "1e400", "1000,100", "100,100"])
+@pytest.mark.parametrize(
+    "sites",
+    ["100.7,1000", "100.0000000000000001", "inf", "nan", "1e400", "1000,100", "100,100"],
+)
 def test_clt_refuses_a_non_integral_site_count(sites, capsys):
     assert main(["clt", "--sites", sites]) == 2
     captured = capsys.readouterr()

@@ -218,6 +218,23 @@ def test_lifetime_semantics():
     assert dead.lifetime() == 0.0
 
 
+# Both tails hold 0 < E <= 1e-12 for several time units: each curve is still
+# entangled there, and its lifetime is read where nu_min reaches 1.
+@pytest.mark.parametrize(
+    "temperature, gamma, squeeze_r, lifetime",
+    [(0.0307, 0.02, 0.028, 14.21), (0.0309, 0.476, 0.753, 29.31)],
+)
+def test_lifetime_counts_an_entangled_tail_however_weak(temperature, gamma, squeeze_r, lifetime):
+    config = ExperimentConfig(
+        temperature=temperature, gamma=gamma, squeeze_r=squeeze_r, t_max=40.0, t_steps=8001
+    )
+    curve = run_curve(config)
+    assert curve.lifetime() == pytest.approx(lifetime, abs=1e-9)
+    last = np.searchsorted(curve.times, curve.lifetime())
+    assert 0.0 < curve.log_negativity[last] <= 1e-12
+    assert np.all(curve.nu_min[last + 1 :] >= 1.0)
+
+
 def test_gamma_sweep_summary():
     cfg = ExperimentConfig.from_dict({"t_steps": 80, "gamma_list": [0.0, 0.2, 0.5]})
     sweep = sweep_gamma(cfg)

@@ -13,12 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mesospin.experiments import (
-    LIFETIME_THRESHOLD,
-    ExperimentConfig,
-    sweep_gamma,
-    sweep_temperature,
-)
+from mesospin.experiments import ExperimentConfig, sweep_gamma, sweep_temperature
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -60,7 +55,7 @@ def _readings(sweep):
     times = sweep.curves[0].times
     peak = np.array([c.max_log_negativity for c in sweep.curves])
     last = np.searchsorted(times, [c.lifetime() for c in sweep.curves])
-    alive = np.array([c.log_negativity > LIFETIME_THRESHOLD for c in sweep.curves])
+    alive = np.array([c.nu_min < 1.0 for c in sweep.curves])
     first = np.where(alive.any(axis=1), alive.argmax(axis=1), len(times))
     return peak, last, first
 
